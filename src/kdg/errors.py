@@ -6,7 +6,8 @@ Every error carries the exit code the CLI maps it to:
        disconnected where connectivity is required)
     3  graph not negative definite
     4  operation precondition violated (bad insertion site, bad string
-       designation, out-of-domain family parameters)
+       designation, out-of-domain family parameters, p_a search over its
+       work budget)
     5  internal assertion failure (an exact identity that must hold did not)
 """
 

@@ -12,9 +12,9 @@ revolves around.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import NamedTuple, Sequence, Union
 
 from .errors import InternalCheckError, InvalidGraphError, NotNegativeDefiniteError, PreconditionError
@@ -160,35 +160,206 @@ def cycle_pa(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> int:
     return 1 + int(twice) // 2
 
 
-def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
-    """Max of p_a over all integral cycles 0 < D <= bound * Z (componentwise).
+#: Nodes the pruned p_a search may visit before `pa_max_bounded` gives up
+#: with a `PreconditionError` (exit code 4) instead of running unbounded.
+PA_SEARCH_BUDGET = 1_000_000
 
-    A certified lower bound for the maximal arithmetic genus of the
-    singularity; `bound` controls the search box.
+
+def _pa_of(weights, adj, c, d) -> int:
+    """p_a(D) = 1 + (D^2 + K.D)/2 in integers, D^2 = sum d_i (D.A_i)."""
+    twice = 0
+    for i, di in enumerate(d):
+        if di:
+            twice += di * (weights[i] * di + sum(mult * d[j] for j, mult in adj[i].items()) + c[i])
+    return 1 + twice // 2
+
+
+def _bfs_order(adj) -> list[int]:
+    """Vertex indices of a connected graph in breadth-first order from 0."""
+    order = [0]
+    seen = {0}
+    for v in order:
+        for j in sorted(adj[v]):
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    return order
+
+
+def _ellipsoid_levels(nbrs, w, centre):
+    """Symmetric elimination of -M, last level first.
+
+    `nbrs[k]` lists (level, multiplicity) pairs and `w[k]` is the
+    self-intersection at level k.  Returns (piv, lower, const) with
+    (x - centre)^T (-M) (x - centre) = sum_k piv[k] * (x_k - mid_k)^2 and
+    mid_k = const[k] - sum_{(l, f) in lower[k]} f * x_l, so mid_k depends
+    only on the levels before k.  Rows are kept sparse: on a tree in
+    breadth-first order nothing fills in.
+    """
+    n = len(w)
+    rows = [{l: Fraction(-mult) for l, mult in nbrs[k]} for k in range(n)]
+    diag = [Fraction(-wk) for wk in w]
+    piv = [Fraction(0)] * n
+    lower: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        piv[k] = diag[k]
+        below = [(l, a) for l, a in rows[k].items() if l < k]
+        lower[k] = [(l, a / piv[k]) for l, a in below]
+        for i, a_ik in below:
+            diag[i] -= a_ik * a_ik / piv[k]
+            for j, a_jk in below:
+                if j != i:
+                    rows[i][j] = rows[i].get(j, 0) - a_ik * a_jk / piv[k]
+    const = [centre[k] + sum(f * centre[l] for l, f in lower[k]) for k in range(n)]
+    return piv, lower, const
+
+
+def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
+    """Max of p_a(D) = 1 + (D^2 + K.D)/2 over all integral cycles D with
+    0 < D <= bound * Z componentwise, Z the fundamental cycle.
+
+    The value is exact, the same as visiting every point of the box; the
+    search skips only cycles that provably cannot raise the maximum.
+
+    1. Artin's criterion (Artin, Amer. J. Math. 88, 1966): Z lies in the
+       box, and p_a(Z) = 0 forces p_a(D) <= 0 for every D > 0, so the
+       answer is then 0.  Otherwise the search starts from
+       best = max p_a(t Z) over t = 1..bound.
+    2. Anti-nef, locally maximal cycles suffice: if D.A_i >= 1 then
+       p_a(D + A_i) = p_a(D) + genus_i + D.A_i - 1 >= p_a(D), and D + A_i
+       stays in the box because bound * Z is anti-nef.  Repeating this
+       (Laufer's sequence, Laufer, Amer. J. Math. 94, 1972) from a
+       maximizer ends at an anti-nef maximizer, which is >= Z like every
+       nonzero anti-nef cycle.  A maximizer D other than A_i also has
+       p_a(D - A_i) = p_a(D) + 1 + self_i - genus_i - D.A_i <= p_a(D).  So
+       only Z <= D <= bound * Z with self_i + 1 - genus_i <= D.A_i <= 0
+       for every i is searched.
+    3. Ellipsoid pruning (Fincke & Pohst, Math. Comp. 44, 1985): with
+       D* = -m/2 and M m = c, p_a(D) = 1 + (-K^2)/8 - (D - D*)^T (-M) (D - D*)/2,
+       so p_a(D) > best confines D to an ellipsoid that shrinks as best
+       rises.  Coordinates are fixed depth-first in breadth-first vertex
+       order, each one within the exact projection of the ellipsoid given
+       the coordinates fixed before it, and within the bounds of step 2
+       that those coordinates imply.  It all runs on integers scaled by
+       one common denominator.
+
+    Raises `PreconditionError` (exit code 4) when the search visits more
+    than `PA_SEARCH_BUDGET` nodes.
     """
     if bound < 1:
         raise PreconditionError(f"bound must be >= 1, got {bound}")
     z = fundamental_cycle(g).as_ints()
     n = len(g)
-    m_rows = [[int(x) for x in row] for row in intersection_matrix(g)]
+    adj = g.adjacency()
+    weights = [v.self_int for v in g.vertices]
     c = [int(x) for x in adjunction_degrees(g)]
-    best = None
-    for d in itertools.product(*(range(0, bound * zi + 1) for zi in z)):
-        if not any(d):
+    best = _pa_of(weights, adj, c, z)
+    if best == 0:
+        return 0
+    best = max(_pa_of(weights, adj, c, [t * zi for zi in z]) for t in range(1, bound + 1))
+    canonical = solve(intersection_matrix(g), c)
+    quarter_k2 = -dot(canonical, c) / 4
+    if quarter_k2 < 2 * best:
+        return best
+
+    order = _bfs_order(adj)
+    level = {v: k for k, v in enumerate(order)}
+    w = [weights[v] for v in order]
+    nbrs = [[(level[j], mult) for j, mult in adj[v].items()] for v in order]
+    piv, lower, const = _ellipsoid_levels(nbrs, w, [-canonical[v] / 2 for v in order])
+    # Level k in integers: mid_k = (cst[k] - sum f * x_l) / den[k] over
+    # (l, f) in low[k], and its term of the form is scale[k] * u^2 / unit
+    # with u = den[k] * x_k - den[k] * mid_k.
+    den = [lcm(const[k].denominator, *(f.denominator for _, f in lower[k])) for k in range(n)]
+    cst = [int(const[k] * den[k]) for k in range(n)]
+    low = [[(l, int(f * den[k])) for l, f in lower[k]] for k in range(n)]
+    terms = [piv[k] / den[k] ** 2 for k in range(n)]
+    unit = lcm(quarter_k2.denominator, *(t.denominator for t in terms))
+    scale = [int(t * unit) for t in terms]
+    base = int(quarter_k2 * unit)
+    limit = base - 2 * best * unit  # find D with form * unit <= limit
+
+    slack = [g.vertices[v].genus - weights[v] - 1 for v in order]
+    z_lv = [z[v] for v in order]
+    earlier = [[(l, mult) for l, mult in nbrs[k] if l < k] for k in range(n)]
+    # Range of sum_j mult * x_j over the neighbours of each level, taking
+    # x_j = z_j (low) or bound * z_j (high) for the levels not yet fixed.
+    low_sum = [sum(mult * z_lv[l] for l, mult in nbrs[k]) for k in range(n)]
+    high_sum = [bound * s for s in low_sum]
+    x = [0] * n  # 0 while the level is not fixed
+    first = [0] * n
+    hi = [0] * n
+    mid = [0] * n  # den[k] * mid_k
+    partial = [0] * (n + 1)
+    nodes = 0
+
+    def enter(k: int) -> None:
+        """Set level k up to try, in increasing order, the values that keep
+        -slack <= D.A <= 0 possible at k and at the levels fixed before it."""
+        m_k = cst[k] - sum(f * x[l] for l, f in low[k])
+        mid[k] = m_k
+        lo = max(z_lv[k], -(low_sum[k] // w[k]))
+        top = min(bound * z_lv[k], (high_sum[k] + slack[k]) // -w[k])
+        for l, mult in earlier[k]:
+            own = w[l] * x[l]
+            top = min(top, z_lv[k] + -(own + low_sum[l]) // mult)
+            lo = max(lo, bound * z_lv[k] - ((own + high_sum[l] + slack[l]) // mult))
+        room = limit - partial[k]
+        if room < 0:
+            top = lo - 1
+        else:
+            r = isqrt(room // scale[k])
+            lo = max(lo, -((r - m_k) // den[k]))
+            top = min(top, (m_k + r) // den[k])
+        first[k] = lo
+        hi[k] = top
+
+    def fix(k: int, value: int) -> None:
+        """Set x[k] (0 releases the level) and update the neighbour sums."""
+        old = x[k]
+        x[k] = value
+        d_low = (value or z_lv[k]) - (old or z_lv[k])
+        d_high = (value or bound * z_lv[k]) - (old or bound * z_lv[k])
+        for l, mult in nbrs[k]:
+            low_sum[l] += mult * d_low
+            high_sum[l] += mult * d_high
+
+    k = 0
+    enter(0)
+    while k >= 0:
+        value = x[k] + 1 if x[k] else first[k]
+        if value > hi[k]:
+            fix(k, 0)
+            k -= 1
             continue
-        d_sq = 0
-        k_dot = 0
-        for i in range(n):
-            di = d[i]
-            if di == 0:
-                continue
-            row = m_rows[i]
-            d_sq += di * sum(row[j] * d[j] for j in range(n) if d[j])
-            k_dot += di * c[i]
-        pa = 1 + (d_sq + k_dot) // 2
-        if best is None or pa > best:
-            best = pa
-    assert best is not None
+        fix(k, value)
+        nodes += 1
+        if nodes > PA_SEARCH_BUDGET:
+            raise PreconditionError(
+                f"p_a search on {n} vertices exceeded its budget of {PA_SEARCH_BUDGET} nodes"
+            )
+        u = den[k] * value - mid[k]
+        total = partial[k] + scale[k] * u * u
+        if total > limit:
+            # the ellipsoid shrank since level k was entered
+            if u > 0:
+                hi[k] = value
+            continue
+        partial[k + 1] = total
+        if k + 1 < n:
+            k += 1
+            enter(k)
+            continue
+        d = [0] * n
+        for lv, v in enumerate(order):
+            d[v] = x[lv]
+        pa = _pa_of(weights, adj, c, d)
+        if 2 * pa * unit != 2 * unit + base - total:
+            raise InternalCheckError(f"p_a search: ellipsoid form disagrees with p_a = {pa}")
+        best = pa
+        limit = base - 2 * best * unit
+        if limit < 0:
+            break
     return best
 
 

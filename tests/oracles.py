@@ -3,8 +3,10 @@
 Everything here is deliberately implemented by a different method than the
 library code it checks: determinants by cofactor expansion instead of
 fraction-free elimination, definiteness through the characteristic
-polynomial instead of pivots/minors, and fundamental cycles by brute
-enumeration of a coefficient box instead of Laufer's algorithm.
+polynomial instead of pivots/minors, fundamental cycles by brute
+enumeration of a coefficient box instead of Laufer's algorithm, and the
+maximal arithmetic genus by visiting every cycle of the box instead of the
+pruned search.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from math import prod
 
 import numpy as np
 
-from kdg.graph import WeightedDualGraph, intersection_matrix
+from kdg.graph import WeightedDualGraph, adjunction_degrees, intersection_matrix
+from kdg.invariants import fundamental_cycle
 
 
 def cofactor_det(m) -> Fraction:
@@ -73,6 +76,44 @@ def quad_form_counterexample(m, vectors) -> tuple | None:
     return None
 
 
+def _box_chunks(box, chunk: int):
+    """All integral points 0 <= D <= box, as int64 arrays of at most `chunk` rows."""
+    dims = [int(b) + 1 for b in box]
+    r = len(dims)
+    total = prod(dims)
+    strides = [0] * r
+    acc = 1
+    for i in range(r - 1, -1, -1):
+        strides[i] = acc
+        acc *= dims[i]
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        cand = np.empty((idx.size, r), dtype=np.int64)
+        for i in range(r):
+            cand[:, i] = (idx // strides[i]) % dims[i]
+        yield cand
+
+
+def box_pa_max(g: WeightedDualGraph, bound: int, chunk: int = 200_000) -> int:
+    """Max of p_a(D) = 1 + (D^2 + K.D)/2 over every integral 0 < D <= bound * Z,
+    visiting each point of the box.  Z comes from Laufer's sequence, which
+    the tests check against `box_min_anti_nef`."""
+    z = fundamental_cycle(g).as_ints()
+    m = np.array([[int(x) for x in row] for row in intersection_matrix(g)], dtype=np.int64)
+    c = np.array([int(x) for x in adjunction_degrees(g)], dtype=np.int64)
+    best = None
+    for cand in _box_chunks([bound * zi for zi in z], chunk):
+        cand = cand[cand.sum(axis=1) > 0]
+        if cand.size == 0:
+            continue
+        twice = ((cand @ m) * cand).sum(axis=1) + cand @ c
+        assert (twice % 2 == 0).all(), "D^2 + K.D must be even"
+        top = 1 + int(twice.max()) // 2
+        best = top if best is None else max(best, top)
+    assert best is not None, "empty box"
+    return best
+
+
 def box_min_anti_nef(g: WeightedDualGraph, box, chunk: int = 200_000) -> tuple[int, ...]:
     """Componentwise-minimal cycle 0 < D <= box with D.A_i <= 0 for all i.
 
@@ -83,21 +124,9 @@ def box_min_anti_nef(g: WeightedDualGraph, box, chunk: int = 200_000) -> tuple[i
     (7^8 candidates) stays cheap.
     """
     m = np.array([[int(x) for x in row] for row in intersection_matrix(g)], dtype=np.int64)
-    dims = [int(b) + 1 for b in box]
-    r = len(dims)
-    assert r == len(g)
-    total = prod(dims)
-    strides = [0] * r
-    acc = 1
-    for i in range(r - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
+    assert len(box) == len(g)
     best: np.ndarray | None = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cand = np.empty((idx.size, r), dtype=np.int64)
-        for i in range(r):
-            cand[:, i] = (idx // strides[i]) % dims[i]
+    for cand in _box_chunks(box, chunk):
         mask = ((cand @ m) <= 0).all(axis=1) & (cand.sum(axis=1) > 0)
         if mask.any():
             low = cand[mask].min(axis=0)

@@ -3,9 +3,12 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from kdg import invariants
+from kdg.cli import main
 from kdg.families import family_spec, generate
 from kdg.graph import build_graph, graph_to_json, parse_graph_json
 
@@ -178,3 +181,69 @@ def test_no_command_shows_usage():
     res = run("--help")
     assert res.returncode == 0
     assert "compute" in res.stdout and "enumerate" in res.stdout
+
+
+def compute_in_process(capsys, path):
+    """Run `kdg compute PATH --json` in this process.
+
+    Returns the exit code, the seconds it took, and the report (on exit 0)
+    or the stderr text (otherwise)."""
+    start = time.perf_counter()
+    code = main(["compute", str(path), "--json"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    return code, elapsed, json.loads(captured.out) if code == 0 else captured.err
+
+
+def arithmetic_genus_rhs(report) -> str:
+    (check,) = [b for b in report["bound_checks"] if b["name"] == "arithmetic_genus"]
+    assert check["holds"]
+    return check["rhs"]
+
+
+def tail_graph(length: int):
+    """A genus-1 (-1)-curve with a tail of `length` (-2)-curves: not rational."""
+    vertices = [("e", 1, -1)] + [(f"t{i}", 0, -2) for i in range(length)]
+    edges = [("e", "t0")] + [(f"t{i}", f"t{i + 1}") for i in range(length - 1)]
+    return build_graph(vertices, edges)
+
+
+@pytest.mark.parametrize("spec", [family_spec("E8"), family_spec("I", n=5, s=5, t=5)], ids=str)
+def test_compute_terminates_on_large_rational_boxes(spec, tmp_path, capsys):
+    # the box 0 < D <= 3Z has 252M points on E8 and 4.3G on I(5,5,5)
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json(generate(spec)))
+    code, elapsed, report = compute_in_process(capsys, path)
+    assert code == 0
+    assert elapsed < 2
+    assert report["pa_z"] == 0
+    assert arithmetic_genus_rhs(report) == "-3"
+
+
+def test_compute_terminates_on_long_non_rational_tail(tmp_path, capsys):
+    path = tmp_path / "tail.json"
+    path.write_text(graph_to_json(tail_graph(40)))
+    code, elapsed, report = compute_in_process(capsys, path)
+    assert code == 0
+    assert elapsed < 10
+    assert report["pa_z"] == 1
+    assert arithmetic_genus_rhs(report) == "1"  # 4 * p_a - 3 with p_a = 1
+
+
+def test_compute_terminates_on_long_chain(tmp_path, capsys):
+    path = tmp_path / "a200.json"
+    path.write_text(graph_to_json(generate(family_spec("A", n=200))))
+    code, elapsed, report = compute_in_process(capsys, path)
+    assert code == 0
+    assert elapsed < 60
+    assert report["k_squared"] == "0"
+    assert arithmetic_genus_rhs(report) == "-3"
+
+
+def test_compute_search_budget_exits_4(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tail.json"
+    path.write_text(graph_to_json(tail_graph(40)))
+    monkeypatch.setattr(invariants, "PA_SEARCH_BUDGET", 5)
+    code, _, err = compute_in_process(capsys, path)
+    assert code == 4
+    assert "p_a search on 41 vertices exceeded its budget of 5 nodes" in err

@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdg.enumeration import EnumBounds, random_admissible
+from kdg import invariants
+from kdg.enumeration import EnumBounds, graph_from_encoding, random_admissible
 from kdg.errors import (
     InvalidGraphError,
     NotNegativeDefiniteError,
@@ -33,7 +35,7 @@ from kdg.invariants import (
 )
 from kdg.rational import dot
 
-from .oracles import ADE_BOX_BOUND, box_min_anti_nef
+from .oracles import ADE_BOX_BOUND, box_min_anti_nef, box_pa_max
 
 import random
 
@@ -153,6 +155,85 @@ def test_cycle_pa_is_integer_on_integral_cycles(seed, data):
 def test_pa_max_bound_validated():
     with pytest.raises(PreconditionError):
         pa_max_bounded(x31(), bound=0)
+
+
+# Largest box, prod(bound * z_i + 1) points, the exhaustive oracle visits.
+ORACLE_BOX_POINTS = 10**4
+
+
+def compare_pa_max_with_box(g) -> list[int]:
+    """Check pa_max_bounded against the box oracle for every bound in 1..3
+    whose box is small enough; return the values compared."""
+    z = fundamental_cycle(g).as_ints()
+    values = []
+    for bound in (1, 2, 3):
+        if prod(bound * zi + 1 for zi in z) > ORACLE_BOX_POINTS:
+            break
+        value = pa_max_bounded(g, bound)
+        assert value == box_pa_max(g, bound), (g, bound)
+        values.append(value)
+    return values
+
+
+def test_pa_max_matches_box_oracle_on_corpora(e5_entries, e4_values):
+    encodings = [
+        e.encoding
+        for i, e in enumerate(e5_entries)
+        if i % 12 == 0 or e.classification != NON_RATIONAL
+    ] + [enc for enc, _ in e4_values[::200]]
+    compared = rational = non_rational = raised = 0
+    for enc in encodings:
+        g = graph_from_encoding(enc)
+        pa_z = cycle_pa(g, fundamental_cycle(g))
+        values = compare_pa_max_with_box(g)
+        compared += len(values)
+        rational += pa_z == 0 and bool(values)
+        non_rational += pa_z >= 1 and bool(values)
+        raised += sum(v > pa_z for v in values)
+    # the sample must reach both Artin's shortcut and the search, and the
+    # search must find maxima above p_a(Z)
+    assert compared >= 4000
+    assert rational >= 50 and non_rational >= 1000 and raised >= 1000
+
+
+@st.composite
+def small_admissible_graphs(draw):
+    """Admissible graphs with at most 5 vertices, genus <= 2, multiplicity <= 2."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    return random_admissible(rng, EnumBounds(5, min_self=-4, max_genus=2, max_edge_multiplicity=2))
+
+
+@given(small_admissible_graphs())
+@settings(max_examples=150)
+def test_pa_max_matches_box_oracle_random(g):
+    values = compare_pa_max_with_box(g)
+    assert values == sorted(values)  # the boxes are nested
+
+
+def tail_graph(genus: int, self_int: int, length: int):
+    """One vertex of the given genus and self-intersection with a tail of
+    `length` genus-0 (-2)-curves."""
+    vertices = [("e", genus, self_int)] + [(f"t{i}", 0, -2) for i in range(length)]
+    edges = [("e", "t0")] + [(f"t{i}", f"t{i + 1}") for i in range(length - 1)]
+    return build_graph(vertices, edges)
+
+
+def test_pa_max_on_non_rational_tails():
+    # p_a(Z) = genus; the maximum over 0 < D <= 3Z lies above it once genus >= 2
+    assert pa_max_bounded(tail_graph(1, -1, 40)) == 1
+    assert pa_max_bounded(tail_graph(2, -1, 40)) == 4
+    assert pa_max_bounded(tail_graph(3, -1, 40)) == 7
+    for g in (tail_graph(2, -1, 4), tail_graph(3, -2, 3)):
+        assert compare_pa_max_with_box(g)
+
+
+def test_pa_search_budget_guard(monkeypatch):
+    g = tail_graph(2, -1, 10)
+    monkeypatch.setattr(invariants, "PA_SEARCH_BUDGET", 5)
+    with pytest.raises(PreconditionError, match="p_a search on 11 vertices exceeded its budget of 5 nodes"):
+        pa_max_bounded(g)
+    # Artin's shortcut does no search, so a rational graph never trips the guard
+    assert pa_max_bounded(generate(family_spec("E8"))) == 0
 
 
 def test_classify_other():
