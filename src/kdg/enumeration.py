@@ -12,6 +12,7 @@ vertex-data sequence.  That is exactly why max_vertices is capped at 8.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .invariants import (
     k_squared,
     numerical_index,
 )
-from .rational import rat_str
+from .rational import SingularMatrixError, bareiss, rat_str
 
 MAX_ENUM_VERTICES = 8
 
@@ -88,27 +89,11 @@ def _positions(r: int) -> list[tuple[int, int]]:
 
 def _leading_det(adj: list[list[int]], size: int) -> int:
     a = [adj[i][:size] for i in range(size)]
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for t in range(k + 1, size):
-                if a[t][k] != 0:
-                    a[k], a[t] = a[t], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for t in range(k + 1, size):
-            head = a[t][k]
-            row_t = a[t]
-            row_k = a[k]
-            for u in range(k + 1, size):
-                row_t[u] = (row_t[u] * pivot - head * row_k[u]) // prev
-            row_t[k] = 0
-        prev = pivot
-    return sign * a[size - 1][size - 1]
+    try:
+        swaps = bareiss(a, size)
+    except SingularMatrixError:
+        return 0
+    return (-1) ** swaps * a[size - 1][size - 1]
 
 
 def _connected(adj: list[list[int]], r: int) -> bool:
@@ -230,8 +215,12 @@ def _tasks(bounds: EnumBounds) -> list[tuple[tuple[VertexDatum, ...], int, bool]
 
 
 def enumerate_encodings(bounds: EnumBounds, jobs: int = 1) -> list[str]:
-    """Sorted canonical encodings of every admissible graph within bounds."""
+    """Sorted canonical encodings of every admissible graph within bounds.
+
+    `jobs` is clamped to the number of CPUs: the pool starts every worker
+    at once."""
     tasks = _tasks(bounds)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_search_data, tasks, chunksize=16))

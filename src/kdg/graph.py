@@ -251,9 +251,9 @@ def parse_graph_obj(doc) -> WeightedDualGraph:
         if "id" not in rv or not isinstance(rv["id"], str):
             raise InvalidGraphError(f"{where}.id: string expected")
         genus = _require_int(rv.get("genus", 0), f"{where}.genus")
-        self_int = _require_int(rv.get("self"), f"{where}.self") if "self" in rv else None
-        if self_int is None:
+        if "self" not in rv:
             raise InvalidGraphError(f"{where}.self: required")
+        self_int = _require_int(rv["self"], f"{where}.self")
         vertices.append((rv["id"], genus, self_int))
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -271,10 +271,7 @@ def parse_graph_obj(doc) -> WeightedDualGraph:
                 raise InvalidGraphError(f"{where}.{key}: vertex id string expected")
         m = _require_int(re_.get("m", 1), f"{where}.m")
         edges.append((re_["a"], re_["b"], m))
-    try:
-        return build_graph(vertices, edges)
-    except InvalidGraphError:
-        raise
+    return build_graph(vertices, edges)
 
 
 def parse_graph_json(text: str) -> WeightedDualGraph:

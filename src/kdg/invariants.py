@@ -27,6 +27,7 @@ from .graph import (
 )
 from .rational import (
     RatVector,
+    bareiss,
     dot,
     is_negative_definite,
     lcm_denominators,
@@ -186,32 +187,37 @@ def _bfs_order(adj) -> list[int]:
     return order
 
 
-def _ellipsoid_levels(nbrs, w, centre):
-    """Symmetric elimination of -M, last level first.
+def _ellipsoid_levels(nbrs, w, c):
+    """Symmetric elimination of -M, last level first, as one `bareiss` call.
 
-    `nbrs[k]` lists (level, multiplicity) pairs and `w[k]` is the
-    self-intersection at level k.  Returns (piv, lower, const) with
-    (x - centre)^T (-M) (x - centre) = sum_k piv[k] * (x_k - mid_k)^2 and
-    mid_k = const[k] - sum_{(l, f) in lower[k]} f * x_l, so mid_k depends
-    only on the levels before k.  Rows are kept sparse: on a tree in
-    breadth-first order nothing fills in.
+    `nbrs[k]` lists (level, multiplicity) pairs, and `w[k]` and `c[k]` are
+    the self-intersection and the adjunction degree at level k.  Returns
+    (piv, lower, const) with
+    (x - D*)^T (-M) (x - D*) = sum_k piv[k] * (x_k - mid_k)^2, D* = -m/2 for
+    M m = c, and mid_k = const[k] - sum_{(l, f) in lower[k]} f * x_l, so
+    mid_k depends only on the levels before k.  At x = 0 the form is
+    -K^2/4 = sum_k piv[k] * const[k]^2.
+
+    Row i of the eliminated matrix is level n - 1 - i: rows of -M in
+    reverse level order, with c riding along as column n.
     """
     n = len(w)
-    rows = [{l: Fraction(-mult) for l, mult in nbrs[k]} for k in range(n)]
-    diag = [Fraction(-wk) for wk in w]
-    piv = [Fraction(0)] * n
-    lower: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for k in range(n - 1, -1, -1):
-        piv[k] = diag[k]
-        below = [(l, a) for l, a in rows[k].items() if l < k]
-        lower[k] = [(l, a / piv[k]) for l, a in below]
-        for i, a_ik in below:
-            diag[i] -= a_ik * a_ik / piv[k]
-            for j, a_jk in below:
-                if j != i:
-                    rows[i][j] = rows[i].get(j, 0) - a_ik * a_jk / piv[k]
-    const = [centre[k] + sum(f * centre[l] for l, f in lower[k]) for k in range(n)]
-    return piv, lower, const
+    a = [[0] * n + [c[k]] for k in reversed(range(n))]
+    for i, row in enumerate(a):
+        k = n - 1 - i
+        row[i] = -w[k]
+        for l, mult in nbrs[k]:
+            row[n - 1 - l] = -mult
+    bareiss(a, n + 1)
+    piv, lower, const = [], [], []
+    prev = 1
+    for i, row in enumerate(a):
+        d = row[i]
+        piv.append(Fraction(d, prev))
+        lower.append([(n - 1 - j, Fraction(row[j], d)) for j in range(i + 1, n) if row[j]])
+        const.append(Fraction(row[n], 2 * d))
+        prev = d
+    return piv[::-1], lower[::-1], const[::-1]
 
 
 def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
@@ -257,16 +263,15 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     if best == 0:
         return 0
     best = max(_pa_of(weights, adj, c, [t * zi for zi in z]) for t in range(1, bound + 1))
-    canonical = solve(intersection_matrix(g), c)
-    quarter_k2 = -dot(canonical, c) / 4
-    if quarter_k2 < 2 * best:
-        return best
-
     order = _bfs_order(adj)
     level = {v: k for k, v in enumerate(order)}
     w = [weights[v] for v in order]
     nbrs = [[(level[j], mult) for j, mult in adj[v].items()] for v in order]
-    piv, lower, const = _ellipsoid_levels(nbrs, w, [-canonical[v] / 2 for v in order])
+    piv, lower, const = _ellipsoid_levels(nbrs, w, [c[v] for v in order])
+    quarter_k2 = sum((p * q * q for p, q in zip(piv, const)), Fraction(0))
+    if quarter_k2 < 2 * best:
+        return best
+
     # Level k in integers: mid_k = (cst[k] - sum f * x_l) / den[k] over
     # (l, f) in low[k], and its term of the form is scale[k] * u^2 / unit
     # with u = den[k] * x_k - den[k] * mid_k.

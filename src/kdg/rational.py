@@ -2,11 +2,14 @@
 
 Scalars are `fractions.Fraction` (arbitrary precision, always in lowest terms
 with positive denominator); vectors and matrices are immutable tuples.
-Determinants and linear solves run fraction-free (Bareiss) elimination when
-the input is integral and exact rational Gaussian elimination otherwise.
-Negative definiteness is decided by the signs of the leading principal
-minors.  No floating point enters any computation; decimal strings are
-produced for display only.
+Square matrices are eliminated by one fraction-free routine, `bareiss`, on
+integer rows: `det`, `solve` and `is_negative_definite` first multiply each
+row by the lcm of its denominators, which leaves the signs of the leading
+principal minors unchanged.  Determinants are the last pivot, solves back
+substitute in integers, and negative definiteness is read off the signs of
+the pivots.  Only `nullspace`, the kernel of a rectangular matrix, runs its
+own rational elimination.  No floating point enters any computation;
+decimal strings are produced for display only.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 class SingularMatrixError(KdgError):
-    """Raised by `solve` when elimination finds no pivot.
+    """Raised by `bareiss`, and so by `solve`, when elimination finds no pivot.
 
     `stage` is the zero-based elimination column where every candidate
     pivot vanished.
@@ -101,70 +104,65 @@ def dot(u: Sequence[RatLike], v: Sequence[RatLike]) -> Fraction:
     return sum((rat(a) * rat(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def _integral(m: Sequence[Sequence[Fraction]]) -> bool:
-    return all(rat(x).denominator == 1 for row in m for x in row)
+def bareiss(a: list[list[int]], cols: int) -> int:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968), in place.
 
-
-def _bareiss_forward(a: list[list[int]], cols: int) -> int:
-    """Fraction-free triangularization in place over the first len(a) columns;
-    extra columns (up to `cols`) ride along.  Returns the row-swap sign, or
-    raises SingularMatrixError if some pivot column is entirely zero."""
+    Triangularizes the integer rows `a` over their first len(a) columns;
+    columns len(a)..cols-1 ride along.  Every division is exact, and row k
+    is final after step k - 1: a[k][j] is the k-th pivot a[k-1][k-1] times
+    the entry rational elimination would give, so a[k][k] is the (k+1)-st
+    leading principal minor of the row-swapped matrix.  Returns the number
+    of row swaps, or raises SingularMatrixError(k) when column k has no
+    nonzero pivot candidate.
+    """
     n = len(a)
-    sign = 1
+    swaps = 0
     prev = 1
     for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
-                    sign = -sign
+                    swaps += 1
                     break
             else:
                 raise SingularMatrixError(k)
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
+            aik = row_i[k]
             for j in range(k + 1, cols):
                 row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign
+    return swaps
+
+
+def _scaled_rows(m: Iterable[Iterable[RatLike]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those
+    positive multipliers."""
+    rows = []
+    scale = 1
+    for row in m:
+        row = [rat(x) for x in row]
+        r = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (r // x.denominator) for x in row])
+        scale *= r
+    return rows, scale
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant (Bareiss on integral input, rational GE otherwise)."""
+    """Exact determinant."""
     n = dim(m)
     if n == 0:
         return Fraction(1)
-    if _integral(m):
-        a = [[int(x) for x in row] for row in m]
-        try:
-            sign = _bareiss_forward(a, n)
-        except SingularMatrixError:
-            return Fraction(0)
-        return Fraction(sign * a[n - 1][n - 1])
-    a = [[rat(x) for x in row] for row in m]
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        result *= pivot
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor:
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    return sign * result
+    a, scale = _scaled_rows(m)
+    try:
+        swaps = bareiss(a, n)
+    except SingularMatrixError:
+        return Fraction(0)
+    return Fraction((-1) ** swaps * a[n - 1][n - 1], scale)
 
 
 def solve(m: Sequence[Sequence[Fraction]], c: Sequence[RatLike]) -> tuple[Fraction, ...]:
@@ -174,78 +172,38 @@ def solve(m: Sequence[Sequence[Fraction]], c: Sequence[RatLike]) -> tuple[Fracti
         raise ValueError("dimension mismatch")
     if n == 0:
         return ()
-    rhs = vec(c)
-    if _integral(m) and all(x.denominator == 1 for x in rhs):
-        a = [[int(x) for x in row] + [int(rhs[i])] for i, row in enumerate(m)]
-        _bareiss_forward(a, n + 1)
-    else:
-        a = [[rat(x) for x in row] + [rhs[i]] for i, row in enumerate(m)]
-        for k in range(n):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        break
-                else:
-                    raise SingularMatrixError(k)
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                factor = a[i][k] / pivot
-                if factor:
-                    for j in range(k, n + 1):
-                        a[i][j] -= factor * a[k][j]
-    x = [Fraction(0)] * n
+    a, _ = _scaled_rows([*row, x] for row, x in zip(m, c))
+    bareiss(a, n + 1)
+    # y = d x is integral for d = +-det (Cramer), so back substitution
+    # stays in integers and every division is exact.
+    d = a[n - 1][n - 1]
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        s = Fraction(a[i][n])
+        row = a[i]
+        s = d * row[n]
         for j in range(i + 1, n):
-            s -= a[i][j] * x[j]
-        x[i] = s / a[i][i]
-    return tuple(x)
+            s -= row[j] * y[j]
+        y[i] = s // row[i]
+    return tuple(Fraction(yi, d) for yi in y)
 
 
 def is_negative_definite(m: Sequence[Sequence[Fraction]]) -> bool:
     """True iff the symmetric matrix m is negative definite.
 
     Decided exactly: the leading principal minors D_k must satisfy
-    (-1)^k D_k > 0 for every k, equivalently all elimination pivots are
-    negative.  Non-symmetric input is rejected.
+    (-1)^k D_k > 0 for every k.  Elimination without row swaps leaves them
+    on the diagonal; a swap or a singular stage means some D_k vanished.
+    Non-symmetric input is rejected.
     """
     n = dim(m)
     if not is_symmetric(m):
         raise ValueError("symmetric matrix expected")
-    if n == 0:
-        return True
-    if _integral(m):
-        # Bareiss without swaps: after k condensation steps a[k][k] equals the
-        # (k+1)-st leading principal minor, so only its sign needs checking.
-        a = [[int(x) for x in row] for row in m]
-        prev = 1
-        for k in range(n):
-            d = a[k][k]
-            if d == 0 or (d > 0) == (k % 2 == 0):
-                return False
-            for i in range(k + 1, n):
-                aik = a[i][k]
-                for j in range(k + 1, n):
-                    a[i][j] = (d * a[i][j] - aik * a[k][j]) // prev
-            prev = d
-        return True
-    a = [[rat(x) for x in row] for row in m]
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot >= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor:
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    return True
-
-
-def leading_principal_minors(m: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    n = dim(m)
-    return tuple(det([row[: k + 1] for row in m[: k + 1]]) for k in range(n))
+    a, _ = _scaled_rows(m)
+    try:
+        swaps = bareiss(a, n)
+    except SingularMatrixError:
+        return False
+    return swaps == 0 and all((a[k][k] < 0) == (k % 2 == 0) for k in range(n))
 
 
 def quadratic_form(m: Sequence[Sequence[Fraction]], v: Sequence[RatLike]) -> Fraction:

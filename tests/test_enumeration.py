@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+import kdg.enumeration
 from kdg.enumeration import (
     MAX_ENUM_VERTICES,
     EnumBounds,
@@ -125,6 +126,35 @@ def test_monotone_coverage():
 def test_jobs_do_not_change_results():
     bounds = EnumBounds(3, min_self=-4, max_genus=1, max_edge_multiplicity=2)
     assert enumerate_encodings(bounds, jobs=1) == enumerate_encodings(bounds, jobs=2)
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor and runs every task inline."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(kdg.enumeration, "ProcessPoolExecutor", InlinePool)
+    bounds = EnumBounds(2, min_self=-3)
+    serial = enumerate_encodings(bounds, jobs=1)
+    monkeypatch.setattr(kdg.enumeration.os, "cpu_count", lambda: 3)
+    assert enumerate_encodings(bounds, jobs=5000) == serial
+    assert enumerate_encodings(bounds, jobs=2) == serial
+    monkeypatch.setattr(kdg.enumeration.os, "cpu_count", lambda: None)
+    assert enumerate_encodings(bounds, jobs=5000) == serial
+    assert started == [3, 2]
 
 
 def test_spectrum_report():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdg.errors import InvalidGraphError, PreconditionError
 from kdg.graph import (
@@ -158,3 +160,30 @@ def test_to_dot():
     # multiplicity shows up as an edge label
     g = build_graph([("a", 0, -2), ("b", 0, -3)], [("a", "b", 2)])
     assert "2" in to_dot(g)
+
+
+# JSON documents biased towards the schema, so that most of them get past
+# the top-level checks and reach the vertex, edge and build_graph checks.
+_bad = st.sampled_from([None, True, 1.0, 0.5, "a", [], [1], {}, {"x": 1}])
+_ids = st.sampled_from(["a", "b", "c", "a", "b", "c", None, 1])
+_ints = st.sampled_from([-3, -2, -1, 0, 1, -3, -2, -1, 0, 1, None, True, 1.0, "a"])
+_json_vertex = st.fixed_dictionaries(
+    {"id": _ids, "self": _ints}, optional={"genus": _ints}
+) | st.dictionaries(st.sampled_from(["id", "self", "x"]), _bad)
+_json_edge = st.fixed_dictionaries(
+    {"a": _ids, "b": _ids}, optional={"m": _ints}
+) | st.dictionaries(st.sampled_from(["a", "b", "x"]), _bad)
+_json_docs = st.fixed_dictionaries(
+    {"vertices": st.lists(_json_vertex, max_size=3)},
+    optional={"edges": st.lists(_json_edge, max_size=3) | _bad},
+) | st.dictionaries(st.sampled_from(["vertices", "edges", "x"]), _bad) | _bad
+
+
+@settings(max_examples=300)
+@given(_json_docs)
+def test_parse_graph_obj_raises_only_invalid_graph(doc):
+    try:
+        g = parse_graph_obj(doc)
+    except InvalidGraphError:
+        return
+    assert isinstance(g, WeightedDualGraph)

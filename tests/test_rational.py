@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kdg.rational import (
@@ -12,7 +12,6 @@ from kdg.rational import (
     dot,
     is_negative_definite,
     lcm_denominators,
-    leading_principal_minors,
     nullspace,
     parse_rat,
     quadratic_form,
@@ -25,13 +24,14 @@ from kdg.rational import (
 from .oracles import char_poly, cofactor_det, negdef_by_charpoly, quad_form_counterexample
 
 ints = st.integers(min_value=-9, max_value=9)
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 def square(n, elems=ints):
     return st.lists(st.lists(elems, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
-def symmetric(n):
+def symmetric(n, elems=ints):
     def build(vals):
         m = [[0] * n for _ in range(n)]
         it = iter(vals)
@@ -40,7 +40,7 @@ def symmetric(n):
                 m[i][j] = m[j][i] = next(it)
         return m
 
-    return st.lists(ints, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(build)
+    return st.lists(elems, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(build)
 
 
 @given(st.one_of(square(2), square(3), square(4)))
@@ -54,15 +54,15 @@ def test_det_transpose_invariant(m):
     assert det(m) == det(mt)
 
 
-@given(square(3, st.fractions(min_value=-5, max_value=5, max_denominator=6)))
+@given(square(3, fracs))
 def test_det_rational_entries(m):
     assert det(m) == cofactor_det(m)
 
 
-@given(st.one_of(square(3), square(4)), st.data())
+@given(st.one_of(square(3), square(4), square(3, fracs)), st.data())
 def test_solve_satisfies_system(m, data):
     n = len(m)
-    b = data.draw(st.lists(ints, min_size=n, max_size=n))
+    b = data.draw(st.lists(st.one_of(ints, fracs), min_size=n, max_size=n))
     if det(m) == 0:
         with pytest.raises(SingularMatrixError):
             solve(m, b)
@@ -76,9 +76,19 @@ def test_negdef_exhaustive_2x2():
     for a, b, d in product(range(-5, 6), repeat=3):
         m = [[a, b], [b, d]]
         assert is_negative_definite(m) == negdef_by_charpoly(m)
+    a3 = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
+    assert is_negative_definite(a3)
+    assert [det([row[: k + 1] for row in a3[: k + 1]]) for k in range(3)] == [-2, 3, -4]
 
 
-@given(st.one_of(symmetric(3), symmetric(4)))
+@given(st.one_of(symmetric(3), symmetric(4), symmetric(3, fracs)))
+@example(
+    [
+        [Fraction(-1, 2), Fraction(1, 3), 0],
+        [Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7)],
+        [0, Fraction(1, 7), -3],
+    ]
+)
 def test_negdef_matches_charpoly_oracle(m):
     assert is_negative_definite(m) == negdef_by_charpoly(m)
 
@@ -94,12 +104,6 @@ def test_negdef_has_no_nonnegative_vector(m):
         assert not is_negative_definite(m)
         v = list(witness)
         assert quadratic_form(m, v) >= 0
-
-
-def test_leading_principal_minors():
-    m = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
-    assert tuple(leading_principal_minors(m)) == (Fraction(-2), Fraction(3), Fraction(-4))
-    assert is_negative_definite(m)
 
 
 @given(st.one_of(square(3), square(4)))
