@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidGraphError, PreconditionError
-from .rational import RatMatrix, RatVector, is_negative_definite, mat, vec
+from .rational import ZERO, RatMatrix, RatVector, is_negative_definite, vec
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,18 @@ class WeightedDualGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    # Lookup maps, built on first use.  They live in the instance dict, not
+    # in fields, so equality and hashing still see only vertices and edges.
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v.id: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _mults(self) -> dict[tuple[int, int], int]:
+        return {(e.a, e.b): e.mult for e in self.edges}
+
     def index_of(self, vertex_id: str) -> int:
-        for i, v in enumerate(self.vertices):
-            if v.id == vertex_id:
-                return i
-        raise KeyError(vertex_id)
+        return self._index[vertex_id]
 
     def ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
@@ -104,11 +113,7 @@ class WeightedDualGraph:
         return adj
 
     def edge_mult(self, i: int, j: int) -> int:
-        a, b = min(i, j), max(i, j)
-        for e in self.edges:
-            if (e.a, e.b) == (a, b):
-                return e.mult
-        return 0
+        return self._mults.get((min(i, j), max(i, j)), 0)
 
 
 def build_graph(
@@ -136,15 +141,15 @@ def build_graph(
 
 def intersection_matrix(g: WeightedDualGraph) -> RatMatrix:
     """Symmetric matrix M with M[i][i] the self-intersection and M[i][j] the
-    pairwise intersection number."""
+    pairwise intersection number.  Every empty entry is the one object
+    `rational.ZERO`, which the matrix passes in `kdg.rational` skip fast."""
     n = len(g)
-    rows = [[0] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     for i, v in enumerate(g.vertices):
-        rows[i][i] = v.self_int
+        rows[i][i] = Fraction(v.self_int)
     for e in g.edges:
-        rows[e.a][e.b] = e.mult
-        rows[e.b][e.a] = e.mult
-    return mat(rows)
+        rows[e.a][e.b] = rows[e.b][e.a] = Fraction(e.mult)
+    return tuple(map(tuple, rows))
 
 
 def adjunction_degrees(g: WeightedDualGraph) -> RatVector:

@@ -113,8 +113,11 @@ def k_squared(g: WeightedDualGraph) -> Fraction:
 def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
     """Smallest positive integral cycle Z with Z.A_i <= 0 for every vertex.
 
-    Computed by the standard sequence: start with all coefficients 1 and
-    repeatedly add the lowest-index vertex whose product is still positive.
+    Computed by Laufer's sequence (Laufer, Amer. J. Math. 94, 1972): start
+    with all coefficients 1 and add A_i while some vertex i has Z.A_i > 0.
+    The vertices with a positive product wait in a worklist; the order in
+    which they are taken does not change the result, since every step stays
+    below the unique smallest anti-nef cycle.
     """
     if not is_connected(g):
         raise InvalidGraphError("fundamental cycle needs a connected graph")
@@ -123,19 +126,23 @@ def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
     adj = g.adjacency()
     weights = [v.self_int for v in g.vertices]
     z = [1] * n
-    # products[i] = Z . A_i, maintained incrementally
+    # products[i] = Z . A_i, maintained incrementally; `positive` holds each
+    # vertex with a positive product exactly once
     products = [
         weights[i] + sum(mult for mult in adj[i].values()) for i in range(n)
     ]
+    positive = [i for i in range(n) if products[i] > 0]
     guard = 0
-    while True:
-        i = next((k for k in range(n) if products[k] > 0), None)
-        if i is None:
-            break
+    while positive:
+        i = positive.pop()
         z[i] += 1
         products[i] += weights[i]
+        if products[i] > 0:
+            positive.append(i)
         for j, mult in adj[i].items():
             products[j] += mult
+            if 0 < products[j] <= mult:  # just turned positive
+                positive.append(j)
         guard += 1
         if guard > 100_000:
             raise InternalCheckError("fundamental cycle iteration did not terminate")

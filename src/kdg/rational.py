@@ -7,9 +7,17 @@ integer rows: `det`, `solve` and `is_negative_definite` first multiply each
 row by the lcm of its denominators, which leaves the signs of the leading
 principal minors unchanged.  Determinants are the last pivot, solves back
 substitute in integers, and negative definiteness is read off the signs of
-the pivots.  Only `nullspace`, the kernel of a rectangular matrix, runs its
-own rational elimination.  No floating point enters any computation;
-decimal strings are produced for display only.
+the pivots.  `bareiss` scales rows lazily: a step whose pivot column is zero
+in a row only multiplies that row by a factor, and those factors telescope,
+so the row is skipped and brought up to date with one exact multiply and
+divide when it is next used.  Intersection matrices of dual graphs are
+trees or nearly so, so most steps update only a few rows: on a chain in
+vertex order each step updates one row, O(n^2) work in all instead of
+O(n^3).  The passes around it (scaling rows to integers, the symmetry
+test, quadratic forms) skip the shared zero entries of such matrices.
+Only `nullspace`, the kernel of a rectangular matrix, runs its own rational
+elimination.  No floating point enters any computation; decimal strings
+are produced for display only.
 """
 
 from __future__ import annotations
@@ -25,6 +33,13 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 RatVector = tuple[Fraction, ...]
 RatMatrix = tuple[tuple[Fraction, ...], ...]
+
+
+#: The zero that `graph.intersection_matrix` shares among its empty entries.
+#: Passes over a matrix skip entries that are this object, which spares a
+#: call into `Fraction` on most entries of a sparse matrix; any other zero
+#: is still handled by value.
+ZERO = Fraction(0)
 
 
 class SingularMatrixError(KdgError):
@@ -69,13 +84,6 @@ def vec(entries: Iterable[RatLike]) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in entries)
 
 
-def mat(rows: Iterable[Iterable[RatLike]]) -> tuple[tuple[Fraction, ...], ...]:
-    m = tuple(vec(row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
 def dim(m: Sequence[Sequence[Fraction]]) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
@@ -84,8 +92,10 @@ def dim(m: Sequence[Sequence[Fraction]]) -> int:
 
 
 def is_symmetric(m: Sequence[Sequence[Fraction]]) -> bool:
-    n = dim(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+    dim(m)
+    # Whole rows against whole columns: tuple comparison runs in C and
+    # skips entries that are the same object, such as ZERO.
+    return all(tuple(row) == col for row, col in zip(m, zip(*m)))
 
 
 def transpose(m: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -108,46 +118,70 @@ def bareiss(a: list[list[int]], cols: int) -> int:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968), in place.
 
     Triangularizes the integer rows `a` over their first len(a) columns;
-    columns len(a)..cols-1 ride along.  Every division is exact, and row k
-    is final after step k - 1: a[k][j] is the k-th pivot a[k-1][k-1] times
-    the entry rational elimination would give, so a[k][k] is the (k+1)-st
-    leading principal minor of the row-swapped matrix.  Returns the number
-    of row swaps, or raises SingularMatrixError(k) when column k has no
-    nonzero pivot candidate.
+    columns len(a)..cols-1 ride along.  Every division is exact, and on
+    return a[k][j] is the k-th pivot a[k-1][k-1] times the entry rational
+    elimination would give, so a[k][k] is the (k+1)-st leading principal
+    minor of the row-swapped matrix.  Returns the number of row swaps, or
+    raises SingularMatrixError(k) when column k has no nonzero pivot
+    candidate.
+
+    Scaling is lazy, so sparse rows cost little.  Step k only multiplies a
+    row with a zero in column k by pivot / prev, and those factors
+    telescope: a row last brought up to date before step s holds its true
+    entries times divisor[s] / divisor[k] at step k, where divisor[k] is
+    the pivot of step k - 1.  Such a row is skipped, and is brought up to
+    date with one exact multiply and divide just before it is next used,
+    as the pivot row or as a row with a nonzero in the pivot column.  A
+    zero test needs no update, since the factor is never zero.
     """
     n = len(a)
     swaps = 0
-    prev = 1
+    divisor = [1]
+    since = [0] * n
     for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
+                    since[k], since[i] = since[i], since[k]
                     swaps += 1
                     break
             else:
                 raise SingularMatrixError(k)
-        pivot = a[k][k]
+        prev = divisor[k]
         row_k = a[k]
+        s = since[k]
+        if s != k:
+            old = divisor[s]
+            for j in range(k, cols):
+                row_k[j] = row_k[j] * prev // old
+        pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = a[i]
+            if row_i[k] == 0:
+                continue
+            s = since[i]
+            if s != k:
+                old = divisor[s]
+                for j in range(k, cols):
+                    row_i[j] = row_i[j] * prev // old
             aik = row_i[k]
             for j in range(k + 1, cols):
                 row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
             row_i[k] = 0
-        prev = pivot
+            since[i] = k + 1
+        divisor.append(pivot)
     return swaps
 
 
-def _scaled_rows(m: Iterable[Iterable[RatLike]]) -> tuple[list[list[int]], int]:
+def _scaled_rows(m: Iterable[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
-    positive multipliers."""
+    positive multipliers.  Entries that are `ZERO` are not converted."""
     rows = []
     scale = 1
     for row in m:
-        row = [rat(x) for x in row]
-        r = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (r // x.denominator) for x in row])
+        r = math.lcm(*(rat(x).denominator for x in row if x is not ZERO))
+        rows.append([0 if x is ZERO else x.numerator * (r // x.denominator) for x in row])
         scale *= r
     return rows, scale
 
@@ -212,11 +246,12 @@ def quadratic_form(m: Sequence[Sequence[Fraction]], v: Sequence[RatLike]) -> Fra
     if len(v) != n:
         raise ValueError("dimension mismatch")
     w = vec(v)
+    support = [j for j in range(n) if w[j]]
     total = Fraction(0)
-    for i in range(n):
-        if w[i] == 0:
-            continue
-        total += w[i] * sum((rat(m[i][j]) * w[j] for j in range(n) if w[j] != 0), Fraction(0))
+    for i in support:
+        row = m[i]
+        terms = (rat(row[j]) * w[j] for j in support if row[j] is not ZERO)
+        total += w[i] * sum(terms, Fraction(0))
     return total
 
 

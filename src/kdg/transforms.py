@@ -566,7 +566,7 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
     local = {orig: k for k, orig in enumerate(kept)}
     full = intersection_matrix(work)
     degrees = adjunction_degrees(work)
-    m = [[Fraction(full[i][j]) for j in kept] for i in kept]
+    m = [[full[i][j] for j in kept] for i in kept]
     c = [degrees[i] for i in kept]
     blocks = []
     for s in descs:

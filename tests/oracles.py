@@ -2,7 +2,9 @@
 
 Everything here is deliberately implemented by a different method than the
 library code it checks: determinants by cofactor expansion instead of
-fraction-free elimination, definiteness through the characteristic
+fraction-free elimination, elimination by the textbook dense Bareiss update
+of every row at every step instead of the lazily scaled sparse one,
+definiteness through the characteristic
 polynomial instead of pivots/minors, fundamental cycles by brute
 enumeration of a coefficient box instead of Laufer's algorithm, and the
 maximal arithmetic genus by visiting every cycle of the box instead of the
@@ -32,6 +34,36 @@ def cofactor_det(m) -> Fraction:
             total += sign * Fraction(m[0][col]) * cofactor_det(minor)
         sign = -sign
     return total
+
+
+def dense_bareiss(rows, cols: int):
+    """Textbook fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Every row below the pivot is updated at every step, zero multiplier or
+    not, and each division is checked to be exact.  A zero pivot is
+    replaced by the first row below with a nonzero in its column.  Returns
+    (rows, swaps, None), or (None, None, k) when column k has no nonzero
+    pivot candidate.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    swaps = 0
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            below = [i for i in range(k + 1, n) if a[i][k] != 0]
+            if not below:
+                return None, None, k
+            a[k], a[below[0]] = a[below[0]], a[k]
+            swaps += 1
+        for i in range(k + 1, n):
+            for j in range(k + 1, cols):
+                q, r = divmod(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+                assert r == 0, "Bareiss division is not exact"
+                a[i][j] = q
+            a[i][k] = 0
+        prev = a[k][k]
+    return a, swaps, None
 
 
 def char_poly(m) -> list[Fraction]:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from kdg import invariants
 from kdg.cli import main
 from kdg.families import family_spec, generate
 from kdg.graph import build_graph, graph_to_json, parse_graph_json
+from kdg.invariants import invariant_report, report_to_obj
 
 KDG = [sys.executable, "-m", "kdg.cli"]
 
@@ -238,6 +240,51 @@ def test_compute_terminates_on_long_chain(tmp_path, capsys):
     assert elapsed < 60
     assert report["k_squared"] == "0"
     assert arithmetic_genus_rhs(report) == "-3"
+
+
+# The scale tests below allow about ten times the time measured on 2 cores
+# (Python 3.11.7): A(400) 0.65 s, the shuffled chain 0.3 s, the limit 0.02 s.
+
+
+def test_compute_scales_to_a400(tmp_path, capsys):
+    path = tmp_path / "a400.json"
+    path.write_text(graph_to_json(generate(family_spec("A", n=400))))
+    code, elapsed, report = compute_in_process(capsys, path)
+    assert code == 0
+    assert elapsed < 7
+    assert report["k_squared"] == "0"
+    assert set(report["fundamental"]["coefficients"].values()) == {"1"}
+    assert arithmetic_genus_rhs(report) == "-3"
+
+
+def test_compute_on_shuffled_chain(tmp_path, capsys):
+    rng = random.Random(7)
+    n = 200
+    weights = [rng.choice([-2, -2, -3]) for _ in range(n)]
+    edges = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+    order = list(range(n))
+    rng.shuffle(order)
+    shuffled = build_graph([(f"v{i}", 0, weights[i]) for i in order], edges)
+    path = tmp_path / "chain.json"
+    path.write_text(graph_to_json(shuffled))
+    code, elapsed, report = compute_in_process(capsys, path)
+    assert code == 0
+    assert elapsed < 3
+    ordered = build_graph([(f"v{i}", 0, weights[i]) for i in range(n)], edges)
+    assert report == report_to_obj(invariant_report(ordered), ordered)
+
+
+def test_limit_scales_to_300_vertices(tmp_path, capsys):
+    path = tmp_path / "ii.json"
+    path.write_text(graph_to_json(generate(family_spec("II", n=295, s=1))))
+    start = time.perf_counter()
+    code = main(["limit", str(path), "--strings", "n1"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert elapsed < 0.3
+    assert "limit of -K^2: 1 " in out
+    assert "rational-fit cross-check: 1 " in out
 
 
 def test_compute_search_budget_exits_4(tmp_path, capsys, monkeypatch):

@@ -40,6 +40,20 @@ def test_build_graph_basic():
     assert adjunction_degrees(g) == (1, 0)
 
 
+def test_lookups_leave_equality_and_hash_alone():
+    vertices = [("a", 0, -2), ("b", 0, -3), ("c", 0, -2)]
+    g = build_graph(vertices, [("a", "b", 2), ("b", "c", 1)])
+    twin = build_graph(vertices, [("c", "b"), ("b", "a", 2)])
+    assert [g.index_of(i) for i in ("a", "b", "c")] == [0, 1, 2]
+    with pytest.raises(KeyError):
+        g.index_of("z")
+    assert [g.edge_mult(i, j) for i, j in ((0, 1), (1, 0), (1, 2), (0, 2), (2, 0))] == [2, 2, 1, 0, 0]
+    # the lookup maps are built on g only; twin still compares and hashes equal
+    assert g == twin and hash(g) == hash(twin)
+    assert g != build_graph(vertices, [("a", "b", 2)])
+    assert repr(g) == repr(twin)
+
+
 def test_build_graph_rejects_bad_input():
     with pytest.raises(InvalidGraphError, match="at least one vertex"):
         build_graph([], [])

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdg import invariants
@@ -208,6 +208,15 @@ def small_admissible_graphs(draw):
 def test_pa_max_matches_box_oracle_random(g):
     values = compare_pa_max_with_box(g)
     assert values == sorted(values)  # the boxes are nested
+
+
+@given(small_admissible_graphs())
+@settings(max_examples=100)
+@example(build_graph([("a", 0, -13), ("b", 0, -2)], [("a", "b", 5)]))
+def test_fundamental_cycle_is_least_anti_nef_cycle(g):
+    # in the example, b still has Z.A_b > 0 right after it is added
+    z = fundamental_cycle(g).as_ints()
+    assert box_min_anti_nef(g, z) == z
 
 
 def tail_graph(genus: int, self_int: int, length: int):

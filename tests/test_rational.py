@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdg.rational import (
     UNBOUNDED,
     SingularMatrixError,
+    bareiss,
     det,
     dot,
     is_negative_definite,
@@ -21,7 +23,13 @@ from kdg.rational import (
     solve,
 )
 
-from .oracles import char_poly, cofactor_det, negdef_by_charpoly, quad_form_counterexample
+from .oracles import (
+    char_poly,
+    cofactor_det,
+    dense_bareiss,
+    negdef_by_charpoly,
+    quad_form_counterexample,
+)
 
 ints = st.integers(min_value=-9, max_value=9)
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -41,6 +49,97 @@ def symmetric(n, elems=ints):
         return m
 
     return st.lists(elems, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(build)
+
+
+# about half zeros, toward the sparsity of intersection matrices
+sparse_ints = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5))
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(rows, cols) for `bareiss`: zero-heavy square matrices, symmetric tree
+    patterns in shuffled vertex order, or rank-deficient ones, optionally
+    with a right-hand-side column riding along."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["sparse", "tree", "singular"]))
+    if kind == "tree":
+        # a zero or positive diagonal forces row swaps
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            a[i][i] = draw(st.integers(min_value=-4, max_value=1))
+        for i in range(1, n):
+            parent = draw(st.integers(min_value=0, max_value=i - 1))
+            a[i][parent] = a[parent][i] = draw(st.sampled_from([-1, 1, 2, 3]))
+        perm = draw(st.permutations(range(n)))
+        a = [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    else:
+        a = draw(square(n, sparse_ints))
+    if kind == "singular" and n > 1:
+        rows = st.integers(min_value=0, max_value=n - 1)
+        src, dst = draw(st.lists(rows, min_size=2, max_size=2, unique=True))
+        factor = draw(st.integers(min_value=-2, max_value=2))
+        a[dst] = [factor * x for x in a[src]]
+    if draw(st.booleans()):
+        for row in a:
+            row.append(draw(sparse_ints))
+    return a, len(a[0])
+
+
+@settings(max_examples=300)
+@given(elimination_inputs())
+@example(([[0, 1, 0], [1, 0, 2], [0, 2, -3]], 3))  # swap at the first step
+@example(([[-2, 1, 0, 1], [1, -2, 0, 0], [2, -4, 0, 5]], 4))  # singular at stage 2
+def test_bareiss_matches_dense_oracle(case):
+    rows, cols = case
+    want_rows, want_swaps, want_stage = dense_bareiss(rows, cols)
+    a = [list(row) for row in rows]
+    if want_stage is not None:
+        with pytest.raises(SingularMatrixError) as info:
+            bareiss(a, cols)
+        assert info.value.stage == want_stage
+        return
+    assert bareiss(a, cols) == want_swaps
+    assert a == want_rows
+
+
+def random_tree_matrix(n, seed, definite):
+    """Intersection-style matrix of a random tree on n vertices: weight
+    -(degree + 1) makes it diagonally dominant, hence negative definite;
+    otherwise every weight is -2, which for the seeds used here gives a
+    nonsingular matrix that is not negative definite."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    degree = [0] * n
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = Fraction(-(degree[i] + 1) if definite else -2)
+    for a, b in edges:
+        m[a][b] = m[b][a] = Fraction(1)
+    return m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("definite", [True, False])
+def test_tree_kernels_invariant_under_permutation(seed, definite):
+    n = 60
+    m = random_tree_matrix(n, seed, definite)
+    c = [Fraction(i % 5 - 2) for i in range(n)]
+    perm = list(range(n))
+    random.Random(100 + seed).shuffle(perm)
+    pm = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    pc = [c[perm[i]] for i in range(n)]
+
+    assert det(pm) == det(m)
+    rows, swaps, _ = dense_bareiss([[int(x) for x in row] for row in m], n)
+    assert det(m) == (-1) ** swaps * rows[n - 1][n - 1]
+    assert is_negative_definite(m) == is_negative_definite(pm) == definite
+    x = solve(m, c)
+    assert solve(pm, pc) == tuple(x[perm[i]] for i in range(n))
+    for i in range(n):
+        assert dot(m[i], x) == c[i]
 
 
 @given(st.one_of(square(2), square(3), square(4)))
