@@ -2,7 +2,8 @@
 
 Subcommands: compute, family, sweep, limit, enumerate, verify.  Exit codes
 follow the contract in errors.py: 0 success, 2 invalid input graph, 3 not
-negative definite, 4 precondition violation, 5 internal assertion failure.
+negative definite, 4 precondition violation (including a result too long to
+print), 5 internal assertion failure.
 Decimal columns are display-only renderings of the exact values next to
 them.
 """
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .checks import SUITES, run_suite
 from .enumeration import EnumBounds, enumerate_admissible
@@ -69,10 +70,24 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _printable(render: Callable[[], str]) -> str:
+    """render(), with a result too long to print turned into exit code 4.
+
+    Converting an int to a decimal string raises ValueError past the
+    interpreter's digit limit (sys.get_int_max_str_digits(), 4300 by
+    default); formatting exact values raises nothing else."""
+    try:
+        return render()
+    except ValueError:
+        raise PreconditionError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits and cannot be printed"
+        ) from None
+
+
 def _show(value) -> str:
     if value is UNBOUNDED:
         return "+inf"
-    return f"{rat_str(value)} (~ {rat_decimal(value)})"
+    return _printable(lambda: f"{rat_str(value)} (~ {rat_decimal(value)})")
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -82,9 +97,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(g))
     if args.json:
-        print(json.dumps(report_to_obj(report, g), indent=2))
+        print(_printable(lambda: json.dumps(report_to_obj(report, g), indent=2)))
     else:
-        print(report_to_text(report, g))
+        print(_printable(lambda: report_to_text(report, g)))
     return 0
 
 

@@ -2,12 +2,20 @@
 
 Generation walks vertex-data multisets first (non-decreasing (genus, self)
 sequences), then fills the upper triangle of the intersection matrix column
-by column.  Each completed column is pruned by the sign of the new leading
-principal minor, so only negative definite prefixes are ever extended; a
-pair multiplicity m is capped by m^2 < w_i * w_j for the same reason.
-Isomorphism reduction is brute force: a candidate survives only when its
-adjacency is lexicographically minimal among all permutations fixing the
-vertex-data sequence.  That is exactly why max_vertices is capped at 8.
+by column.  The search keeps the fraction-free (Bareiss) factorization of
+its negative definite prefix, one level of state per recursion depth: the
+leading principal minors, the Bareiss entries below the diagonal, and for
+the open column j the determinants of the bordered blocks on {0..i-1, j}.
+Assigning entry (i, j) extends that factorization by one row in O(i) and
+yields the determinant of the principal block on {0..i, j}; the block sits
+inside every completion, so an entry whose block has the wrong sign for a
+negative definite matrix is pruned with its whole subtree, long before the
+column closes.  At i = j - 1 the block is the leading one, so only negative
+definite prefixes are ever extended; a pair multiplicity m is also capped
+by m^2 < w_i * w_j, the 2x2 case.  Isomorphism reduction is brute force: a
+candidate survives only when its adjacency is lexicographically minimal
+among all permutations fixing the vertex-data sequence.  That is exactly
+why max_vertices is capped at 8.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .invariants import (
     k_squared,
     numerical_index,
 )
-from .rational import SingularMatrixError, bareiss, rat_str
+from .rational import rat_str
 
 MAX_ENUM_VERTICES = 8
 
@@ -87,15 +95,6 @@ def _positions(r: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, r) for i in range(j)]
 
 
-def _leading_det(adj: list[list[int]], size: int) -> int:
-    a = [adj[i][:size] for i in range(size)]
-    try:
-        swaps = bareiss(a, size)
-    except SingularMatrixError:
-        return 0
-    return (-1) ** swaps * a[size - 1][size - 1]
-
-
 def _connected(adj: list[list[int]], r: int) -> bool:
     seen = {0}
     frontier = [0]
@@ -149,19 +148,60 @@ def canonical_encoding(g: WeightedDualGraph) -> str:
     return _encode(data, pairs)
 
 
+def _bordered_entries(
+    piv: list[int], low_i: list[int], low_j: list[int], det_i: int, i: int, cap: int
+) -> list[tuple[int, int, int]]:
+    """The values m in 0..cap for entry (i, j), i < j, that some negative
+    definite completion may hold, each with its Bareiss entry x and its
+    bordered minor d.
+
+    `piv[k]` is the k-th leading principal minor (piv[0] = 1), low_i[k] and
+    low_j[k] for k < i are the Bareiss entries a^(k)_{i,k} and a^(k)_{j,k},
+    and det_i is the determinant of the principal block on {0..i-1, j}.
+    With m in place, x = a^(i)_{j,i} and d is the determinant of the block
+    on {0..i, j}.  x follows the Bareiss recurrence from m, using
+    a^(s)_{s,i} = a^(s)_{i,s} by symmetry; it is affine in m with slope
+    piv[i], the cofactor of the entry, so the O(i) pass runs once, at m = 0.
+    Every division is exact.  The block is a principal submatrix of every
+    completion, so it must have the sign (-1)^(i+2) of a negative definite
+    one (Sylvester); as piv[i] has sign (-1)^i, that is x^2 < piv[i+1] * det_i.
+    """
+    x0 = 0
+    for s in range(i):
+        x0 = (piv[s + 1] * x0 - low_j[s] * low_i[s]) // piv[s]
+    p = piv[i]
+    q = piv[i + 1] * det_i
+    out = []
+    for m in range(cap + 1):
+        x = x0 + p * m
+        if x * x < q:
+            out.append((m, x, (q - x * x) // p))
+    return out
+
+
 def _search_data(task: tuple[tuple[VertexDatum, ...], int, bool]) -> list[str]:
-    """All canonical admissible adjacency fillings for one vertex-data multiset."""
+    """All canonical admissible adjacency fillings for one vertex-data multiset.
+
+    The search keeps the fraction-free factorization of its negative
+    definite prefix, one entry deeper at each level, and prunes every entry
+    that leaves no negative definite completion (see `_bordered_entries`).
+    """
     data, max_mult, connected_only = task
     r = len(data)
     weights = [w for _, w in data]
+    if r == 1:
+        return [_encode(data, [])] if weights[0] <= -2 or data[0][0] > 0 else []
     adj = [[0] * r for _ in range(r)]
     for i in range(r):
         adj[i][i] = weights[i]
-    if r == 1:
-        return [_encode(data, [])] if weights[0] <= -2 or data[0][0] > 0 else []
     positions = _positions(r)
     stabilizer = _data_stabilizer(data)
     found: list[str] = []
+    piv = [1, weights[0]] + [0] * (r - 1)
+    lower = [[0] * r for _ in range(r)]
+    # diag[i]: determinant of the principal block on {0..i-1, j} for the
+    # column j being filled.
+    diag = [0] * r
 
     def is_canonical() -> bool:
         for perm in stabilizer:
@@ -187,12 +227,16 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], int, bool]) -> list[str]:
             finalize()
             return
         i, j = positions[pos]
+        if i == 0:
+            diag[0] = weights[j]
         cap = min(max_mult, isqrt(weights[i] * weights[j] - 1))
-        closes_column = i == j - 1
-        for m in range(cap + 1):
+        low_j = lower[j]
+        for m, x, d in _bordered_entries(piv, lower[i], low_j, diag[i], i, cap):
             adj[i][j] = adj[j][i] = m
-            if closes_column and (-1) ** (j + 1) * _leading_det(adj, j + 1) <= 0:
-                continue
+            low_j[i] = x
+            diag[i + 1] = d
+            if i == j - 1:
+                piv[j + 1] = d
             rec(pos + 1)
         adj[i][j] = adj[j][i] = 0
 

@@ -286,6 +286,10 @@ def parse_graph_json(text: str) -> WeightedDualGraph:
         raise InvalidGraphError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InvalidGraphError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        raise InvalidGraphError("invalid JSON: an integer literal has too many digits") from None
     return parse_graph_obj(doc)
 
 
@@ -311,6 +315,8 @@ def load_graph(path: str) -> WeightedDualGraph:
             text = fh.read()
     except OSError as exc:
         raise InvalidGraphError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidGraphError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
     return parse_graph_json(text)
 
 

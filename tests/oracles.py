@@ -8,12 +8,15 @@ definiteness through the characteristic
 polynomial instead of pivots/minors, fundamental cycles by brute
 enumeration of a coefficient box instead of Laufer's algorithm, and the
 maximal arithmetic genus by visiting every cycle of the box instead of the
-pruned search.
+pruned search, and the enumeration by filling every matrix of the box with
+no pruning and minimizing over every vertex permutation instead of the
+pruned search and its stabilizer scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 from math import prod
 
 import numpy as np
@@ -169,3 +172,59 @@ def box_min_anti_nef(g: WeightedDualGraph, box, chunk: int = 200_000) -> tuple[i
 
 
 ADE_BOX_BOUND = {"A": 1, "D": 2, "E6": 3, "E7": 4, "E8": 6}
+
+
+def _is_connected(m) -> bool:
+    n = len(m)
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if m[i][j] and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == n
+
+
+def brute_force_encodings(bounds) -> list[str]:
+    """Sorted encodings of every admissible graph in an enumeration box.
+
+    Vertex data are (genus, self) with genus <= max_genus and
+    min_self <= self <= -1, except the genus-0 (-1)-vertex (not minimal).
+    Every multiset of at most max_vertices of them gets every symmetric
+    filling with multiplicities 0..max_edge_multiplicity, and the connected
+    (when the box asks for it) negative definite ones, by the
+    characteristic polynomial, are kept.  Each is encoded through the
+    lexicographic minimum, over all vertex permutations, of the vertex data
+    followed by the upper triangle read column by column.
+    """
+    options = [
+        (g, w)
+        for g in range(bounds.max_genus + 1)
+        for w in range(bounds.min_self, 0)
+        if (g, w) != (0, -1)
+    ]
+    found = set()
+    for r in range(1, bounds.max_vertices + 1):
+        pairs = [(i, j) for j in range(r) for i in range(j)]
+        perms = list(permutations(range(r)))
+        for data in combinations_with_replacement(options, r):
+            for mults in product(range(bounds.max_edge_multiplicity + 1), repeat=len(pairs)):
+                m = [[0] * r for _ in range(r)]
+                for k, (_, w) in enumerate(data):
+                    m[k][k] = w
+                for (i, j), x in zip(pairs, mults):
+                    m[i][j] = m[j][i] = x
+                if bounds.connected_only and not _is_connected(m):
+                    continue
+                if not negdef_by_charpoly(m):
+                    continue
+                vertex_data, upper = min(
+                    (tuple(data[p[k]] for k in range(r)), tuple(m[p[i]][p[j]] for i, j in pairs))
+                    for p in perms
+                )
+                left = ";".join(f"{g},{w}" for g, w in vertex_data)
+                right = ";".join(f"{i}-{j}:{x}" for (i, j), x in zip(pairs, upper) if x)
+                found.add(f"{left}|{right}")
+    return sorted(found)

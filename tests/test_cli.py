@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdg import invariants
 from kdg.cli import main
@@ -243,7 +248,8 @@ def test_compute_terminates_on_long_chain(tmp_path, capsys):
 
 
 # The scale tests below allow about ten times the time measured on 2 cores
-# (Python 3.11.7): A(400) 0.65 s, the shuffled chain 0.3 s, the limit 0.02 s.
+# (Python 3.11.7): A(400) 0.65 s, the shuffled chain 0.3 s, the limit 0.02 s,
+# the 200-arm star 0.3 s in either order, the 300-vertex binary tree 0.6 s.
 
 
 def test_compute_scales_to_a400(tmp_path, capsys):
@@ -272,6 +278,143 @@ def test_compute_on_shuffled_chain(tmp_path, capsys):
     assert elapsed < 3
     ordered = build_graph([(f"v{i}", 0, weights[i]) for i in range(n)], edges)
     assert report == report_to_obj(invariant_report(ordered), ordered)
+
+
+def star_graph(arms: int, centre_first: bool):
+    """A (-arms-1)-curve meeting `arms` (-2)-curves: negative definite."""
+    centre = [("c", 0, -(arms + 1))]
+    leaves = [(f"a{i}", 0, -2) for i in range(arms)]
+    vertices = centre + leaves if centre_first else leaves + centre
+    return build_graph(vertices, [("c", f"a{i}") for i in range(arms)])
+
+
+@pytest.mark.parametrize("centre_first", [True, False], ids=["centre-first", "centre-last"])
+def test_compute_scales_to_200_arm_star(centre_first, tmp_path, capsys):
+    path = tmp_path / "star.json"
+    path.write_text(graph_to_json(star_graph(200, centre_first)))
+    code, elapsed, report = compute_in_process(capsys, path)
+    assert code == 0
+    assert elapsed < 3
+    # K.A_i = c_i: each arm gives k_a = k_c / 2 and the centre
+    # -201 k_c + 200 k_a = 199, so k_c = -199/101 and
+    # -K^2 = -k_c * 199 = 39601/101.
+    assert report["k_squared"] == "39601/101"
+    assert report["canonical"]["coefficients"]["c"] == "-199/101"
+    assert arithmetic_genus_rhs(report) == "-3"
+
+
+def binary_tree(n: int):
+    """Vertices 0..n-1 in heap order (the parent of i is (i - 1) // 2), -3
+    on the inner vertices and -2 on the leaves: diagonally dominant, and
+    strictly so at the leaves, hence negative definite."""
+    degree = [0] * n
+    edges = []
+    for i in range(1, n):
+        degree[i] += 1
+        degree[(i - 1) // 2] += 1
+        edges.append((f"v{(i - 1) // 2}", f"v{i}"))
+    vertices = [(f"v{i}", 0, -2 if degree[i] == 1 else -3) for i in range(n)]
+    return vertices, edges
+
+
+def test_compute_scales_to_branched_300(tmp_path, capsys):
+    vertices, edges = binary_tree(300)
+    path = tmp_path / "tree.json"
+    path.write_text(graph_to_json(build_graph(vertices, edges)))
+    code, elapsed, report = compute_in_process(capsys, path)
+    assert code == 0
+    assert elapsed < 6
+    assert report["pa_z"] == 0
+    random.Random(3).shuffle(vertices)
+    shuffled = build_graph(vertices, edges)
+    assert report == report_to_obj(invariant_report(shuffled), shuffled)
+
+
+def test_compute_malformed_input_exits_2(tmp_path, capsys):
+    cases = {
+        "utf8": (b"\xff\xfe{", "not UTF-8"),
+        "deep": (b"[" * 100_000, "nested too deeply"),
+        "digits": (b'{"vertices": [{"id": "a", "self": -' + b"9" * 5000 + b"}]}", "too many digits"),
+    }
+    for name, (data, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        code, _, err = compute_in_process(capsys, path)
+        assert code == 2, name
+        assert err.count("\n") == 1 and message in err, err
+
+
+def test_compute_result_too_long_to_print_exits_4(tmp_path, capsys):
+    # the input parses, but -K^2 and the bounds have about 8000 digits
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": [{"id": "a", "self": -' + "9" * 4000 + "}]}")
+    for argv in (["compute", str(path), "--json"], ["compute", str(path)]):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "digits and cannot be printed" in captured.err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_selfs = st.sampled_from([-2, -2, -2, -3, -1, -8, 0, -(10**30), True, 0.5])
+_graph_docs = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(
+            st.fixed_dictionaries(
+                {"id": st.sampled_from("abc"), "self": _selfs},
+                optional={"genus": st.integers(min_value=-1, max_value=2)},
+            ),
+            max_size=4,
+            unique_by=lambda v: v["id"],
+        )
+    },
+    optional={
+        "edges": st.lists(
+            st.fixed_dictionaries(
+                {"a": st.sampled_from("abc"), "b": st.sampled_from("abc")},
+                optional={"m": st.integers(min_value=-1, max_value=3)},
+            ),
+            max_size=5,
+        )
+    },
+)
+_inputs = st.one_of(
+    st.binary(max_size=64),
+    st.text(max_size=64).map(str.encode),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    _graph_docs.map(lambda v: json.dumps(v).encode()),
+    st.integers(min_value=1, max_value=6000).map(lambda k: b"[" * k + b"]" * k),
+    # a self-intersection of k digits: -K^2 has about 3k digits, too many
+    # to print from k = 1434 on, and past k = 4300 the literal cannot parse
+    st.one_of(st.integers(1, 50), st.integers(1000, 6000)).map(
+        lambda k: b'{"vertices": [{"id": "a", "self": -' + b"7" * k + b"}]}"
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(_inputs)
+def test_compute_exit_codes_on_arbitrary_input(data):
+    """Whatever the file holds, `compute` returns a documented exit code and
+    lets no exception escape."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["compute", "--json", path])
+    finally:
+        os.unlink(path)
+    assert code in {0, 2, 3, 4, 5}
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_limit_scales_to_300_vertices(tmp_path, capsys):

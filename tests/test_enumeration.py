@@ -3,11 +3,15 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import kdg.enumeration
 from kdg.enumeration import (
     MAX_ENUM_VERTICES,
     EnumBounds,
+    _bordered_entries,
+    _positions,
     canonical_encoding,
     enumerate_admissible,
     enumerate_encodings,
@@ -17,6 +21,8 @@ from kdg.enumeration import (
 )
 from kdg.errors import PreconditionError
 from kdg.graph import build_graph, validate
+
+from .oracles import brute_force_encodings, cofactor_det, negdef_by_charpoly
 
 
 def test_bounds_validation():
@@ -121,6 +127,69 @@ def test_monotone_coverage():
         enumerate_encodings(EnumBounds(4, min_self=-4, max_genus=1, max_edge_multiplicity=2))
     )
     assert base < more_vertices < deeper_weights < genus_and_mult
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        EnumBounds(3, min_self=-4, max_genus=1, max_edge_multiplicity=2),
+        EnumBounds(4, min_self=-3, max_genus=0, max_edge_multiplicity=2),
+        EnumBounds(5, min_self=-2, max_genus=0),
+        EnumBounds(3, min_self=-3, max_genus=1, connected_only=False),
+    ],
+    ids=str,
+)
+def test_enumeration_is_complete(bounds):
+    """Pruning drops no class: the pruned search finds exactly what filling
+    every matrix of the box finds."""
+    assert enumerate_encodings(bounds) == brute_force_encodings(bounds)
+
+
+@st.composite
+def negdef_intersection_matrices(draw):
+    """Negative definite symmetric integer matrices with multiplicities
+    0..3 off the diagonal, near the edge of definiteness."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    m = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j):
+            m[i][j] = m[j][i] = draw(st.sampled_from([0, 0, 1, 1, 2, 3]))
+    for i in range(n):
+        m[i][i] = -sum(m[i]) - draw(st.integers(min_value=-1, max_value=2))
+    assume(negdef_by_charpoly(m))
+    return m
+
+
+@given(negdef_intersection_matrices())
+def test_bordered_minor_recurrence(m):
+    """Walk the entries in search order, keeping the state `_search_data`
+    keeps.  At each entry every value 0..m_ij + 2 is offered: the kept ones
+    must be exactly those whose block on {0..i, j} has the sign of a
+    negative definite matrix, each with that block's determinant."""
+    n = len(m)
+    piv = [1, m[0][0]] + [0] * (n - 1)
+    lower = [[0] * n for _ in range(n)]
+    diag = [0] * n
+    for i, j in _positions(n):
+        if i == 0:
+            diag[0] = m[j][j]
+        cap = m[i][j] + 2
+        kept = {v: (x, d) for v, x, d in _bordered_entries(piv, lower[i], lower[j], diag[i], i, cap)}
+        rows = [*range(i + 1), j]
+        for v in range(cap + 1):
+            block = [[m[a][b] for b in rows] for a in rows]
+            block[i][-1] = block[-1][i] = v
+            minor = cofactor_det(block)
+            assert (v in kept) == ((-1) ** i * minor > 0)
+            if v in kept:
+                assert kept[v][1] == minor
+        x, d = kept[m[i][j]]
+        lower[j][i] = x
+        diag[i + 1] = d
+        if i == j - 1:
+            piv[j + 1] = d
+    for k in range(1, n + 1):
+        assert piv[k] == cofactor_det([row[:k] for row in m[:k]])
 
 
 def test_jobs_do_not_change_results():

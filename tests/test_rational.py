@@ -171,6 +171,49 @@ def test_solve_satisfies_system(m, data):
         assert dot(m[i], x) == b[i]
 
 
+@st.composite
+def large_sparse_matrices(draw):
+    """Matrices big enough for det, solve and is_negative_definite to
+    reorder them: zero-heavy square or symmetric ones, or forests in
+    shuffled vertex order, which have several components."""
+    n = draw(st.integers(min_value=9, max_value=10))
+    kind = draw(st.sampled_from(["square", "symmetric", "forest"]))
+    if kind == "square":
+        return draw(square(n, sparse_ints))
+    if kind == "symmetric":
+        return draw(symmetric(n, sparse_ints))
+    a = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=i - 1))
+        if parent >= 0:
+            a[i][parent] = a[parent][i] = draw(st.sampled_from([1, 1, 2]))
+    # strict diagonal dominance (definite) or a slack that may break it
+    low = draw(st.sampled_from([-1, 1]))
+    for i in range(n):
+        a[i][i] = -sum(a[i]) - draw(st.integers(min_value=low, max_value=2))
+    perm = draw(st.permutations(range(n)))
+    return [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=100)
+@given(large_sparse_matrices(), st.data())
+def test_kernels_on_reordered_sparse_patterns(m, data):
+    n = len(m)
+    rows, swaps, _ = dense_bareiss(m, n)
+    want_det = 0 if rows is None else (-1) ** swaps * rows[n - 1][n - 1]
+    assert det(m) == want_det
+    if all(m[i][j] == m[j][i] for i in range(n) for j in range(i)):
+        assert is_negative_definite(m) == negdef_by_charpoly(m)
+    b = data.draw(st.lists(ints, min_size=n, max_size=n))
+    if want_det == 0:
+        with pytest.raises(SingularMatrixError):
+            solve(m, b)
+        return
+    x = solve(m, b)
+    for i in range(n):
+        assert dot(m[i], x) == b[i]
+
+
 def test_negdef_exhaustive_2x2():
     for a, b, d in product(range(-5, 6), repeat=3):
         m = [[a, b], [b, d]]
