@@ -15,7 +15,16 @@ definite prefixes are ever extended; a pair multiplicity m is also capped
 by m^2 < w_i * w_j, the 2x2 case.  Isomorphism reduction is brute force: a
 candidate survives only when its adjacency is lexicographically minimal
 among all permutations fixing the vertex-data sequence.  That is exactly
-why max_vertices is capped at 8.
+why max_vertices is capped at 8.  The tasks, one per vertex-data multiset,
+are counted with one binomial per vertex count before any is built, and a
+box with more than ENUM_TASK_BUDGET of them is refused.
+
+Each class's spectrum entry is computed straight from integers: the
+encoding is decoded to vertex data and adjacency (`_decode`), and
+`invariants._class_invariants` reads definiteness, -K^2 (cross-checked two
+ways), the numerical index, Z^2 and the class from one Bareiss
+factorization of the integer rows [M | c] and one run of Laufer's
+sequence, with no graph object and no `Fraction` matrix.
 """
 
 from __future__ import annotations
@@ -26,21 +35,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import isqrt
+from math import comb, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError
 from .graph import WeightedDualGraph, build_graph, validate
-from .invariants import (
-    classify,
-    cycle_degrees,
-    fundamental_cycle,
-    k_squared,
-    numerical_index,
-)
+from .invariants import _class_invariants
 from .rational import rat_str
 
 MAX_ENUM_VERTICES = 8
+
+#: Vertex-data multisets (search tasks) a box may have before
+#: `enumerate_encodings` refuses it with a `PreconditionError` (exit code 4)
+#: instead of starting a search it cannot finish.
+ENUM_TASK_BUDGET = 100_000
 
 VertexDatum = tuple[int, int]
 
@@ -113,18 +121,28 @@ def _encode(data: Sequence[VertexDatum], pairs: Sequence[tuple[int, int, int]]) 
     return f"{left}|{right}"
 
 
-def graph_from_encoding(encoding: str) -> WeightedDualGraph:
+def _decode(encoding: str) -> tuple[list[VertexDatum], list[dict[int, int]]]:
+    """The (genus, self) pairs and adjacency maps (neighbour index ->
+    multiplicity) of an encoding that `_encode` wrote."""
     left, _, right = encoding.partition("|")
-    verts = []
-    for idx, item in enumerate(left.split(";")):
+    data = []
+    for item in left.split(";"):
         g, w = item.split(",")
-        verts.append((f"v{idx}", int(g), int(w)))
-    edges = []
+        data.append((int(g), int(w)))
+    adj: list[dict[int, int]] = [{} for _ in data]
     if right:
         for item in right.split(";"):
             pair, _, m = item.partition(":")
             i, _, j = pair.partition("-")
-            edges.append((f"v{int(i)}", f"v{int(j)}", int(m)))
+            a, b = int(i), int(j)
+            adj[a][b] = adj[b][a] = int(m)
+    return data, adj
+
+
+def graph_from_encoding(encoding: str) -> WeightedDualGraph:
+    data, adj = _decode(encoding)
+    verts = [(f"v{i}", g, w) for i, (g, w) in enumerate(data)]
+    edges = [(f"v{i}", f"v{j}", m) for i, nbrs in enumerate(adj) for j, m in nbrs.items() if i < j]
     return build_graph(verts, edges)
 
 
@@ -245,11 +263,22 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], int, bool]) -> list[str]:
 
 
 def _tasks(bounds: EnumBounds) -> list[tuple[tuple[VertexDatum, ...], int, bool]]:
+    """One task per vertex-data multiset.  Raises `PreconditionError` when
+    there are more than `ENUM_TASK_BUDGET`, counted before any is built."""
+    # (genus, self) pairs within bounds, less the genus-0 (-1)-vertex, which
+    # is never minimal
+    n_options = (bounds.max_genus + 1) * -bounds.min_self - 1
+    count = sum(comb(n_options + r - 1, r) for r in range(1, bounds.max_vertices + 1))
+    if count > ENUM_TASK_BUDGET:
+        raise PreconditionError(
+            f"enumeration box has {count} vertex-data multisets to search,"
+            f" over the budget of {ENUM_TASK_BUDGET}"
+        )
     options = [
         (g, w)
         for g in range(bounds.max_genus + 1)
         for w in range(bounds.min_self, 0)
-        if not (g == 0 and w == -1)  # a genus-0 (-1)-vertex is never minimal
+        if not (g == 0 and w == -1)
     ]
     tasks = []
     for r in range(1, bounds.max_vertices + 1):
@@ -280,21 +309,10 @@ def enumerate_admissible(bounds: EnumBounds, jobs: int = 1) -> list[SpectrumEntr
     """Spectrum entries for every isomorphism class within bounds."""
     if not bounds.connected_only:
         raise PreconditionError("spectrum entries need connected graphs")
-    entries = []
-    for encoding in enumerate_encodings(bounds, jobs=jobs):
-        g = graph_from_encoding(encoding)
-        z = fundamental_cycle(g)
-        z2, _ = cycle_degrees(g, z.coefficients)
-        entries.append(
-            SpectrumEntry(
-                encoding=encoding,
-                k_squared=k_squared(g),
-                classification=classify(g),
-                z_squared=int(z2),
-                numerical_index=numerical_index(g),
-            )
-        )
-    return entries
+    return [
+        SpectrumEntry(encoding, *_class_invariants(*_decode(encoding)))
+        for encoding in enumerate_encodings(bounds, jobs=jobs)
+    ]
 
 
 @dataclass(frozen=True)

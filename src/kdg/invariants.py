@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 from .errors import InternalCheckError, InvalidGraphError, NotNegativeDefiniteError, PreconditionError
@@ -27,10 +28,13 @@ from .graph import (
 )
 from .rational import (
     RatVector,
+    SingularMatrixError,
+    back_substitute,
     bareiss,
     dot,
     is_negative_definite,
     lcm_denominators,
+    negative_pivots,
     quadratic_form,
     rat_decimal,
     rat_str,
@@ -111,20 +115,26 @@ def k_squared(g: WeightedDualGraph) -> Fraction:
 
 
 def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
-    """Smallest positive integral cycle Z with Z.A_i <= 0 for every vertex.
-
-    Computed by Laufer's sequence (Laufer, Amer. J. Math. 94, 1972): start
-    with all coefficients 1 and add A_i while some vertex i has Z.A_i > 0.
-    The vertices with a positive product wait in a worklist; the order in
-    which they are taken does not change the result, since every step stays
-    below the unique smallest anti-nef cycle.
-    """
+    """Smallest positive integral cycle Z with Z.A_i <= 0 for every vertex,
+    by Laufer's sequence (`_laufer`)."""
     if not is_connected(g):
         raise InvalidGraphError("fundamental cycle needs a connected graph")
     _checked_matrix(g)
-    n = len(g)
-    adj = g.adjacency()
-    weights = [v.self_int for v in g.vertices]
+    z, _ = _laufer([v.self_int for v in g.vertices], g.adjacency())
+    return Cycle.from_coefficients(z)
+
+
+def _laufer(weights: Sequence[int], adj) -> tuple[list[int], list[int]]:
+    """Laufer's sequence (Laufer, Amer. J. Math. 94, 1972) on a connected
+    negative definite graph: the fundamental cycle Z and its products
+    Z.A_i.
+
+    Start with all coefficients 1 and add A_i while some vertex i has
+    Z.A_i > 0.  The vertices with a positive product wait in a worklist;
+    the order in which they are taken does not change the result, since
+    every step stays below the unique smallest anti-nef cycle.
+    """
+    n = len(weights)
     z = [1] * n
     # products[i] = Z . A_i, maintained incrementally; `positive` holds each
     # vertex with a positive product exactly once
@@ -146,7 +156,7 @@ def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
         guard += 1
         if guard > 100_000:
             raise InternalCheckError("fundamental cycle iteration did not terminate")
-    return Cycle.from_coefficients(z)
+    return z, products
 
 
 def cycle_degrees(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> tuple[Fraction, Fraction]:
@@ -162,7 +172,11 @@ def cycle_pa(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> int:
     if any(x.denominator != 1 for x in coeffs):
         raise PreconditionError("p_a is defined for integral cycles only")
     d_sq, k_dot = cycle_degrees(g, coeffs)
-    twice = d_sq + k_dot
+    return _pa_from_twice(d_sq + k_dot)
+
+
+def _pa_from_twice(twice: Union[int, Fraction]) -> int:
+    """p_a = 1 + twice/2 for twice = D^2 + K.D, which must be an even integer."""
     if twice.denominator != 1 or int(twice) % 2 != 0:
         raise InternalCheckError(f"D^2 + K.D = {twice} is not an even integer")
     return 1 + int(twice) // 2
@@ -399,6 +413,67 @@ def classify(g: WeightedDualGraph) -> str:
         z_sq, _ = cycle_degrees(g, z)
         return RATIONAL_TRIPLE if z_sq == -3 else RATIONAL_OTHER
     return NON_RATIONAL
+
+
+def _class_invariants(data: Sequence[tuple[int, int]], adj) -> tuple[Fraction, str, int, int]:
+    """(-K^2, classification, Z^2, numerical index) of a connected graph,
+    given its (genus, self-intersection) pairs and its adjacency maps
+    (neighbour index -> multiplicity), from one `bareiss` call on the
+    integer rows [M | c].
+
+    The values and checks are those of `k_squared`, `classify`,
+    `cycle_degrees` on `fundamental_cycle`, and `numerical_index`, read off
+    that single factorization with no `Fraction` matrix:
+
+    - negative definiteness from the pivot signs, as in
+      `is_negative_definite`; `NotNegativeDefiniteError` otherwise;
+    - y = d m by integer back substitution, d = det M and M m = c;
+    - -K^2 both as -y.c / d and as -t(y) M y / d^2, which must agree;
+    - the numerical index |d| / gcd(d, y_1, ..., y_n);
+    - Z by Laufer's sequence, whose final products Z.A_i give Z^2, and
+      p_a(Z) from Z^2 + K.Z;
+    - the class by `classify`'s rules.
+    """
+    n = len(data)
+    weights = [w for _, w in data]
+    c = [2 * genus - 2 - w for genus, w in data]
+    a = [[0] * n + [c[i]] for i in range(n)]
+    for i, row in enumerate(a):
+        row[i] = weights[i]
+        for j, mult in adj[i].items():
+            row[j] = mult
+    try:
+        negdef = negative_pivots(a, bareiss(a, n + 1))
+    except SingularMatrixError:
+        negdef = False
+    if not negdef:
+        raise NotNegativeDefiniteError("intersection matrix is not negative definite")
+    d = a[n - 1][n - 1]
+    y = back_substitute(a, n)
+    y_dot_c = sum(map(mul, y, c))
+    y_form = sum(
+        yi * (weights[i] * yi + sum(mult * y[j] for j, mult in adj[i].items()))
+        for i, yi in enumerate(y)
+    )
+    if y_form != d * y_dot_c:
+        raise InternalCheckError(
+            f"-K^2 mismatch: quadratic form {Fraction(-y_form, d * d)}"
+            f" vs adjunction sum {Fraction(-y_dot_c, d)}"
+        )
+    k2 = Fraction(-y_dot_c, d)
+    index = abs(d) // gcd(d, *y)
+    z, products = _laufer(weights, adj)
+    z_sq = sum(map(mul, z, products))
+    pa = _pa_from_twice(z_sq + sum(map(mul, z, c)))
+    if k2 == 0:
+        if any(datum != (0, -2) for datum in data):
+            raise InternalCheckError("-K^2 = 0 on a graph with a non-(-2) vertex")
+        kind = RATIONAL_DOUBLE
+    elif pa == 0:
+        kind = RATIONAL_TRIPLE if z_sq == -3 else RATIONAL_OTHER
+    else:
+        kind = NON_RATIONAL
+    return k2, kind, z_sq, index
 
 
 def bound_checks(g: WeightedDualGraph, pa_bound: int = 3) -> tuple[BoundCheck, ...]:

@@ -8,7 +8,9 @@ row by the lcm of its denominators, which leaves the signs of the leading
 principal minors unchanged, and put rows and columns in leaf-first order
 (`_leaf_first`), so a tree is eliminated with no fill-in whatever its
 vertex order.  Determinants are the last pivot, solves back substitute in
-integers, and negative definiteness is read off the signs of the pivots.
+integers (`back_substitute`), and negative definiteness is read off the
+signs of the pivots (`negative_pivots`); both also serve callers that build
+integer rows themselves.
 `bareiss` scales rows lazily: a step whose pivot column is zero in a row
 only multiplies that row by a factor, and those factors telescope, so the
 row is skipped and brought up to date with one exact multiply and divide
@@ -249,8 +251,20 @@ def solve(m: Sequence[Sequence[Fraction]], c: Sequence[RatLike]) -> tuple[Fracti
     a, _ = _scaled_rows([*row, x] for row, x in zip(m, c))
     a, order = _leaf_first(a, n)
     bareiss(a, n + 1)
-    # y = d x is integral for d = +-det (Cramer), so back substitution
-    # stays in integers and every division is exact.
+    d = a[n - 1][n - 1]
+    y = back_substitute(a, n)
+    x = [0] * n
+    for i, v in enumerate(order):
+        x[v] = y[i]
+    return tuple(Fraction(xi, d) for xi in x)
+
+
+def back_substitute(a: list[list[int]], n: int) -> list[int]:
+    """The integer vector y = d x, where x solves the n x n system whose
+    rows [A | b] `bareiss(a, n + 1)` has triangularized, and d = a[n-1][n-1].
+
+    d is +-det A, so y is integral (Cramer) and every division is exact.
+    """
     d = a[n - 1][n - 1]
     y = [0] * n
     for i in range(n - 1, -1, -1):
@@ -259,10 +273,15 @@ def solve(m: Sequence[Sequence[Fraction]], c: Sequence[RatLike]) -> tuple[Fracti
         for j in range(i + 1, n):
             s -= row[j] * y[j]
         y[i] = s // row[i]
-    x = [0] * n
-    for i, v in enumerate(order):
-        x[v] = y[i]
-    return tuple(Fraction(xi, d) for xi in x)
+    return y
+
+
+def negative_pivots(a: list[list[int]], swaps: int) -> bool:
+    """Whether the rows `a`, as `bareiss` left them after `swaps` row swaps,
+    come from a negative definite matrix: the leading principal minors D_k
+    on the diagonal satisfy (-1)^k D_k > 0 for every k.  A swap means some
+    D_k vanished."""
+    return swaps == 0 and all((a[k][k] < 0) == (k % 2 == 0) for k in range(len(a)))
 
 
 def is_negative_definite(m: Sequence[Sequence[Fraction]]) -> bool:
@@ -282,7 +301,7 @@ def is_negative_definite(m: Sequence[Sequence[Fraction]]) -> bool:
         swaps = bareiss(a, n)
     except SingularMatrixError:
         return False
-    return swaps == 0 and all((a[k][k] < 0) == (k % 2 == 0) for k in range(n))
+    return negative_pivots(a, swaps)
 
 
 def quadratic_form(m: Sequence[Sequence[Fraction]], v: Sequence[RatLike]) -> Fraction:

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import kdg.enumeration
+from kdg.cli import main
 from kdg.enumeration import (
+    ENUM_TASK_BUDGET,
     MAX_ENUM_VERTICES,
     EnumBounds,
     _bordered_entries,
@@ -195,6 +198,35 @@ def test_bordered_minor_recurrence(m):
 def test_jobs_do_not_change_results():
     bounds = EnumBounds(3, min_self=-4, max_genus=1, max_edge_multiplicity=2)
     assert enumerate_encodings(bounds, jobs=1) == enumerate_encodings(bounds, jobs=2)
+    assert enumerate_admissible(bounds, jobs=2) == enumerate_admissible(bounds, jobs=1)
+
+
+def test_task_budget_refuses_huge_box_before_searching(monkeypatch, capsys):
+    def never(task):
+        raise AssertionError("searched a box over the task budget")
+
+    monkeypatch.setattr(kdg.enumeration, "_search_data", never)
+    # genus 0 and self -1000..-2: 999 vertex data, multisets of 1..8 of them
+    count = sum(comb(999 + r - 1, r) for r in range(1, 9))
+    assert count > 10**19
+    code = main(["enumerate", "--max-vertices", "8", "--min-self", "-1000"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"has {count} vertex-data multisets" in err
+    assert f"budget of {ENUM_TASK_BUDGET}" in err
+    # one vertex, but 10^12 genus values: refused before any list is built
+    code = main(["enumerate", "--max-vertices", "1", "--max-genus", str(10**12)])
+    assert code == 4
+    assert f"has {(10**12 + 1) * 6 - 1} vertex-data multisets" in capsys.readouterr().err
+
+
+def test_task_budget_boundary(monkeypatch):
+    bounds = EnumBounds(2, min_self=-3)  # data (0,-2), (0,-3): 2 + 3 tasks
+    monkeypatch.setattr(kdg.enumeration, "ENUM_TASK_BUDGET", 5)
+    assert len(enumerate_encodings(bounds)) == 5
+    monkeypatch.setattr(kdg.enumeration, "ENUM_TASK_BUDGET", 4)
+    with pytest.raises(PreconditionError, match="has 5 vertex-data multisets"):
+        enumerate_encodings(bounds)
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):

@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from kdg import invariants
 from kdg.enumeration import EnumBounds, graph_from_encoding, random_admissible
 from kdg.errors import (
+    InternalCheckError,
     InvalidGraphError,
     NotNegativeDefiniteError,
     PreconditionError,
 )
 from kdg.families import family_spec, generate
-from kdg.graph import adjunction_degrees, build_graph, intersection_matrix
+from kdg.graph import adjunction_degrees, build_graph, intersection_matrix, validate
 from kdg.invariants import (
     NON_RATIONAL,
     RATIONAL_DOUBLE,
     RATIONAL_OTHER,
     RATIONAL_TRIPLE,
+    _class_invariants,
     bound_checks,
     canonical_cycle,
     classify,
@@ -217,6 +219,57 @@ def test_fundamental_cycle_is_least_anti_nef_cycle(g):
     # in the example, b still has Z.A_b > 0 right after it is added
     z = fundamental_cycle(g).as_ints()
     assert box_min_anti_nef(g, z) == z
+
+
+def invariants_by_fractions(g):
+    """(-K^2, class, Z^2, index) through the public `Fraction` functions."""
+    z_sq, _ = cycle_degrees(g, fundamental_cycle(g))
+    return k_squared(g), classify(g), int(z_sq), numerical_index(g)
+
+
+def integer_invariants(g):
+    return _class_invariants([(v.genus, v.self_int) for v in g.vertices], g.adjacency())
+
+
+def test_class_invariants_match_fraction_path_on_e5(e5_entries):
+    # every 7th class holds no rational triple, so the rational classes join it
+    sample = [e for i, e in enumerate(e5_entries) if i % 7 == 0 or e.classification != NON_RATIONAL]
+    for entry in sample:
+        g = graph_from_encoding(entry.encoding)
+        expected = invariants_by_fractions(g)
+        assert integer_invariants(g) == expected, entry.encoding
+        assert tuple(entry[1:]) == expected, entry.encoding
+    classes = {entry.classification for entry in sample}
+    assert classes == {RATIONAL_DOUBLE, RATIONAL_TRIPLE, RATIONAL_OTHER, NON_RATIONAL}
+
+
+@st.composite
+def admissible_graphs_up_to_8(draw):
+    """Admissible graphs with at most 8 vertices, genus <= 2, multiplicity <= 2."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    return random_admissible(rng, EnumBounds(8, min_self=-6, max_genus=2, max_edge_multiplicity=2))
+
+
+@given(admissible_graphs_up_to_8())
+@settings(max_examples=150)
+@example(build_graph([("a", 0, -2), ("b", 0, -2)], [("a", "b", 2)]))  # singular
+@example(build_graph([("a", 0, -1), ("b", 1, -1)], [("a", "b", 2)]))  # indefinite
+def test_class_invariants_match_fraction_path(g):
+    if not validate(g).negative_definite:
+        with pytest.raises(NotNegativeDefiniteError):
+            integer_invariants(g)
+        with pytest.raises(NotNegativeDefiniteError):
+            k_squared(g)
+        return
+    assert integer_invariants(g) == invariants_by_fractions(g)
+
+
+def test_class_invariants_cross_check_k_squared(monkeypatch):
+    """A wrong solution of M m = c must trip the two-way -K^2 comparison."""
+    real = invariants.back_substitute
+    monkeypatch.setattr(invariants, "back_substitute", lambda a, n: [y + 1 for y in real(a, n)])
+    with pytest.raises(InternalCheckError, match="-K\\^2 mismatch"):
+        integer_invariants(x31())
 
 
 def tail_graph(genus: int, self_int: int, length: int):
