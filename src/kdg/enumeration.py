@@ -140,6 +140,8 @@ def _decode(encoding: str) -> tuple[list[VertexDatum], list[dict[int, int]]]:
 
 
 def graph_from_encoding(encoding: str) -> WeightedDualGraph:
+    """The graph, with vertex ids v0, v1, ..., of an encoding as the
+    enumerator writes it; malformed encodings are not diagnosed."""
     data, adj = _decode(encoding)
     verts = [(f"v{i}", g, w) for i, (g, w) in enumerate(data)]
     edges = [(f"v{i}", f"v{j}", m) for i, nbrs in enumerate(adj) for j, m in nbrs.items() if i < j]
