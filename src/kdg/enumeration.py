@@ -12,12 +12,28 @@ inside every completion, so an entry whose block has the wrong sign for a
 negative definite matrix is pruned with its whole subtree, long before the
 column closes.  At i = j - 1 the block is the leading one, so only negative
 definite prefixes are ever extended; a pair multiplicity m is also capped
-by m^2 < w_i * w_j, the 2x2 case.  Isomorphism reduction is brute force: a
-candidate survives only when its adjacency is lexicographically minimal
-among all permutations fixing the vertex-data sequence.  That is exactly
-why max_vertices is capped at 8.  The tasks, one per vertex-data multiset,
-are counted with one binomial per vertex count before any is built, and a
-box with more than ENUM_TASK_BUDGET of them is refused.
+by m^2 < w_i * w_j, the 2x2 case.
+
+Isomorphism reduction is orderly generation (Read, Ann. Discrete Math. 2,
+1978; Faradzev, 1978): a filling is kept only when its upper triangle, read
+column by column, is lexicographically minimal among its images under the
+permutations that fix the vertex-data sequence.  Every leading block of
+such a filling is minimal among the data-preserving permutations of its
+own vertices: extended by the identity, such a permutation preserves the
+sorted data and maps the block, which comes first in the reading order,
+onto itself, so a smaller image of the block makes a smaller filling.  The
+test therefore runs as each column closes, on the block closed so far, and
+cuts every subtree below a non-minimal block; at the last column it is the
+full test.  The permutations are still listed
+one by one, a product of factorials, which is why max_vertices is capped
+at 8.  Connectivity, when required, is read at the leaves from neighbour
+bitmasks kept as entries are assigned.
+
+Work is bounded twice.  The tasks, one per vertex-data multiset, are
+counted with one binomial per vertex count before any is built, and a box
+with more than ENUM_TASK_BUDGET of them is refused; a task that visits
+more than ENUM_NODE_BUDGET search nodes stops the enumeration.  Both raise
+`PreconditionError` (exit code 4).
 
 Each class's spectrum entry is computed straight from integers: the
 encoding is decoded to vertex data and adjacency (`_decode`), and
@@ -36,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, isqrt
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError
@@ -49,6 +66,11 @@ MAX_ENUM_VERTICES = 8
 #: `enumerate_encodings` refuses it with a `PreconditionError` (exit code 4)
 #: instead of starting a search it cannot finish.
 ENUM_TASK_BUDGET = 100_000
+
+#: Search nodes one task (one vertex-data multiset) may visit before
+#: `enumerate_encodings` gives up with a `PreconditionError` (exit code 4)
+#: instead of running unbounded.
+ENUM_NODE_BUDGET = 1_000_000
 
 VertexDatum = tuple[int, int]
 
@@ -64,7 +86,8 @@ class EnumBounds:
     def __post_init__(self) -> None:
         if not 1 <= self.max_vertices <= MAX_ENUM_VERTICES:
             raise PreconditionError(
-                f"max_vertices must be in 1..{MAX_ENUM_VERTICES} (brute-force canonicalization)"
+                f"max_vertices must be in 1..{MAX_ENUM_VERTICES}"
+                " (canonical forms list the data-preserving vertex permutations)"
             )
         if self.min_self > -1:
             raise PreconditionError("min_self must be <= -1")
@@ -101,18 +124,6 @@ def _data_stabilizer(data: Sequence[VertexDatum]) -> list[tuple[int, ...]]:
 
 def _positions(r: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, r) for i in range(j)]
-
-
-def _connected(adj: list[list[int]], r: int) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for y in range(r):
-            if y != x and adj[x][y] != 0 and y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == r
 
 
 def _encode(data: Sequence[VertexDatum], pairs: Sequence[tuple[int, int, int]]) -> str:
@@ -199,72 +210,106 @@ def _bordered_entries(
     return out
 
 
-def _search_data(task: tuple[tuple[VertexDatum, ...], int, bool]) -> list[str]:
+def _reaches_all(nbr: list[int]) -> bool:
+    """Whether vertex 0 reaches every vertex, given each vertex's neighbours
+    as a bitmask."""
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbr[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << len(nbr)) - 1
+
+
+def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds]) -> list[str]:
     """All canonical admissible adjacency fillings for one vertex-data multiset.
 
     The search keeps the fraction-free factorization of its negative
     definite prefix, one entry deeper at each level, and prunes every entry
     that leaves no negative definite completion (see `_bordered_entries`).
+    When entry (j-1, j) closes column j, the leading block on {0..j} must be
+    lexicographically minimal, in `_positions` order, among its images
+    under the data-preserving permutations of {0..j}, or the subtree is cut.
+    Raises `PreconditionError` past `ENUM_NODE_BUDGET` search nodes.
     """
-    data, max_mult, connected_only = task
+    data, bounds = task
+    max_mult = bounds.max_edge_multiplicity
     r = len(data)
     weights = [w for _, w in data]
     if r == 1:
         return [_encode(data, [])] if weights[0] <= -2 or data[0][0] > 0 else []
-    adj = [[0] * r for _ in range(r)]
-    for i in range(r):
-        adj[i][i] = weights[i]
     positions = _positions(r)
-    stabilizer = _data_stabilizer(data)
+    index = [[0] * r for _ in range(r)]
+    for k, (a, b) in enumerate(positions):
+        index[a][b] = index[b][a] = k
+    # rivals[k]: when entry k closes column j, one getter per permutation of
+    # {0..j} that preserves data[:j+1] (extended by the identity, it
+    # preserves all the data, as the data is sorted) and moves some entry
+    # of the leading block, reading that block's image in `_positions` order
+    rivals: list[list[itemgetter]] = [[] for _ in positions]
+    for j in range(1, r):
+        n = j * (j + 1) // 2
+        for perm in _data_stabilizer(data[:j + 1]):
+            image = tuple(index[perm[a]][perm[b]] for a, b in positions[:n])
+            if image != tuple(range(n)):
+                rivals[n - 1].append(itemgetter(*image))
+    # key[k]: the multiplicity at positions[k]; nbr[v]: bitmask of the
+    # vertices joined to v so far
+    key = [0] * len(positions)
+    nbr = [0] * r
     found: list[str] = []
     piv = [1, weights[0]] + [0] * (r - 1)
     lower = [[0] * r for _ in range(r)]
     # diag[i]: determinant of the principal block on {0..i-1, j} for the
     # column j being filled.
     diag = [0] * r
-
-    def is_canonical() -> bool:
-        for perm in stabilizer:
-            for i, j in positions:
-                v = adj[perm[i]][perm[j]]
-                b = adj[i][j]
-                if v < b:
-                    return False
-                if v > b:
-                    break
-        return True
-
-    def finalize() -> None:
-        if connected_only and not _connected(adj, r):
-            return
-        if not is_canonical():
-            return
-        pairs = [(i, j, adj[i][j]) for i, j in positions if adj[i][j] > 0]
-        found.append(_encode(data, pairs))
+    nodes = 0
 
     def rec(pos: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > ENUM_NODE_BUDGET:
+            raise PreconditionError(
+                f"enumeration box {bounds} is over its search budget: the task for"
+                f" vertex data {data} visited more than {ENUM_NODE_BUDGET} nodes"
+            )
         if pos == len(positions):
-            finalize()
+            if not bounds.connected_only or _reaches_all(nbr):
+                pairs = [(i, j, key[k]) for k, (i, j) in enumerate(positions) if key[k]]
+                found.append(_encode(data, pairs))
             return
         i, j = positions[pos]
         if i == 0:
             diag[0] = weights[j]
         cap = min(max_mult, isqrt(weights[i] * weights[j] - 1))
         low_j = lower[j]
+        bit_i, bit_j = 1 << i, 1 << j
         for m, x, d in _bordered_entries(piv, lower[i], low_j, diag[i], i, cap):
-            adj[i][j] = adj[j][i] = m
+            key[pos] = m
+            if m:
+                nbr[i] |= bit_j
+                nbr[j] |= bit_i
             low_j[i] = x
             diag[i + 1] = d
             if i == j - 1:
                 piv[j + 1] = d
+                block = tuple(key[: pos + 1])
+                if any(image(key) < block for image in rivals[pos]):
+                    continue
             rec(pos + 1)
-        adj[i][j] = adj[j][i] = 0
+        nbr[i] &= ~bit_j
+        nbr[j] &= ~bit_i
 
     rec(0)
+    # rec reaches itself through its closure; breaking that cycle frees the
+    # task's search state now instead of at the next full collection
+    del rec
     return found
 
 
-def _tasks(bounds: EnumBounds) -> list[tuple[tuple[VertexDatum, ...], int, bool]]:
+def _tasks(bounds: EnumBounds) -> list[tuple[tuple[VertexDatum, ...], EnumBounds]]:
     """One task per vertex-data multiset.  Raises `PreconditionError` when
     there are more than `ENUM_TASK_BUDGET`, counted before any is built."""
     # (genus, self) pairs within bounds, less the genus-0 (-1)-vertex, which
@@ -285,7 +330,7 @@ def _tasks(bounds: EnumBounds) -> list[tuple[tuple[VertexDatum, ...], int, bool]
     tasks = []
     for r in range(1, bounds.max_vertices + 1):
         for data in combinations_with_replacement(sorted(options), r):
-            tasks.append((data, bounds.max_edge_multiplicity, bounds.connected_only))
+            tasks.append((data, bounds))
     return tasks
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from kdg.enumeration import EnumBounds, enumerate_admissible, enumerate_encodings, graph_from_encoding
+from kdg.enumeration import EnumBounds, _decode, enumerate_admissible, enumerate_encodings
 from kdg.graph import adjunction_degrees, intersection_matrix
 from kdg.rational import dot, solve
 
@@ -46,9 +46,17 @@ def e5_entries():
     return enumerate_admissible(E5_BOUNDS)
 
 
+def encoding_k_squared(encoding: str) -> Fraction:
+    """-K^2 by direct solve on the integer matrix of an encoding already
+    known negative definite, with no graph built."""
+    data, adj = _decode(encoding)
+    m = [[adj[i].get(j, 0) for j in range(len(data))] for i in range(len(data))]
+    for i, (_, w) in enumerate(data):
+        m[i][i] = w
+    c = [2 * g - 2 - w for g, w in data]
+    return -dot(solve(m, c), c)
+
+
 @pytest.fixture(scope="session")
 def e4_values():
-    out = []
-    for enc in enumerate_encodings(E4_BOUNDS):
-        out.append((enc, quick_k_squared(graph_from_encoding(enc))))
-    return out
+    return [(enc, encoding_k_squared(enc)) for enc in enumerate_encodings(E4_BOUNDS)]

@@ -10,7 +10,9 @@ enumeration of a coefficient box instead of Laufer's algorithm, and the
 maximal arithmetic genus by visiting every cycle of the box instead of the
 pruned search, and the enumeration by filling every matrix of the box with
 no pruning and minimizing over every vertex permutation instead of the
-pruned search and its stabilizer scan.
+pruned search and its stabilizer scan, and the orderly prefix lemma by
+trying every permutation of each leading block instead of the search's
+per-column data stabilizers.
 """
 
 from __future__ import annotations
@@ -70,13 +72,18 @@ def dense_bareiss(rows, cols: int):
 
 
 def char_poly(m) -> list[Fraction]:
-    """Coefficients [1, c1, ..., cn] of det(x*I - M), exact Faddeev-LeVerrier."""
+    """Coefficients [1, c1, ..., cn] of det(x*I - M), exact Faddeev-LeVerrier.
+
+    A coefficient that is an integer is kept as an int, so an integer matrix
+    (whose coefficients are all integers) is worked in integer arithmetic."""
     n = len(m)
-    mm = [[Fraction(x) for x in row] for row in m]
+    mm = [list(row) for row in m]
     coeffs = [Fraction(1)]
     ak = [row[:] for row in mm]
     for k in range(1, n + 1):
-        ck = -sum(ak[i][i] for i in range(n)) / k
+        ck = Fraction(-sum(ak[i][i] for i in range(n)), k)
+        if ck.denominator == 1:
+            ck = ck.numerator
         coeffs.append(ck)
         if k == n:
             break
@@ -228,3 +235,26 @@ def brute_force_encodings(bounds) -> list[str]:
                 right = ";".join(f"{i}-{j}:{x}" for (i, j), x in zip(pairs, upper) if x)
                 found.add(f"{left}|{right}")
     return sorted(found)
+
+
+def leading_blocks_minimal(encoding: str) -> bool:
+    """Whether every leading block of an encoded graph, on vertices {0..k},
+    read column by column, is lexicographically minimal among its images
+    under the permutations of {0..k} that keep every vertex's (genus, self).
+    The encoding is parsed here and every permutation of {0..k} is tried."""
+    head, _, tail = encoding.partition("|")
+    data = [tuple(int(x) for x in part.split(",")) for part in head.split(";")]
+    r = len(data)
+    m = [[0] * r for _ in range(r)]
+    for part in filter(None, tail.split(";")):
+        pair, x = part.split(":")
+        i, j = (int(v) for v in pair.split("-"))
+        m[i][j] = m[j][i] = int(x)
+    for k in range(r):
+        pairs = [(i, j) for j in range(k + 1) for i in range(j)]
+        block = [m[i][j] for i, j in pairs]
+        for p in permutations(range(k + 1)):
+            if all(data[p[a]] == data[a] for a in range(k + 1)):
+                if [m[p[i]][p[j]] for i, j in pairs] < block:
+                    return False
+    return True

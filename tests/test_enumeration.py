@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import kdg.enumeration
 from kdg.cli import main
 from kdg.enumeration import (
+    ENUM_NODE_BUDGET,
     ENUM_TASK_BUDGET,
     MAX_ENUM_VERTICES,
     EnumBounds,
@@ -25,7 +26,8 @@ from kdg.enumeration import (
 from kdg.errors import PreconditionError
 from kdg.graph import build_graph, validate
 
-from .oracles import brute_force_encodings, cofactor_det, negdef_by_charpoly
+from .conftest import quick_k_squared
+from .oracles import brute_force_encodings, cofactor_det, leading_blocks_minimal, negdef_by_charpoly
 
 
 def test_bounds_validation():
@@ -139,6 +141,7 @@ def test_monotone_coverage():
         EnumBounds(4, min_self=-3, max_genus=0, max_edge_multiplicity=2),
         EnumBounds(5, min_self=-2, max_genus=0),
         EnumBounds(3, min_self=-3, max_genus=1, connected_only=False),
+        EnumBounds(4, min_self=-3, max_genus=1, max_edge_multiplicity=2, connected_only=False),
     ],
     ids=str,
 )
@@ -146,6 +149,16 @@ def test_enumeration_is_complete(bounds):
     """Pruning drops no class: the pruned search finds exactly what filling
     every matrix of the box finds."""
     assert enumerate_encodings(bounds) == brute_force_encodings(bounds)
+
+
+def test_leading_blocks_are_minimal(e5_entries):
+    """The prefix lemma behind orderly generation, checked by brute force:
+    each leading block of a canonical encoding is itself minimal."""
+    encodings = enumerate_encodings(EnumBounds(6, min_self=-3))
+    encodings += enumerate_encodings(EnumBounds(6, min_self=-2, max_genus=1))
+    encodings += [e.encoding for e in e5_entries[::7]]
+    assert len(encodings) == 914 + 260 + 1683
+    assert [enc for enc in encodings if not leading_blocks_minimal(enc)] == []
 
 
 @st.composite
@@ -229,6 +242,47 @@ def test_task_budget_boundary(monkeypatch):
         enumerate_encodings(bounds)
 
 
+def test_node_budget_stops_a_task(monkeypatch, capsys):
+    bounds = EnumBounds(6, min_self=-3)
+    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 200)
+    with pytest.raises(PreconditionError) as exc:
+        enumerate_encodings(bounds)
+    assert str(bounds) in str(exc.value)
+    assert "visited more than 200 nodes" in str(exc.value)
+    code = main(["enumerate", "--max-vertices", "6", "--min-self", "-3", "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "search budget" in captured.err and "more than 200 nodes" in captured.err
+
+
+def test_node_budget_boundary(monkeypatch):
+    """A task may visit exactly ENUM_NODE_BUDGET nodes: find the largest task
+    of a box as the least budget that passes, and check it is far below the
+    real one."""
+    bounds = EnumBounds(4, min_self=-3, max_genus=1, max_edge_multiplicity=2)
+    want = enumerate_encodings(bounds)
+
+    def passes(budget):
+        monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", budget)
+        try:
+            return enumerate_encodings(bounds) == want
+        except PreconditionError:
+            return False
+
+    lo, hi = 1, 1
+    while not passes(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    assert passes(hi) and not passes(hi - 1)
+    assert hi * 100 < ENUM_NODE_BUDGET
+
+
 def test_jobs_clamped_to_cpu_count(monkeypatch):
     started = []
 
@@ -287,3 +341,9 @@ def test_random_admissible():
         assert len(g) <= 6
         assert all(v.self_int >= -5 and v.genus <= 2 for v in g.vertices)
         assert all(e.mult <= 2 for e in g.edges)
+
+
+def test_e4_values_match_graph_path(e4_values):
+    """The E4 fixture's integer-matrix -K^2 agrees with building each graph."""
+    for encoding, value in e4_values[::500]:
+        assert value == quick_k_squared(graph_from_encoding(encoding)), encoding
