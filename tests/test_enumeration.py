@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import kdg.enumeration
 from kdg.cli import main
 from kdg.enumeration import (
-    ENUM_NODE_BUDGET,
     ENUM_TASK_BUDGET,
     MAX_ENUM_VERTICES,
     EnumBounds,
@@ -257,30 +256,14 @@ def test_node_budget_stops_a_task(monkeypatch, capsys):
 
 
 def test_node_budget_boundary(monkeypatch):
-    """A task may visit exactly ENUM_NODE_BUDGET nodes: find the largest task
-    of a box as the least budget that passes, and check it is far below the
-    real one."""
-    bounds = EnumBounds(4, min_self=-3, max_genus=1, max_edge_multiplicity=2)
-    want = enumerate_encodings(bounds)
-
-    def passes(budget):
-        monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", budget)
-        try:
-            return enumerate_encodings(bounds) == want
-        except PreconditionError:
-            return False
-
-    lo, hi = 1, 1
-    while not passes(hi):
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    assert passes(hi) and not passes(hi - 1)
-    assert hi * 100 < ENUM_NODE_BUDGET
+    # data (0,-2),(0,-2): the root and one child per value 0, 1 of the one
+    # entry, 3 nodes; a single vertex needs no search
+    bounds = EnumBounds(2, min_self=-2)
+    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 3)
+    assert enumerate_encodings(bounds) == ["0,-2;0,-2|0-1:1", "0,-2|"]
+    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 2)
+    with pytest.raises(PreconditionError, match="visited more than 2 nodes"):
+        enumerate_encodings(bounds)
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
