@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidGraphError, PreconditionError
-from .rational import ZERO, RatMatrix, RatVector, is_negative_definite, vec
+from .rational import is_negative_definite
 
 
 @dataclass(frozen=True)
@@ -139,26 +138,25 @@ def build_graph(
     return WeightedDualGraph(vts, tuple(sorted(out, key=lambda e: (e.a, e.b))))
 
 
-def intersection_matrix(g: WeightedDualGraph) -> RatMatrix:
-    """Symmetric matrix M with M[i][i] the self-intersection and M[i][j] the
-    pairwise intersection number.  Every empty entry is the one object
-    `rational.ZERO`, which the matrix passes in `kdg.rational` skip fast."""
+def intersection_matrix(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
+    """Symmetric integer matrix M with M[i][i] the self-intersection and
+    M[i][j] the pairwise intersection number (0 off the edges)."""
     n = len(g)
-    rows = [[ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i, v in enumerate(g.vertices):
-        rows[i][i] = Fraction(v.self_int)
+        rows[i][i] = v.self_int
     for e in g.edges:
-        rows[e.a][e.b] = rows[e.b][e.a] = Fraction(e.mult)
+        rows[e.a][e.b] = rows[e.b][e.a] = e.mult
     return tuple(map(tuple, rows))
 
 
-def adjunction_degrees(g: WeightedDualGraph) -> RatVector:
+def adjunction_degrees(g: WeightedDualGraph) -> tuple[int, ...]:
     """The vector c with c_i = 2*genus_i - 2 - self_int_i.
 
     c_i is the intersection number of the canonical cycle with the i-th
     curve; it vanishes exactly on genus-0 (-2)-vertices.
     """
-    return vec(2 * v.genus - 2 - v.self_int for v in g.vertices)
+    return tuple(2 * v.genus - 2 - v.self_int for v in g.vertices)
 
 
 def connected_components(g: WeightedDualGraph) -> list[list[int]]:

@@ -35,7 +35,6 @@ from .rational import (
     is_negative_definite,
     lcm_denominators,
     negative_pivots,
-    quadratic_form,
     rat_decimal,
     rat_str,
     solve,
@@ -105,13 +104,22 @@ def k_squared(g: WeightedDualGraph) -> Fraction:
     m = _checked_matrix(g)
     c = adjunction_degrees(g)
     coeffs = solve(m, c)
-    via_form = -quadratic_form(m, coeffs)
+    via_form = -_form([v.self_int for v in g.vertices], g.adjacency(), coeffs)
     via_degrees = -dot(coeffs, c)
     if via_form != via_degrees:
         raise InternalCheckError(
             f"-K^2 mismatch: quadratic form {via_form} vs adjunction sum {via_degrees}"
         )
     return via_form
+
+
+def _form(weights: Sequence[int], adj, v: Sequence) -> Union[int, Fraction]:
+    """t(v) M v = sum_i v_i (w_i v_i + sum_j m_ij v_j), with M given by its
+    diagonal `weights` and its adjacency maps (neighbour -> multiplicity)."""
+    return sum(
+        vi * (weights[i] * vi + sum(mult * v[j] for j, mult in adj[i].items()))
+        for i, vi in enumerate(v)
+    )
 
 
 def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
@@ -162,8 +170,8 @@ def _laufer(weights: Sequence[int], adj) -> tuple[list[int], list[int]]:
 def cycle_degrees(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> tuple[Fraction, Fraction]:
     """(D^2, K.D) for an integral cycle D; K.D = sum d_i c_i."""
     coeffs = d.coefficients if isinstance(d, Cycle) else vec(d)
-    m = intersection_matrix(g)
-    return quadratic_form(m, coeffs), dot(coeffs, adjunction_degrees(g))
+    k_dot = dot(coeffs, adjunction_degrees(g))  # rejects a wrong length first
+    return _form([v.self_int for v in g.vertices], g.adjacency(), coeffs), k_dot
 
 
 def cycle_pa(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> int:
@@ -188,12 +196,8 @@ PA_SEARCH_BUDGET = 1_000_000
 
 
 def _pa_of(weights, adj, c, d) -> int:
-    """p_a(D) = 1 + (D^2 + K.D)/2 in integers, D^2 = sum d_i (D.A_i)."""
-    twice = 0
-    for i, di in enumerate(d):
-        if di:
-            twice += di * (weights[i] * di + sum(mult * d[j] for j, mult in adj[i].items()) + c[i])
-    return 1 + twice // 2
+    """p_a(D) = 1 + (D^2 + K.D)/2 in integers."""
+    return 1 + (_form(weights, adj, d) + sum(map(mul, d, c))) // 2
 
 
 def _bfs_order(adj) -> list[int]:
@@ -279,7 +283,7 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     n = len(g)
     adj = g.adjacency()
     weights = [v.self_int for v in g.vertices]
-    c = [int(x) for x in adjunction_degrees(g)]
+    c = adjunction_degrees(g)
     best = _pa_of(weights, adj, c, z)
     if best == 0:
         return 0
@@ -451,10 +455,7 @@ def _class_invariants(data: Sequence[tuple[int, int]], adj) -> tuple[Fraction, s
     d = a[n - 1][n - 1]
     y = back_substitute(a, n)
     y_dot_c = sum(map(mul, y, c))
-    y_form = sum(
-        yi * (weights[i] * yi + sum(mult * y[j] for j, mult in adj[i].items()))
-        for i, yi in enumerate(y)
-    )
+    y_form = _form(weights, adj, y)
     if y_form != d * y_dot_c:
         raise InternalCheckError(
             f"-K^2 mismatch: quadratic form {Fraction(-y_form, d * d)}"

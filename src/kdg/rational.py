@@ -1,7 +1,9 @@
 """Exact rational scalars, vectors and matrices.
 
-Scalars are `fractions.Fraction` (arbitrary precision, always in lowest terms
-with positive denominator); vectors and matrices are immutable tuples.
+Scalars are `int` or `fractions.Fraction` (arbitrary precision, always in
+lowest terms with positive denominator); vectors and matrices are immutable
+tuples.  Intersection matrices are all integers, contracted systems carry
+`Fraction`s, and every rational result is a `Fraction` either way.
 Square matrices are eliminated by one fraction-free routine, `bareiss`, on
 integer rows: `det`, `solve` and `is_negative_definite` first multiply each
 row by the lcm of its denominators, which leaves the signs of the leading
@@ -17,11 +19,10 @@ row is skipped and brought up to date with one exact multiply and divide
 when it is next used.  Intersection matrices of dual graphs are trees or
 nearly so, so most steps update only a few rows: on a chain in vertex order
 each step updates one row, O(n^2) work in all instead of O(n^3).  The
-passes around it (scaling rows to integers, the symmetry test, quadratic
-forms) skip the shared zero entries of such matrices.  Only `nullspace`,
-the kernel of a rectangular matrix, runs its own rational elimination.  No
-floating point enters any computation; decimal strings are produced for
-display only.
+passes around it (scaling rows to integers, quadratic forms) skip zero
+entries.  Only `nullspace`, the kernel of a rectangular matrix, runs its
+own rational elimination.  No floating point enters any computation; a
+float entry raises, and decimal strings are produced for display only.
 """
 
 from __future__ import annotations
@@ -39,13 +40,6 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 RatVector = tuple[Fraction, ...]
 RatMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-#: The zero that `graph.intersection_matrix` shares among its empty entries.
-#: Passes over a matrix skip entries that are this object, which spares a
-#: call into `Fraction` on most entries of a sparse matrix; any other zero
-#: is still handled by value.
-ZERO = Fraction(0)
 
 
 class SingularMatrixError(KdgError):
@@ -90,17 +84,16 @@ def vec(entries: Iterable[RatLike]) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in entries)
 
 
-def dim(m: Sequence[Sequence[Fraction]]) -> int:
+def dim(m: Sequence[Sequence[RatLike]]) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("square matrix expected")
     return n
 
 
-def is_symmetric(m: Sequence[Sequence[Fraction]]) -> bool:
+def is_symmetric(m: Sequence[Sequence[RatLike]]) -> bool:
     dim(m)
-    # Whole rows against whole columns: tuple comparison runs in C and
-    # skips entries that are the same object, such as ZERO.
+    # Whole rows against whole columns: tuple comparison runs in C.
     return all(tuple(row) == col for row, col in zip(m, zip(*m)))
 
 
@@ -172,12 +165,13 @@ def bareiss(a: list[list[int]], cols: int) -> int:
 
 def _scaled_rows(m: Iterable[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
-    positive multipliers.  Entries that are `ZERO` are not converted."""
+    positive multipliers.  Entries are ints or Fractions, read through
+    their numerator and denominator; zeros are skipped."""
     rows = []
     scale = 1
     for row in m:
-        r = math.lcm(*(rat(x).denominator for x in row if x is not ZERO))
-        rows.append([0 if x is ZERO else x.numerator * (r // x.denominator) for x in row])
+        r = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (r // x.denominator) if x else 0 for x in row])
         scale *= r
     return rows, scale
 
@@ -226,7 +220,7 @@ def _leaf_first(a: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]
     return [[*pick(row), *row[n:]] for row in pick(a)], order
 
 
-def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+def det(m: Sequence[Sequence[RatLike]]) -> Fraction:
     """Exact determinant."""
     n = dim(m)
     if n == 0:
@@ -240,7 +234,7 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction((-1) ** swaps * a[n - 1][n - 1], scale)
 
 
-def solve(m: Sequence[Sequence[Fraction]], c: Sequence[RatLike]) -> tuple[Fraction, ...]:
+def solve(m: Sequence[Sequence[RatLike]], c: Sequence[RatLike]) -> tuple[Fraction, ...]:
     """Solve m x = c exactly.  Raises SingularMatrixError(stage) when
     singular, with stage counted in the leaf-first order."""
     n = dim(m)
@@ -284,7 +278,7 @@ def negative_pivots(a: list[list[int]], swaps: int) -> bool:
     return swaps == 0 and all((a[k][k] < 0) == (k % 2 == 0) for k in range(len(a)))
 
 
-def is_negative_definite(m: Sequence[Sequence[Fraction]]) -> bool:
+def is_negative_definite(m: Sequence[Sequence[RatLike]]) -> bool:
     """True iff the symmetric matrix m is negative definite.
 
     Decided exactly: the leading principal minors D_k must satisfy
@@ -304,7 +298,7 @@ def is_negative_definite(m: Sequence[Sequence[Fraction]]) -> bool:
     return negative_pivots(a, swaps)
 
 
-def quadratic_form(m: Sequence[Sequence[Fraction]], v: Sequence[RatLike]) -> Fraction:
+def quadratic_form(m: Sequence[Sequence[RatLike]], v: Sequence[RatLike]) -> Fraction:
     """The value t(v) m v, exactly."""
     n = dim(m)
     if len(v) != n:
@@ -314,12 +308,12 @@ def quadratic_form(m: Sequence[Sequence[Fraction]], v: Sequence[RatLike]) -> Fra
     total = Fraction(0)
     for i in support:
         row = m[i]
-        terms = (rat(row[j]) * w[j] for j in support if row[j] is not ZERO)
+        terms = (rat(row[j]) * w[j] for j in support if row[j])
         total += w[i] * sum(terms, Fraction(0))
     return total
 
 
-def nullspace(m: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+def nullspace(m: Sequence[Sequence[RatLike]]) -> list[tuple[Fraction, ...]]:
     """Basis of the kernel of a (possibly rectangular) rational matrix."""
     rows = [list(vec(row)) for row in m]
     if not rows:

@@ -28,7 +28,6 @@ from .errors import (
     SingularLimitError,
 )
 from .graph import (
-    Edge,
     VertexData,
     WeightedDualGraph,
     adjunction_degrees,
@@ -48,7 +47,6 @@ from .rational import (
     quadratic_form,
     rat_str,
     solve,
-    vec,
 )
 
 
@@ -170,15 +168,8 @@ def insert_minus2(g: WeightedDualGraph, site: InsertionSite, n: int) -> Weighted
     if n < 1:
         raise PreconditionError(f"insertion length must be >= 1, got {n}")
     _check_site(g, site)
-    a, b = min(site.a, site.b), max(site.a, site.b)
-    new_ids = _fresh_ids(g, n)
-    verts = g.vertices + tuple(VertexData(i, 0, -2) for i in new_ids)
-    edges = [e for e in g.edges if (e.a, e.b) != (a, b)]
-    base = len(g)
-    chain = [a] + list(range(base, base + n)) + [b]
-    for u, v in zip(chain, chain[1:]):
-        edges.append(Edge(min(u, v), max(u, v), 1))
-    return WeightedDualGraph(verts, tuple(sorted(edges, key=lambda e: (e.a, e.b))))
+    empty = StringDescriptor((), min(site.a, site.b), max(site.a, site.b))
+    return _splice(g, empty, n)[0]
 
 
 def _check_string_structure(g: WeightedDualGraph, s: StringDescriptor, allow_empty: bool) -> None:
@@ -250,16 +241,26 @@ def contract_string(g: WeightedDualGraph, s: StringDescriptor) -> RatMatrix:
         raise PreconditionError("props must be (-2)-curves")
     if s.chain and g.edge_mult(s.left, s.right) != 0:
         raise PreconditionError("props of a non-empty string must not be adjacent")
-    n = len(s.chain)
-    kept = contracted_indices(g, s)
-    local = {orig: k for k, orig in enumerate(kept)}
+    _, rows = _contract(g, [(s.left, s.chain, s.right)])
+    return tuple(map(tuple, rows))
+
+
+def _contract(g: WeightedDualGraph, blocks) -> tuple[dict[int, int], list[list]]:
+    """Eliminate the chain of every (p, chain, q) block from the
+    intersection matrix of g.  Returns the row of each surviving vertex, in
+    vertex order, and the rows.  The props p and q of an n-chain get the
+    Schur block of the module docstring, which for n = 0 is their own -2
+    and 1; every other entry is untouched."""
+    chains = {i for _, chain, _ in blocks for i in chain}
+    local = {i: k for k, i in enumerate(i for i in range(len(g)) if i not in chains)}
     full = intersection_matrix(g)
-    rows = [[full[i][j] for j in kept] for i in kept]
-    if n > 0:
-        p, q = local[s.left], local[s.right]
+    rows = [[full[i][j] for j in local] for i in local]
+    for p, chain, q in blocks:
+        n = len(chain)
+        p, q = local[p], local[q]
         rows[p][p] = rows[q][q] = Fraction(-(n + 2), n + 1)
         rows[p][q] = rows[q][p] = Fraction(1, n + 1)
-    return tuple(tuple(row) for row in rows)
+    return local, rows
 
 
 def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> InsertionIdentityReport:
@@ -281,7 +282,8 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     det_base = det(m0)
 
     stretched = insert_minus2(g, site, n)
-    if not is_negative_definite(intersection_matrix(stretched)):
+    m_stretched = intersection_matrix(stretched)
+    if not is_negative_definite(m_stretched):
         # the notion is only defined between negative definite divisors;
         # long chains at a trivalent hub can leave that class
         raise NotNegativeDefiniteError(
@@ -289,15 +291,13 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
             f"{g.vertices[site.b].id}) leaves the negative definite class"
         )
     c_after = adjunction_degrees(stretched)
-    m_full = solve(intersection_matrix(stretched), c_after)
+    m_full = solve(m_stretched, c_after)
     k2_after = -dot(m_full, c_after)
 
-    # contracted system: same index set as g, site block replaced
+    # contracted system: the new chain eliminated, same index set as g
     a, b = site.a, site.b
-    mn = [list(row) for row in m0]
-    mn[a][a] = mn[b][b] = Fraction(-(n + 2), n + 1)
-    mn[a][b] = mn[b][a] = Fraction(1, n + 1)
-    mn = tuple(tuple(row) for row in mn)
+    chain = StringDescriptor(tuple(range(len(g), len(stretched))), min(a, b), max(a, b))
+    mn = contract_string(stretched, chain)
     det_contracted = det(mn)
     m_after = solve(mn, c)
     k2_contracted = -dot(m_after, c)
@@ -454,6 +454,14 @@ def with_string_length(
     _check_string_structure(g, s, allow_empty=False)
     if length < 0:
         raise PreconditionError(f"string length must be >= 0, got {length}")
+    return _splice(g, s, length)
+
+
+def _splice(
+    g: WeightedDualGraph, s: StringDescriptor, length: int
+) -> tuple[WeightedDualGraph, Optional[StringDescriptor]]:
+    """`with_string_length` on a checked descriptor, whose chain may also be
+    empty between two adjacent attachments (an insertion site)."""
     k = len(s.chain)
     if length == k:
         return g, s
@@ -476,9 +484,10 @@ def with_string_length(
     verts = list(g.vertices)
     if length > k:
         fresh = _fresh_ids(g, length - k)
+        end = chain_ids[-1] if chain_ids else left_id
         if right_id is not None:
-            drop(chain_ids[-1], right_id)
-        run = [chain_ids[-1]] + fresh
+            drop(end, right_id)
+        run = [end] + fresh
         for u, v in zip(run, run[1:]):
             put(u, v)
         if right_id is not None:
@@ -559,23 +568,11 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
             work, grown = with_string_length(work, descs[i], 2)
             assert grown is not None
             descs[i] = grown
-    interior: set[int] = set()
-    for s in descs:
-        interior |= set(s.chain[1:-1])
-    kept = [i for i in range(len(work)) if i not in interior]
-    local = {orig: k for k, orig in enumerate(kept)}
-    full = intersection_matrix(work)
+    local, m = _contract(work, [(s.chain[0], s.chain[1:-1], s.chain[-1]) for s in descs])
     degrees = adjunction_degrees(work)
-    m = [[full[i][j] for j in kept] for i in kept]
-    c = [degrees[i] for i in kept]
-    blocks = []
+    c = [degrees[i] for i in local]
     for s in descs:
         p, q = local[s.chain[0]], local[s.chain[-1]]
-        nu = len(s.chain) - 2
-        m[p][p] = m[q][q] = Fraction(-(nu + 2), nu + 1)
-        m[p][q] = m[q][p] = Fraction(1, nu + 1)
-        blocks.append((p, q))
-    for p, q in blocks:
         try:
             coeffs = solve(m, c)
         except SingularMatrixError:
@@ -592,7 +589,7 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
         raise SingularLimitError(
             "limit matrix is singular; the value diverges or needs analysis beyond this procedure"
         ) from None
-    return -dot(coeffs, vec(c))
+    return -dot(coeffs, c)
 
 
 def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[Fraction, object]:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from kdg.graph import (
     to_dot,
     validate,
 )
+from kdg.rational import det, is_negative_definite, solve
 
 
 def x31() -> WeightedDualGraph:
@@ -38,6 +41,56 @@ def test_build_graph_basic():
     assert g.edge_mult(1, 0) == 1
     assert intersection_matrix(g) == ((-3, 1), (1, -2))
     assert adjunction_degrees(g) == (1, 0)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on up to 10 vertices, admissible or not: a random tree with
+    multiplicities up to 2 and perhaps one extra edge that closes a cycle."""
+    r = draw(st.integers(min_value=1, max_value=10))
+    verts = [
+        (f"v{i}", draw(st.integers(0, 2)), draw(st.integers(-5, -1))) for i in range(r)
+    ]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, r)}
+    if r >= 3 and draw(st.booleans()):
+        pairs.add(tuple(sorted(draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True)))))
+    edges = [(f"v{a}", f"v{b}", draw(st.integers(1, 2))) for a, b in sorted(pairs)]
+    return build_graph(verts, edges)
+
+
+@given(small_graphs())
+def test_intersection_data_is_integer(g):
+    m = intersection_matrix(g)
+    assert all(type(x) is int for row in m for x in row)
+    assert all(type(x) is int for x in adjunction_degrees(g))
+
+
+@given(small_graphs())
+@settings(max_examples=200)
+def test_kernels_agree_on_integer_and_fraction_matrices(g):
+    m = intersection_matrix(g)
+    q = tuple(tuple(Fraction(x) for x in row) for row in m)
+    c = adjunction_degrees(g)
+    d = det(m)
+    assert type(d) is Fraction and d == det(q)
+    assert is_negative_definite(m) == is_negative_definite(q)
+    if d:
+        x = solve(m, c)
+        assert all(type(xi) is Fraction for xi in x)
+        assert x == solve(q, [Fraction(ci) for ci in c])
+
+
+def test_float_entries_raise_in_kernels():
+    g = build_graph([("a", 0, -3), ("b", 0, -2), ("c", 0, -2)], [("a", "b"), ("b", "c")])
+    c = adjunction_degrees(g)
+    for i, j, x in ((0, 0, -3.0), (0, 2, 0.0)):
+        m = [list(row) for row in intersection_matrix(g)]
+        m[i][j] = m[j][i] = x
+        for kernel in (det, is_negative_definite, lambda m: solve(m, c)):
+            with pytest.raises(AttributeError, match="float"):
+                kernel(m)
+    with pytest.raises(AttributeError, match="float"):
+        solve(intersection_matrix(g), [1.0, 0, 0])
 
 
 def test_lookups_leave_equality_and_hash_alone():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdg import invariants
+from kdg.checks import _family_corpus
 from kdg.enumeration import EnumBounds, graph_from_encoding, random_admissible
 from kdg.errors import (
     InternalCheckError,
@@ -22,6 +23,7 @@ from kdg.invariants import (
     RATIONAL_OTHER,
     RATIONAL_TRIPLE,
     _class_invariants,
+    _form,
     bound_checks,
     canonical_cycle,
     classify,
@@ -35,7 +37,7 @@ from kdg.invariants import (
     report_to_obj,
     report_to_text,
 )
-from kdg.rational import dot
+from kdg.rational import dot, quadratic_form
 
 from .oracles import ADE_BOX_BOUND, box_min_anti_nef, box_pa_max
 
@@ -262,6 +264,33 @@ def test_class_invariants_match_fraction_path(g):
             k_squared(g)
         return
     assert integer_invariants(g) == invariants_by_fractions(g)
+
+
+@given(admissible_graphs_up_to_8(), st.data())
+@settings(max_examples=150)
+def test_form_matches_dense_quadratic_form(g, data):
+    """The sparse t(v) M v against the dense `rational.quadratic_form`."""
+    n = len(g)
+    weights = [v.self_int for v in g.vertices]
+    m = intersection_matrix(g)
+    v_int = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    v_rat = data.draw(
+        st.lists(st.fractions(-5, 5, max_denominator=7), min_size=n, max_size=n)
+    )
+    form = _form(weights, g.adjacency(), v_int)
+    assert type(form) is int and form == quadratic_form(m, v_int)
+    assert _form(weights, g.adjacency(), v_rat) == quadratic_form(m, v_rat)
+
+
+def test_cycle_degrees_of_canonical_cycle_on_family_grid():
+    """K^2 and K.K both equal -(-K^2), from rational coefficients, and
+    every value is a Fraction, also the zeros of ADE graphs."""
+    for spec in _family_corpus():
+        g = generate(spec)
+        k2 = k_squared(g)
+        degrees = cycle_degrees(g, canonical_cycle(g))
+        assert degrees == (-k2, -k2), str(spec)
+        assert all(type(x) is Fraction for x in (k2, *degrees)), str(spec)
 
 
 def test_class_invariants_cross_check_k_squared(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from kdg.errors import PreconditionError, SingularLimitError
 from kdg.families import family_spec, generate, stretch_descriptor
-from kdg.graph import build_graph, intersection_matrix
+from kdg.graph import Edge, VertexData, WeightedDualGraph, build_graph, intersection_matrix
 from kdg.invariants import k_squared
 from kdg.rational import UNBOUNDED, is_negative_definite
 from kdg.transforms import (
@@ -104,6 +104,22 @@ def test_insert_minus2_structure():
     # old edge is gone, chain runs a - w1 - w2 - b
     assert out.edge_mult(0, 1) == 0
     assert k_squared(out) == 0
+
+
+def test_insert_minus2_exact_graph():
+    # site given high index first, id w1 already taken, a vertex after the site
+    g = build_graph(
+        [("x", 0, -3), ("w1", 0, -2), ("o", 0, -2), ("y", 0, -3)],
+        [("x", "w1"), ("w1", "o"), ("o", "y")],
+    )
+    out = insert_minus2(g, InsertionSite(2, 1), 2)
+    assert out == WeightedDualGraph(
+        g.vertices + (VertexData("w2", 0, -2), VertexData("w3", 0, -2)),
+        (Edge(0, 1), Edge(1, 4), Edge(2, 3), Edge(2, 5), Edge(4, 5)),
+    )
+    # the public splice still refuses the empty chain that insertion uses
+    with pytest.raises(PreconditionError, match="empty"):
+        with_string_length(g, StringDescriptor((), 1, 2), 2)
 
 
 def test_insert_rejects_bad_sites():
