@@ -31,7 +31,7 @@ import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import KdgError
@@ -166,11 +166,12 @@ def bareiss(a: list[list[int]], cols: int) -> int:
 def _scaled_rows(m: Iterable[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
     positive multipliers.  Entries are ints or Fractions, read through
-    their numerator and denominator; zeros are skipped."""
+    their numerator and denominator; zeros are skipped.  The lcm runs over
+    the distinct denominators only, since `math.lcm` costs per argument."""
     rows = []
     scale = 1
     for row in m:
-        r = math.lcm(*(x.denominator for x in row))
+        r = math.lcm(*set(map(attrgetter("denominator"), row)))
         rows.append([x.numerator * (r // x.denominator) if x else 0 for x in row])
         scale *= r
     return rows, scale
