@@ -166,8 +166,9 @@ def bareiss(a: list[list[int]], cols: int) -> int:
 def _scaled_rows(m: Iterable[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
     positive multipliers.  Entries are ints or Fractions, read through
-    their numerator and denominator; zeros are skipped.  The lcm runs over
-    the distinct denominators only, since `math.lcm` costs per argument."""
+    their numerator and denominator, so a float raises; zeros need no
+    multiply.  The lcm runs over the distinct denominators only, since
+    `math.lcm` costs per argument."""
     rows = []
     scale = 1
     for row in m:
