@@ -5,7 +5,7 @@ follow the contract in errors.py: 0 success, 2 invalid input graph, 3 not
 negative definite, 4 precondition violation (including a result too long to
 print), 5 internal assertion failure.
 Decimal columns are display-only renderings of the exact values next to
-them.
+them.  The argument parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -32,13 +31,6 @@ from .transforms import (
     limit_k_squared,
     mobius_limit_crosscheck,
 )
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("KDG_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_params(text: Optional[str]) -> dict[str, int]:
@@ -90,6 +82,23 @@ def _show(value) -> str:
     return _printable(lambda: f"{rat_str(value)} (~ {rat_decimal(value)})")
 
 
+def _emit(text: str, path: Optional[str], what: str) -> None:
+    """Write text to path and print `wrote <what> to <path>`, or write it
+    to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {what} to {path}")
+    else:
+        sys.stdout.write(text)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
     report = invariant_report(g)
@@ -105,13 +114,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     spec = family_spec(args.name, **_parse_params(args.params))
-    text = graph_to_json(generate(spec))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {spec} to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(graph_to_json(generate(spec)), args.out, str(spec))
     return 0
 
 
@@ -120,23 +123,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.param in fixed:
         raise PreconditionError(f"swept parameter {args.param} also appears in --fix")
     lo, hi = _parse_range(args.range)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["param", "k2_exact", "k2_decimal", "closed_form", "match"])
+    rows = [["param", "k2_exact", "k2_decimal", "closed_form", "match"]]
     for value in range(lo, hi + 1):
         spec = family_spec(args.name, **{**fixed, args.param: value})
         direct = k_squared(generate(spec))
         formula = closed_form_k2(spec)
-        writer.writerow(
+        rows.append(
             [value, rat_str(direct), rat_decimal(direct), rat_str(formula),
              "true" if direct == formula else "false"]
         )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-        print(f"wrote {hi - lo + 1} rows to {args.csv}")
-    else:
-        sys.stdout.write(buf.getvalue())
+    _emit(_csv_text(rows), args.csv, f"{hi - lo + 1} rows")
     return 0
 
 
@@ -211,20 +207,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         max_edge_multiplicity=args.max_mult,
     )
     entries = enumerate_admissible(bounds, jobs=args.jobs)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["encoding", "k2_exact", "k2_decimal", "class", "z2", "index"])
-    for e in entries:
-        writer.writerow(
-            [e.encoding, rat_str(e.k_squared), rat_decimal(e.k_squared),
-             e.classification, e.z_squared, e.numerical_index]
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-        print(f"wrote {len(entries)} isomorphism classes to {args.out}")
-    else:
-        sys.stdout.write(buf.getvalue())
+    rows = [["encoding", "k2_exact", "k2_decimal", "class", "z2", "index"]]
+    rows.extend(
+        [e.encoding, rat_str(e.k_squared), rat_decimal(e.k_squared),
+         e.classification, e.z_squared, e.numerical_index]
+        for e in entries
+    )
+    _emit(_csv_text(rows), args.out, f"{len(entries)} isomorphism classes")
     return 0
 
 
@@ -278,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-genus", type=int, default=0)
     p.add_argument("--max-mult", type=int, default=1)
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-    p.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes (env KDG_JOBS)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
@@ -290,9 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except KdgError as exc:

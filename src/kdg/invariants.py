@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalCheckError, InvalidGraphError, NotNegativeDefiniteError, PreconditionError
 from .graph import (
@@ -407,14 +407,26 @@ def classify(g: WeightedDualGraph) -> str:
     non-rational-or-unknown  p_a(Z) > 0
     """
     k2 = k_squared(g)
+    z_sq = pa = None
+    if k2 != 0:
+        z_sq, pa = _z_data(g, fundamental_cycle(g))
+    return _class_of(k2, [(v.genus, v.self_int) for v in g.vertices], z_sq, pa)
+
+
+def _z_data(g: WeightedDualGraph, z: Cycle) -> tuple[Fraction, int]:
+    """(Z^2, p_a(Z)) from one `cycle_degrees` call."""
+    z_sq, k_dot_z = cycle_degrees(g, z)
+    return z_sq, _pa_from_twice(z_sq + k_dot_z)
+
+
+def _class_of(k2: Fraction, data: Sequence[tuple[int, int]], z_sq, pa: Optional[int]) -> str:
+    """`classify`'s rules on -K^2, the (genus, self-intersection) pairs,
+    Z^2 and p_a(Z); the last two are read only when -K^2 != 0."""
     if k2 == 0:
-        if not all(v.genus == 0 and v.self_int == -2 for v in g.vertices):
+        if any(datum != (0, -2) for datum in data):
             raise InternalCheckError("-K^2 = 0 on a graph with a non-(-2) vertex")
         return RATIONAL_DOUBLE
-    z = fundamental_cycle(g)
-    pa = cycle_pa(g, z)
     if pa == 0:
-        z_sq, _ = cycle_degrees(g, z)
         return RATIONAL_TRIPLE if z_sq == -3 else RATIONAL_OTHER
     return NON_RATIONAL
 
@@ -466,15 +478,7 @@ def _class_invariants(data: Sequence[tuple[int, int]], adj) -> tuple[Fraction, s
     z, products = _laufer(weights, adj)
     z_sq = sum(map(mul, z, products))
     pa = _pa_from_twice(z_sq + sum(map(mul, z, c)))
-    if k2 == 0:
-        if any(datum != (0, -2) for datum in data):
-            raise InternalCheckError("-K^2 = 0 on a graph with a non-(-2) vertex")
-        kind = RATIONAL_DOUBLE
-    elif pa == 0:
-        kind = RATIONAL_TRIPLE if z_sq == -3 else RATIONAL_OTHER
-    else:
-        kind = NON_RATIONAL
-    return k2, kind, z_sq, index
+    return k2, _class_of(k2, data, z_sq, pa), z_sq, index
 
 
 def bound_checks(g: WeightedDualGraph, pa_bound: int = 3) -> tuple[BoundCheck, ...]:
@@ -496,10 +500,8 @@ def bound_checks(g: WeightedDualGraph, pa_bound: int = 3) -> tuple[BoundCheck, .
     checks.append(BoundCheck("component_sum", k2, csum, k2 >= csum))
     if k2 != 0:
         checks.append(BoundCheck("nonzero_minimum", k2, Fraction(1, 3), k2 >= Fraction(1, 3)))
-    z = fundamental_cycle(g)
-    pa = cycle_pa(g, z)
+    z_sq, pa = _z_data(g, fundamental_cycle(g))
     if pa == 0:
-        z_sq, _ = cycle_degrees(g, z)
         mult = -z_sq
         checks.append(BoundCheck("multiplicity", k2, mult - 4, k2 >= mult - 4))
         embdim = mult + 1
@@ -527,7 +529,7 @@ def invariant_report(g: WeightedDualGraph, pa_bound: int = 3) -> InvariantReport
         fundamental=z,
         z_squared=int(z_sq),
         k_dot_z=int(k_dot_z),
-        pa_z=cycle_pa(g, z),
+        pa_z=_pa_from_twice(z_sq + k_dot_z),
         numerical_index=numerical_index(g),
         classification=classify(g),
         bound_checks=bound_checks(g, pa_bound),

@@ -35,7 +35,7 @@ from .graph import (
     intersection_matrix,
     validate,
 )
-from .invariants import k_squared, numerical_index
+from .invariants import k_squared
 from .rational import (
     RatMatrix,
     SingularMatrixError,
@@ -43,6 +43,7 @@ from .rational import (
     det,
     dot,
     is_negative_definite,
+    lcm_denominators,
     nullspace,
     quadratic_form,
     rat_str,
@@ -306,6 +307,8 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     step = Fraction(n, n + 1)
     diff_before = m_before[a] - m_before[b]
     diff_after = m_after[a] - m_after[b]
+    form_after = -quadratic_form(mn, m_after)
+    form_from_before = -quadratic_form(m0, m_before) + step * diff_before * diff_after
 
     checks = [
         IdentityCheck(
@@ -322,10 +325,9 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
         ),
         IdentityCheck(
             "difference_identity",
-            -quadratic_form(mn, m_after),
-            -quadratic_form(m0, m_before) + step * diff_before * diff_after,
-            -quadratic_form(mn, m_after)
-            == -quadratic_form(m0, m_before) + step * diff_before * diff_after,
+            form_after,
+            form_from_before,
+            form_after == form_from_before,
         ),
         IdentityCheck(
             "determinant_ratio",
@@ -362,8 +364,8 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
                 and all(x == m_before[a] for x in inserted),
             )
         )
-        idx_before = Fraction(numerical_index(g))
-        idx_after = Fraction(numerical_index(stretched))
+        idx_before = Fraction(lcm_denominators(m_before))
+        idx_after = Fraction(lcm_denominators(m_full))
         checks.append(
             IdentityCheck("index_preserved", idx_before, idx_after, idx_before == idx_after)
         )
@@ -603,20 +605,15 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     """
     (desc,) = _resolve_designated(g, [s])
     lengths = [0, 1, 2]
-    members = []
+    values = []
     for length in lengths:
         try:
-            member, _ = with_string_length(g, desc, length)
-            usable = is_negative_definite(intersection_matrix(member))
-        except PreconditionError:
-            usable = False
-        if not usable:
+            values.append(k_squared(with_string_length(g, desc, length)[0]))
+        except (PreconditionError, NotNegativeDefiniteError):
             base = max(2, len(desc.chain))
             lengths = [base, base + 1, base + 2]
-            members = [with_string_length(g, desc, x)[0] for x in lengths]
+            values = [k_squared(with_string_length(g, desc, x)[0]) for x in lengths]
             break
-        members.append(member)
-    values = [k_squared(member) for member in members]
     if values[0] == values[1] == values[2]:
         return values[0]
     rows = [

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdg.enumeration
 from kdg import invariants
 from kdg.cli import main
 from kdg.families import family_spec, generate
@@ -166,6 +167,39 @@ def test_enumerate_csv(tmp_path):
     res = run("enumerate", "--max-vertices", "1", "--out", str(out))
     assert res.returncode == 0
     assert out.read_text().count("\n") >= 2
+
+
+def test_enumerate_ignores_kdg_jobs(monkeypatch, capsys):
+    """Only --jobs sets the worker count; KDG_JOBS in the environment is
+    not read."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("enumerate started a process pool")
+
+    monkeypatch.setenv("KDG_JOBS", "2")
+    monkeypatch.setattr(kdg.enumeration, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(kdg.enumeration.os, "cpu_count", lambda: 4)
+    assert main(["enumerate", "--max-vertices", "2", "--min-self", "-3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "encoding,k2_exact,k2_decimal,class,z2,index"
+    assert len(lines) == 6
+
+
+def test_main_calls_do_not_leak_state(x31_path, capsys):
+    """A rejected command line and an enumerate in the same process leave
+    a later compute unchanged."""
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--jobs", "3"])  # --max-vertices is missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["compute", x31_path]) == 0
+    first = capsys.readouterr()
+    assert "-K^2: 1/3" in first.out
+    assert main(["enumerate", "--max-vertices", "2", "--min-self", "-3"]) == 0
+    assert capsys.readouterr().out.startswith("encoding,")
+    assert main(["compute", x31_path]) == 0
+    assert capsys.readouterr() == first
 
 
 def test_enumerate_bounds_rejected():

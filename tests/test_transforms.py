@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from kdg.errors import PreconditionError, SingularLimitError
+from kdg import transforms
+from kdg.checks import _family_corpus
+from kdg.errors import NotNegativeDefiniteError, PreconditionError, SingularLimitError
 from kdg.families import family_spec, generate, stretch_descriptor
 from kdg.graph import Edge, VertexData, WeightedDualGraph, build_graph, intersection_matrix
-from kdg.invariants import k_squared
+from kdg.invariants import k_squared, numerical_index
 from kdg.rational import UNBOUNDED, is_negative_definite
 from kdg.transforms import (
     InsertionSite,
@@ -167,6 +169,27 @@ def test_verify_insertion_unequal_multiplicity_skips_conditional():
     if report.m_site[0] != report.m_site[1]:
         assert not (CONDITIONAL_IDENTITIES & {c.name for c in report.identities})
     assert report.all_hold
+
+
+def test_index_preserved_is_numerical_index_on_family_grid():
+    """At sites with equal coefficients, the two sides of index_preserved
+    are the numerical indices of the graph and of the inserted graph."""
+    seen = 0
+    for spec in _family_corpus():
+        g = generate(spec)
+        for site in find_sites(g):
+            for n in (1, 3):
+                try:
+                    report = verify_insertion(g, site, n)
+                except NotNegativeDefiniteError:
+                    continue
+                if report.m_site[0] != report.m_site[1]:
+                    continue
+                (check,) = [c for c in report.identities if c.name == "index_preserved"]
+                assert check.lhs == numerical_index(g), str(spec)
+                assert check.rhs == numerical_index(insert_minus2(g, site, n)), str(spec)
+                seen += 1
+    assert seen > 0
 
 
 def test_detect_strings_star():
@@ -335,3 +358,26 @@ def test_mobius_constant_direction():
     d = stretch_descriptor(spec, g, "n")
     assert limit_k_squared(g, [d]) == 1
     assert k_squared(g) != 1  # genuinely a limit, not the member value
+
+
+def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
+    # the chain -1, -2, -2, -2, -1 (genus-1 ends) is singular at every
+    # string length: the length-0 member fails, the window moves to the
+    # current length 3, and that member fails too
+    g = build_graph(
+        [("x", 1, -1), ("s0", 0, -2), ("s1", 0, -2), ("s2", 0, -2), ("y", 1, -1)],
+        [("x", "s0"), ("s0", "s1"), ("s1", "s2"), ("s2", "y")],
+    )
+    (s,) = detect_strings(g)
+    assert len(s.chain) == 3 and s.left is not None and s.right is not None
+    sizes = []
+    real = transforms.k_squared
+
+    def spy(member):
+        sizes.append(len(member))
+        return real(member)
+
+    monkeypatch.setattr(transforms, "k_squared", spy)
+    with pytest.raises(NotNegativeDefiniteError):
+        mobius_limit_crosscheck(g, s)
+    assert sizes == [2, 5]
