@@ -100,17 +100,27 @@ def canonical_cycle(g: WeightedDualGraph) -> Cycle:
 
 
 def k_squared(g: WeightedDualGraph) -> Fraction:
-    """-K^2, computed two ways (-t(m) M m and -sum m_i c_i) and cross-checked."""
+    """-K^2, computed two ways (-t(m) M m and -sum m_i c_i) and cross-checked,
+    in integers on y = den * m, den the common denominator of m."""
     m = _checked_matrix(g)
     c = adjunction_degrees(g)
     coeffs = solve(m, c)
-    via_form = -_form([v.self_int for v in g.vertices], g.adjacency(), coeffs)
-    via_degrees = -dot(coeffs, c)
-    if via_form != via_degrees:
+    den = lcm(*{x.denominator for x in coeffs})
+    y = [x.numerator * (den // x.denominator) for x in coeffs]
+    return _checked_k_squared([v.self_int for v in g.vertices], g.adjacency(), c, y, den)
+
+
+def _checked_k_squared(weights: Sequence[int], adj, c: Sequence[int], y: Sequence[int], d: int) -> Fraction:
+    """-K^2 = -y.c / d for the integer vector y = d m, M m = c, after
+    checking that -t(y) M y / d^2 agrees: t(y) M y = d * y.c."""
+    y_dot_c = sum(map(mul, y, c))
+    y_form = _form(weights, adj, y)
+    if y_form != d * y_dot_c:
         raise InternalCheckError(
-            f"-K^2 mismatch: quadratic form {via_form} vs adjunction sum {via_degrees}"
+            f"-K^2 mismatch: quadratic form {Fraction(-y_form, d * d)}"
+            f" vs adjunction sum {Fraction(-y_dot_c, d)}"
         )
-    return via_form
+    return Fraction(-y_dot_c, d)
 
 
 def _form(weights: Sequence[int], adj, v: Sequence) -> Union[int, Fraction]:
@@ -466,14 +476,7 @@ def _class_invariants(data: Sequence[tuple[int, int]], adj) -> tuple[Fraction, s
         raise NotNegativeDefiniteError("intersection matrix is not negative definite")
     d = a[n - 1][n - 1]
     y = back_substitute(a, n)
-    y_dot_c = sum(map(mul, y, c))
-    y_form = _form(weights, adj, y)
-    if y_form != d * y_dot_c:
-        raise InternalCheckError(
-            f"-K^2 mismatch: quadratic form {Fraction(-y_form, d * d)}"
-            f" vs adjunction sum {Fraction(-y_dot_c, d)}"
-        )
-    k2 = Fraction(-y_dot_c, d)
+    k2 = _checked_k_squared(weights, adj, c, y, d)
     index = abs(d) // gcd(d, *y)
     z, products = _laufer(weights, adj)
     z_sq = sum(map(mul, z, products))

@@ -4,23 +4,26 @@ Scalars are `int` or `fractions.Fraction` (arbitrary precision, always in
 lowest terms with positive denominator); vectors and matrices are immutable
 tuples.  Intersection matrices are all integers, contracted systems carry
 `Fraction`s, and every rational result is a `Fraction` either way.
-Square matrices are eliminated by one fraction-free routine, `bareiss`, on
-integer rows: `det`, `solve` and `is_negative_definite` first multiply each
-row by the lcm of its denominators, which leaves the signs of the leading
-principal minors unchanged, and put rows and columns in leaf-first order
-(`_leaf_first`), so a tree is eliminated with no fill-in whatever its
-vertex order.  Determinants are the last pivot, solves back substitute in
-integers (`back_substitute`), and negative definiteness is read off the
-signs of the pivots (`negative_pivots`); both also serve callers that build
-integer rows themselves.
-`bareiss` scales rows lazily: a step whose pivot column is zero in a row
-only multiplies that row by a factor, and those factors telescope, so the
-row is skipped and brought up to date with one exact multiply and divide
-when it is next used.  Intersection matrices of dual graphs are trees or
-nearly so, so most steps update only a few rows: on a chain in vertex order
-each step updates one row, O(n^2) work in all instead of O(n^3).  The
-passes around it (scaling rows to integers, quadratic forms) skip zero
-entries.  Only `nullspace`, the kernel of a rectangular matrix, runs its
+`det`, `solve` and `is_negative_definite` eliminate sparse integer rows:
+one map column -> entry per row, over its nonzeros, each row multiplied by
+the lcm of its denominators, which leaves the signs of the leading
+principal minors unchanged.  `_sparse_bareiss` runs fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968) on them in leaf-first order,
+reverse breadth-first over the nonzero pattern, without row swaps.  Step k
+touches only the rows that meet the pivot, and on a tree nothing fills in
+(Parter, SIAM Review 3, 1961), whatever the vertex order.  Determinants
+are the last pivot, solves back substitute in integers, and negative
+definiteness is read off the signs of the pivots; a zero pivot means the
+matrix is not definite.  When a pivot vanishes, or the nonzero pattern is
+not symmetric, `det` and `solve` fall back to `bareiss` on dense integer
+rows in the given order, with row swaps.
+`bareiss` also serves callers that build dense integer rows themselves,
+with `back_substitute` and `negative_pivots`: on the few rows of an
+enumerated class, lists beat maps.  It scales rows lazily: a step whose
+pivot column is zero in a row only multiplies that row by a factor, and
+those factors telescope, so the row is skipped and brought up to date with
+one exact multiply and divide when it is next used; `_sparse_bareiss` does
+the same.  Only `nullspace`, the kernel of a rectangular matrix, runs its
 own rational elimination.  No floating point enters any computation; a
 float entry raises, and decimal strings are produced for display only.
 """
@@ -30,9 +33,9 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from itertools import compress
-from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence, Union
+from itertools import chain, compress
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import KdgError
 
@@ -178,31 +181,41 @@ def _scaled_rows(m: Iterable[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
-#: Matrices with fewer rows keep their order: finding the leaf-first order
-#: costs a few microseconds, more than the fill-in it saves on so few rows.
-_LEAF_FIRST_MIN_ROWS = 9
+def _sparse_rows(
+    m: Sequence[Sequence[RatLike]], c: Sequence[RatLike] = ()
+) -> tuple[list[dict[int, int]], list[int], int]:
+    """Each row of m as a map column -> entry over its nonzeros, times the
+    lcm of its denominators (c[i] included when c is given); c scaled
+    alike; and the product of those positive multipliers.  Every entry,
+    zeros included, is read, so a float raises wherever it stands; rows of
+    plain ints, the common case, need no denominators."""
+    rows = []
+    rhs = []
+    scale = 1
+    for i, row in enumerate(m):
+        extra = (c[i],) if c else ()
+        if set(map(type, chain(row, extra))) == {int}:
+            r = 1
+            rows.append(dict(compress(enumerate(row), row)))
+        else:
+            r = math.lcm(*set(map(attrgetter("denominator"), chain(row, extra))))
+            rows.append({j: x.numerator * (r // x.denominator) for j, x in compress(enumerate(row), row)})
+        rhs.extend(x.numerator * (r // x.denominator) for x in extra)
+        scale *= r
+    return rows, rhs, scale
 
 
-def _leaf_first(a: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
-    """The rows `a` and their first n columns in reverse breadth-first order
-    over the nonzero pattern, one component after another, and that order.
-    Columns n.. ride along unpermuted.
+def _symmetric_pattern(rows: list[dict[int, int]]) -> bool:
+    """Whether row i stores column j exactly when row j stores column i."""
+    return all(i in rows[j] for i, row in enumerate(rows) for j in row)
 
-    The same permutation on rows and columns keeps the determinant, the
-    solution (up to the returned order) and definiteness.  On a tree it
-    puts every vertex after all of its children, so each elimination step
-    updates only the parent's row and nothing fills in (Parter, SIAM
-    Review 3, 1961): a star costs the same with its centre listed first
-    as with it listed last.
 
-    The given order is kept when it cannot fill in either, because no row
-    has more than one nonzero right of its diagonal (a chain in vertex
-    order, say), and for small matrices (`_LEAF_FIRST_MIN_ROWS`).
-    """
-    if n < _LEAF_FIRST_MIN_ROWS or all(
-        row[k + 1 : n].count(0) >= n - k - 2 for k, row in enumerate(a)
-    ):
-        return a, list(range(n))
+def _leaf_order(rows: list[dict[int, int]]) -> list[int]:
+    """Reverse breadth-first order over the nonzero pattern, one component
+    after another.  On a tree every vertex comes after all of its children,
+    so eliminating in this order fills in nothing (Parter, SIAM Review 3,
+    1961): a star costs the same with its centre listed first as last."""
+    n = len(rows)
     seen = [False] * n
     order: list[int] = []
     for root in range(n):
@@ -212,14 +225,62 @@ def _leaf_first(a: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]
         k = len(order)
         order.append(root)
         while k < len(order):
-            for j in compress(range(n), a[order[k]]):
+            for j in rows[order[k]]:
                 if not seen[j]:
                     seen[j] = True
                     order.append(j)
             k += 1
     order.reverse()
-    pick = itemgetter(*order)
-    return [[*pick(row), *row[n:]] for row in pick(a)], order
+    return order
+
+
+def _sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple[list[int], list[int]]]:
+    """Fraction-free elimination of sparse rows with a symmetric nonzero
+    pattern, in place, in `_leaf_order` and without row swaps.
+
+    Returns the order and the pivots, pivot k being the (k+1)-st leading
+    principal minor of the reordered matrix, or None when one is zero.
+    The entries `bareiss` would leave right of each pivot stay in that
+    pivot's row, and `rhs` rides along like a last column.
+
+    The pattern being symmetric, the rows with a nonzero in the pivot
+    column are the columns of the pivot row, so step k touches only those
+    rows, and fill-in stays symmetric.  Scaling is lazy as in `bareiss`,
+    and a row's catch-up factor divisor[k] / divisor[s] folds into its
+    update: (pivot x - a v) / divisor[k] on caught-up x and a is
+    (pivot x - a v) / divisor[s] on the stale ones, exact either way.
+    """
+    order = _leaf_order(rows)
+    since = [0] * len(rows)
+    divisor = [1]
+    for k, p in enumerate(order):
+        prev = divisor[k]
+        row_p = rows[p]
+        pivot = row_p.pop(p, 0)
+        s = since[p]
+        if s != k:
+            old = divisor[s]
+            pivot = pivot * prev // old
+            for j, x in row_p.items():
+                row_p[j] = x * prev // old
+            if rhs:
+                rhs[p] = rhs[p] * prev // old
+        if not pivot:
+            return None
+        for i in row_p:
+            row_i = rows[i]
+            a = row_i.pop(p)
+            old = divisor[since[i]]
+            row_i = {j: (pivot * x - a * row_p.get(j, 0)) // old for j, x in row_i.items()}
+            for j, v in row_p.items():
+                if j not in row_i:
+                    row_i[j] = -a * v // old
+            rows[i] = row_i
+            if rhs:
+                rhs[i] = (pivot * rhs[i] - a * rhs[p]) // old
+            since[i] = k + 1
+        divisor.append(pivot)
+    return order, divisor[1:]
 
 
 def det(m: Sequence[Sequence[RatLike]]) -> Fraction:
@@ -227,8 +288,13 @@ def det(m: Sequence[Sequence[RatLike]]) -> Fraction:
     n = dim(m)
     if n == 0:
         return Fraction(1)
+    rows, _, scale = _sparse_rows(m)
+    if _symmetric_pattern(rows):
+        done = _sparse_bareiss(rows, [])
+        if done is not None:
+            _, pivots = done
+            return Fraction(pivots[-1], scale)
     a, scale = _scaled_rows(m)
-    a, _ = _leaf_first(a, n)
     try:
         swaps = bareiss(a, n)
     except SingularMatrixError:
@@ -238,21 +304,26 @@ def det(m: Sequence[Sequence[RatLike]]) -> Fraction:
 
 def solve(m: Sequence[Sequence[RatLike]], c: Sequence[RatLike]) -> tuple[Fraction, ...]:
     """Solve m x = c exactly.  Raises SingularMatrixError(stage) when
-    singular, with stage counted in the leaf-first order."""
+    singular, with stage counted in the given order."""
     n = dim(m)
     if len(c) != n:
         raise ValueError("dimension mismatch")
     if n == 0:
         return ()
+    rows, rhs, _ = _sparse_rows(m, c)
+    if _symmetric_pattern(rows):
+        done = _sparse_bareiss(rows, rhs)
+        if done is not None:
+            order, pivots = done
+            d = pivots[-1]
+            y = [0] * n
+            for p, pivot in zip(reversed(order), reversed(pivots)):
+                y[p] = (d * rhs[p] - sum(v * y[j] for j, v in rows[p].items())) // pivot
+            return tuple(Fraction(yi, d) for yi in y)
     a, _ = _scaled_rows([*row, x] for row, x in zip(m, c))
-    a, order = _leaf_first(a, n)
     bareiss(a, n + 1)
     d = a[n - 1][n - 1]
-    y = back_substitute(a, n)
-    x = [0] * n
-    for i, v in enumerate(order):
-        x[v] = y[i]
-    return tuple(Fraction(xi, d) for xi in x)
+    return tuple(Fraction(yi, d) for yi in back_substitute(a, n))
 
 
 def back_substitute(a: list[list[int]], n: int) -> list[int]:
@@ -283,21 +354,15 @@ def negative_pivots(a: list[list[int]], swaps: int) -> bool:
 def is_negative_definite(m: Sequence[Sequence[RatLike]]) -> bool:
     """True iff the symmetric matrix m is negative definite.
 
-    Decided exactly: the leading principal minors D_k must satisfy
-    (-1)^k D_k > 0 for every k.  Elimination without row swaps leaves them
-    on the diagonal; a swap or a singular stage means some D_k vanished.
-    Non-symmetric input is rejected.
+    Decided exactly: the leading principal minors D_k of m in leaf-first
+    order must satisfy (-1)^k D_k > 0 for every k.  A zero D_k means m is
+    not definite.  Non-symmetric input is rejected.
     """
-    n = dim(m)
     if not is_symmetric(m):
         raise ValueError("symmetric matrix expected")
-    a, _ = _scaled_rows(m)
-    a, _ = _leaf_first(a, n)
-    try:
-        swaps = bareiss(a, n)
-    except SingularMatrixError:
-        return False
-    return negative_pivots(a, swaps)
+    rows, _, _ = _sparse_rows(m)
+    done = _sparse_bareiss(rows, [])
+    return done is not None and all((d < 0) == (k % 2 == 0) for k, d in enumerate(done[1]))
 
 
 def quadratic_form(m: Sequence[Sequence[RatLike]], v: Sequence[RatLike]) -> Fraction:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,10 @@ def test_compute_terminates_on_long_chain(tmp_path, capsys):
 # The scale tests below allow about ten times the time measured on 2 cores
 # (Python 3.11.7): A(400) 0.65 s, the shuffled chain 0.3 s, the limit 0.02 s,
 # the 200-arm star 0.3 s in either order, the 300-vertex binary tree 0.6 s.
+# `k_squared` on A(2000) takes 0.6 s and on the 1023-vertex binary tree
+# 0.2 s with sparse elimination, against 1.9 s and 0.7 s on dense rows.  A
+# 1000-arm star stays quadratic (1.6 s), since its centre row is rewritten
+# once per arm.
 
 
 def test_compute_scales_to_a400(tmp_path, capsys):
@@ -362,6 +367,25 @@ def test_compute_scales_to_branched_300(tmp_path, capsys):
     random.Random(3).shuffle(vertices)
     shuffled = build_graph(vertices, edges)
     assert report == report_to_obj(invariant_report(shuffled), shuffled)
+
+
+def timed_k_squared(g):
+    start = time.perf_counter()
+    value = invariants.k_squared(g)
+    return value, time.perf_counter() - start
+
+
+def test_k_squared_scales_to_a2000():
+    value, elapsed = timed_k_squared(generate(family_spec("A", n=2000)))
+    assert value == 0
+    assert elapsed < 6
+
+
+def test_k_squared_scales_to_binary_tree_1023():
+    vertices, edges = binary_tree(1023)
+    value, elapsed = timed_k_squared(build_graph(vertices, edges))
+    assert value == Fraction(2949, 2)
+    assert elapsed < 2
 
 
 def test_compute_malformed_input_exits_2(tmp_path, capsys):

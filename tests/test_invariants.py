@@ -301,6 +301,14 @@ def test_class_invariants_cross_check_k_squared(monkeypatch):
         integer_invariants(x31())
 
 
+def test_k_squared_cross_check_trips(monkeypatch):
+    """A form off by one must trip `k_squared`'s integer two-way comparison."""
+    real = invariants._form
+    monkeypatch.setattr(invariants, "_form", lambda weights, adj, v: real(weights, adj, v) + 1)
+    with pytest.raises(InternalCheckError, match="-K\\^2 mismatch"):
+        k_squared(x31())
+
+
 def tail_graph(genus: int, self_int: int, length: int):
     """One vertex of the given genus and self-intersection with a tail of
     `length` genus-0 (-2)-curves."""

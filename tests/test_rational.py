@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kdg import rational
 from kdg.rational import (
     UNBOUNDED,
     SingularMatrixError,
@@ -13,6 +14,7 @@ from kdg.rational import (
     det,
     dot,
     is_negative_definite,
+    is_symmetric,
     lcm_denominators,
     nullspace,
     parse_rat,
@@ -173,9 +175,8 @@ def test_solve_satisfies_system(m, data):
 
 @st.composite
 def large_sparse_matrices(draw):
-    """Matrices big enough for det, solve and is_negative_definite to
-    reorder them: zero-heavy square or symmetric ones, or forests in
-    shuffled vertex order, which have several components."""
+    """Zero-heavy square or symmetric matrices, or forests in shuffled
+    vertex order, which have several components."""
     n = draw(st.integers(min_value=9, max_value=10))
     kind = draw(st.sampled_from(["square", "symmetric", "forest"]))
     if kind == "square":
@@ -212,6 +213,93 @@ def test_kernels_on_reordered_sparse_patterns(m, data):
     x = solve(m, b)
     for i in range(n):
         assert dot(m[i], x) == b[i]
+
+
+def d4_tail(weights, parents):
+    """A tree: vertices 0..r-1 with the given weights, vertex i > 0 joined
+    to parents[i - 1] < i, and an all-(-2) D~4 block whose centre meets
+    vertex 0 (no rest when r = 0).  With a rest vertex first, leaf-first
+    elimination reaches the centre right after its four leaves, where the
+    pivot is -2 - 4 * (1 / -2) = 0."""
+    rest = len(weights)
+    n = rest + 5
+    a = [[0] * n for _ in range(n)]
+    for i, w in enumerate(weights):
+        a[i][i] = w
+    for i, parent in enumerate(parents, start=1):
+        a[i][parent] = a[parent][i] = 1
+    centre = rest
+    if rest:
+        a[centre][0] = a[0][centre] = 1
+    for i in range(centre, n):
+        a[i][i] = -2
+    for i in range(centre + 1, n):
+        a[i][centre] = a[centre][i] = 1
+    return a
+
+
+@st.composite
+def fallback_inputs(draw):
+    """(matrix, whether `det` and `solve` must take the dense fallback, or
+    None when either path may serve): symmetric trees whose leaf-first
+    pivot vanishes, singular (D~4 alone) or not, square matrices whose
+    nonzero pattern is mostly not symmetric, and `Fraction` multiples."""
+    if draw(st.booleans()):
+        rest = draw(st.integers(min_value=0, max_value=3))
+        weights = draw(st.lists(st.integers(min_value=-4, max_value=-1), min_size=rest, max_size=rest))
+        parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, rest)]
+        a = d4_tail(weights, parents)
+        n = len(a)
+        perm = draw(st.permutations(range(n)))
+        if rest:
+            # a rest vertex first, so the breadth-first search enters the
+            # block through its centre
+            k = next(k for k, v in enumerate(perm) if v < rest)
+            perm = [perm[k]] + perm[:k] + perm[k + 1 :]
+        a = [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        must_fall_back = True
+    else:
+        n = draw(st.integers(min_value=2, max_value=6))
+        a = draw(square(n, sparse_ints))
+        lopsided = any((a[i][j] == 0) != (a[j][i] == 0) for i in range(n) for j in range(i))
+        must_fall_back = True if lopsided else None
+    factor = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(-2, 3)]))
+    if factor != 1:
+        a = [[factor * x for x in row] for row in a]
+    return a, must_fall_back
+
+
+@settings(max_examples=150)
+@given(fallback_inputs(), st.data())
+@example((d4_tail([], []), True), None)  # D~4 alone: singular
+@example((d4_tail([-2, -3], [0]), True), None)
+@example(([[0, 1], [0, 1]], True), None)
+def test_kernels_fall_back_when_sparse_elimination_cannot(case, data):
+    m, must_fall_back = case
+    n = len(m)
+    calls = []
+    b = [1] * n if data is None else data.draw(st.lists(st.one_of(ints, fracs), min_size=n, max_size=n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rational, "bareiss", lambda a, cols: calls.append(cols) or bareiss(a, cols))
+        got_det = det(m)
+        if must_fall_back is not None:
+            assert bool(calls) == must_fall_back
+        if is_symmetric(m):
+            calls.clear()
+            # a zero pivot already means not definite: no dense run
+            assert is_negative_definite(m) == negdef_by_charpoly(m)
+            assert not calls
+        calls.clear()
+        if got_det == 0:
+            with pytest.raises(SingularMatrixError):
+                solve(m, b)
+        else:
+            x = solve(m, b)
+            for i in range(n):
+                assert dot(m[i], x) == b[i]
+        if must_fall_back is not None:
+            assert bool(calls) == must_fall_back
+    assert got_det == cofactor_det(m)
 
 
 def test_negdef_exhaustive_2x2():
