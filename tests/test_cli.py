@@ -286,8 +286,8 @@ def test_compute_terminates_on_long_chain(tmp_path, capsys):
 # (Python 3.11.7): A(400) 0.65 s, the shuffled chain 0.3 s, the limit 0.02 s,
 # the 200-arm star 0.3 s in either order, the 300-vertex binary tree 0.6 s.
 # `k_squared` on A(2000) takes 0.6 s and on the 1023-vertex binary tree
-# 0.2 s with sparse elimination, against 1.9 s and 0.7 s on dense rows.  A
-# 1000-arm star stays quadratic (1.6 s), since its centre row is rewritten
+# 0.2 s with sparse elimination, against 2.0 s and 0.8 s on dense rows.  A
+# 1000-arm star stays quadratic (1.3 s), since its centre row is rewritten
 # once per arm.
 
 
