@@ -38,9 +38,10 @@ more than ENUM_NODE_BUDGET search nodes stops the enumeration.  Both raise
 Each class's spectrum entry is computed straight from integers: the
 encoding is decoded to vertex data and adjacency (`_decode`), and
 `invariants._class_invariants` reads definiteness, -K^2 (cross-checked two
-ways), the numerical index, Z^2 and the class from one Bareiss
-factorization of the integer rows [M | c] and one run of Laufer's
-sequence, with no graph object and no `Fraction` matrix.
+ways), the numerical index, Z^2 and the class from one sparse Bareiss
+factorization of M, fed straight from the adjacency maps with c riding
+along, and one run of Laufer's sequence, with no graph object and no
+`Fraction` matrix.
 """
 
 from __future__ import annotations

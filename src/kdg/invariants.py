@@ -28,9 +28,7 @@ from .graph import (
 )
 from .rational import (
     RatVector,
-    SingularMatrixError,
     back_substitute,
-    bareiss,
     dot,
     is_negative_definite,
     lcm_denominators,
@@ -38,6 +36,7 @@ from .rational import (
     rat_decimal,
     rat_str,
     solve,
+    sparse_bareiss,
     vec,
 )
 
@@ -210,49 +209,33 @@ def _pa_of(weights, adj, c, d) -> int:
     return 1 + (_form(weights, adj, d) + sum(map(mul, d, c))) // 2
 
 
-def _bfs_order(adj) -> list[int]:
-    """Vertex indices of a connected graph in breadth-first order from 0."""
-    order = [0]
-    seen = {0}
-    for v in order:
-        for j in sorted(adj[v]):
-            if j not in seen:
-                seen.add(j)
-                order.append(j)
-    return order
+def _ellipsoid_levels(weights: Sequence[int], adj, c: Sequence[int]):
+    """Symmetric elimination of -M, last level first, by `sparse_bareiss`
+    on the rows of -M with c riding along; M must be negative definite.
 
-
-def _ellipsoid_levels(nbrs, w, c):
-    """Symmetric elimination of -M, last level first, as one `bareiss` call.
-
-    `nbrs[k]` lists (level, multiplicity) pairs, and `w[k]` and `c[k]` are
-    the self-intersection and the adjunction degree at level k.  Returns
-    (piv, lower, const) with
+    `weights` and `adj` give M by its diagonal and its adjacency maps.
+    Returns (order, piv, lower, const): `order` lists the vertices level by
+    level, the reverse of the leaf-first elimination order, so on a
+    connected graph it runs breadth-first from vertex 0.  With x indexed by
+    level,
     (x - D*)^T (-M) (x - D*) = sum_k piv[k] * (x_k - mid_k)^2, D* = -m/2 for
     M m = c, and mid_k = const[k] - sum_{(l, f) in lower[k]} f * x_l, so
     mid_k depends only on the levels before k.  At x = 0 the form is
     -K^2/4 = sum_k piv[k] * const[k]^2.
-
-    Row i of the eliminated matrix is level n - 1 - i: rows of -M in
-    reverse level order, with c riding along as column n.
     """
-    n = len(w)
-    a = [[0] * n + [c[k]] for k in reversed(range(n))]
-    for i, row in enumerate(a):
-        k = n - 1 - i
-        row[i] = -w[k]
-        for l, mult in nbrs[k]:
-            row[n - 1 - l] = -mult
-    bareiss(a, n + 1)
+    rows = [{j: -mult for j, mult in adj[v].items()} | {v: -w} for v, w in enumerate(weights)]
+    rhs = list(c)
+    elim, pivots = sparse_bareiss(rows, rhs)
+    n = len(elim)
+    level = {v: n - 1 - k for k, v in enumerate(elim)}
     piv, lower, const = [], [], []
     prev = 1
-    for i, row in enumerate(a):
-        d = row[i]
+    for p, d in zip(elim, pivots):
         piv.append(Fraction(d, prev))
-        lower.append([(n - 1 - j, Fraction(row[j], d)) for j in range(i + 1, n) if row[j]])
-        const.append(Fraction(row[n], 2 * d))
+        lower.append([(level[j], Fraction(x, d)) for j, x in rows[p].items() if x])
+        const.append(Fraction(rhs[p], 2 * d))
         prev = d
-    return piv[::-1], lower[::-1], const[::-1]
+    return elim[::-1], piv[::-1], lower[::-1], const[::-1]
 
 
 def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
@@ -298,11 +281,10 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     if best == 0:
         return 0
     best = max(_pa_of(weights, adj, c, [t * zi for zi in z]) for t in range(1, bound + 1))
-    order = _bfs_order(adj)
+    order, piv, lower, const = _ellipsoid_levels(weights, adj, c)
     level = {v: k for k, v in enumerate(order)}
     w = [weights[v] for v in order]
     nbrs = [[(level[j], mult) for j, mult in adj[v].items()] for v in order]
-    piv, lower, const = _ellipsoid_levels(nbrs, w, [c[v] for v in order])
     quarter_k2 = sum((p * q * q for p, q in zip(piv, const)), Fraction(0))
     if quarter_k2 < 2 * best:
         return best
@@ -444,15 +426,17 @@ def _class_of(k2: Fraction, data: Sequence[tuple[int, int]], z_sq, pa: Optional[
 def _class_invariants(data: Sequence[tuple[int, int]], adj) -> tuple[Fraction, str, int, int]:
     """(-K^2, classification, Z^2, numerical index) of a connected graph,
     given its (genus, self-intersection) pairs and its adjacency maps
-    (neighbour index -> multiplicity), from one `bareiss` call on the
-    integer rows [M | c].
+    (neighbour index -> multiplicity), from one `sparse_bareiss` call on
+    the rows of M, each adjacency map plus its diagonal entry, with c
+    riding along.
 
     The values and checks are those of `k_squared`, `classify`,
     `cycle_degrees` on `fundamental_cycle`, and `numerical_index`, read off
     that single factorization with no `Fraction` matrix:
 
     - negative definiteness from the pivot signs, as in
-      `is_negative_definite`; `NotNegativeDefiniteError` otherwise;
+      `is_negative_definite`; `NotNegativeDefiniteError` otherwise, a zero
+      pivot included;
     - y = d m by integer back substitution, d = det M and M m = c;
     - -K^2 both as -y.c / d and as -t(y) M y / d^2, which must agree;
     - the numerical index |d| / gcd(d, y_1, ..., y_n);
@@ -460,22 +444,16 @@ def _class_invariants(data: Sequence[tuple[int, int]], adj) -> tuple[Fraction, s
       p_a(Z) from Z^2 + K.Z;
     - the class by `classify`'s rules.
     """
-    n = len(data)
     weights = [w for _, w in data]
     c = [2 * genus - 2 - w for genus, w in data]
-    a = [[0] * n + [c[i]] for i in range(n)]
-    for i, row in enumerate(a):
-        row[i] = weights[i]
-        for j, mult in adj[i].items():
-            row[j] = mult
-    try:
-        negdef = negative_pivots(a, bareiss(a, n + 1))
-    except SingularMatrixError:
-        negdef = False
-    if not negdef:
+    rows = [adj[i] | {i: w} for i, w in enumerate(weights)]
+    rhs = c.copy()
+    done = sparse_bareiss(rows, rhs)
+    if done is None or not negative_pivots(done[1]):
         raise NotNegativeDefiniteError("intersection matrix is not negative definite")
-    d = a[n - 1][n - 1]
-    y = back_substitute(a, n)
+    order, pivots = done
+    d = pivots[-1]
+    y = back_substitute(rows, rhs, order, pivots)
     k2 = _checked_k_squared(weights, adj, c, y, d)
     index = abs(d) // gcd(d, *y)
     z, products = _laufer(weights, adj)

@@ -7,25 +7,25 @@ tuples.  Intersection matrices are all integers, contracted systems carry
 `det`, `solve` and `is_negative_definite` eliminate sparse integer rows:
 one map column -> entry per row, over its nonzeros, each row multiplied by
 the lcm of its denominators, which leaves the signs of the leading
-principal minors unchanged.  `_sparse_bareiss` runs fraction-free
+principal minors unchanged.  `sparse_bareiss` runs fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) on them in leaf-first order,
 reverse breadth-first over the nonzero pattern, without row swaps.  Step k
 touches only the rows that meet the pivot, and on a tree nothing fills in
 (Parter, SIAM Review 3, 1961), whatever the vertex order.  Determinants
-are the last pivot, solves back substitute in integers, and negative
-definiteness is read off the signs of the pivots; a zero pivot means the
-matrix is not definite.  When a pivot vanishes, or the nonzero pattern is
-not symmetric, `det` and `solve` fall back to `bareiss` on dense integer
-rows in the given order, with row swaps.
-`bareiss` also serves callers that build dense integer rows themselves,
-with `back_substitute` and `negative_pivots`: on the few rows of an
-enumerated class, lists beat maps.  It scales rows lazily: a step whose
-pivot column is zero in a row only multiplies that row by a factor, and
-those factors telescope, so the row is skipped and brought up to date with
-one exact multiply and divide when it is next used; `_sparse_bareiss` does
-the same.  Only `nullspace`, the kernel of a rectangular matrix, runs its
-own rational elimination.  No floating point enters any computation; a
-float entry raises, and decimal strings are produced for display only.
+are the last pivot, solves back substitute in integers
+(`back_substitute`), and negative definiteness is read off the signs of
+the pivots (`negative_pivots`); a zero pivot means the matrix is not
+definite.  Callers that hold a graph's adjacency maps build the rows
+themselves and call the same three.  When a pivot vanishes, or the
+nonzero pattern is not symmetric, `det` and `solve` fall back to `bareiss`
+on dense integer rows in the given order, with row swaps.  Both kernels
+scale rows lazily: a step whose pivot column is zero in a row only
+multiplies that row by a factor, and those factors telescope, so the row
+is skipped and brought up to date with one exact multiply and divide when
+it is next used.  Only `nullspace`, the kernel of a rectangular matrix,
+runs its own rational elimination.  No floating point enters any
+computation; a float entry raises, and decimal strings are produced for
+display only.
 """
 
 from __future__ import annotations
@@ -166,19 +166,16 @@ def bareiss(a: list[list[int]], cols: int) -> int:
     return swaps
 
 
-def _scaled_rows(m: Iterable[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those
-    positive multipliers.  Entries are ints or Fractions, read through
-    their numerator and denominator, so a float raises; zeros need no
-    multiply.  The lcm runs over the distinct denominators only, since
-    `math.lcm` costs per argument."""
+def _scaled_rows(m: Iterable[Sequence[RatLike]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators.  Entries are ints or
+    Fractions, read through their numerator and denominator, so a float
+    raises; zeros need no multiply.  The lcm runs over the distinct
+    denominators only, since `math.lcm` costs per argument."""
     rows = []
-    scale = 1
     for row in m:
         r = math.lcm(*set(map(attrgetter("denominator"), row)))
         rows.append([x.numerator * (r // x.denominator) if x else 0 for x in row])
-        scale *= r
-    return rows, scale
+    return rows
 
 
 def _sparse_rows(
@@ -234,14 +231,15 @@ def _leaf_order(rows: list[dict[int, int]]) -> list[int]:
     return order
 
 
-def _sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple[list[int], list[int]]]:
+def sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple[list[int], list[int]]]:
     """Fraction-free elimination of sparse rows with a symmetric nonzero
     pattern, in place, in `_leaf_order` and without row swaps.
 
     Returns the order and the pivots, pivot k being the (k+1)-st leading
     principal minor of the reordered matrix, or None when one is zero.
-    The entries `bareiss` would leave right of each pivot stay in that
-    pivot's row, and `rhs` rides along like a last column.
+    Row i maps column j to entry (i, j); zeros may be left out.  The
+    entries `bareiss` would leave right of each pivot stay in that pivot's
+    row, and `rhs` rides along like a last column.
 
     The pattern being symmetric, the rows with a nonzero in the pivot
     column are the columns of the pivot row, so step k touches only those
@@ -283,23 +281,41 @@ def _sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tupl
     return order, divisor[1:]
 
 
+def _factor(
+    m: Sequence[Sequence[RatLike]], c: Sequence[RatLike] = ()
+) -> tuple[list[dict[int, int]], list[int], Sequence[int], list[int], int, int]:
+    """Factor the rows [m | c] of a square m for `det` and `solve`.
+
+    Returns (rows, rhs, order, pivots) as `back_substitute` reads them, the
+    number of row swaps and the product of the row multipliers.  The rows
+    go to `sparse_bareiss`; when a pivot vanishes, or the nonzero pattern
+    is not symmetric, they go to `bareiss` as dense rows in the given
+    order instead, and row i of the triangle is the map of its nonzeros
+    right of the diagonal.  Raises SingularMatrixError(stage) when the
+    dense run finds no pivot.
+    """
+    rows, rhs, scale = _sparse_rows(m, c)
+    if _symmetric_pattern(rows):
+        done = sparse_bareiss(rows, rhs)
+        if done is not None:
+            return (rows, rhs, *done, 0, scale)
+    n = len(m)
+    a = _scaled_rows([*row, *c[i : i + 1]] for i, row in enumerate(m))
+    swaps = bareiss(a, len(a[0]))
+    rows = [{j: row[j] for j in range(i + 1, n) if row[j]} for i, row in enumerate(a)]
+    rhs = [row[n] for row in a] if c else []
+    return rows, rhs, range(n), [row[i] for i, row in enumerate(a)], swaps, scale
+
+
 def det(m: Sequence[Sequence[RatLike]]) -> Fraction:
     """Exact determinant."""
-    n = dim(m)
-    if n == 0:
+    if dim(m) == 0:
         return Fraction(1)
-    rows, _, scale = _sparse_rows(m)
-    if _symmetric_pattern(rows):
-        done = _sparse_bareiss(rows, [])
-        if done is not None:
-            _, pivots = done
-            return Fraction(pivots[-1], scale)
-    a, scale = _scaled_rows(m)
     try:
-        swaps = bareiss(a, n)
+        _, _, _, pivots, swaps, scale = _factor(m)
     except SingularMatrixError:
         return Fraction(0)
-    return Fraction((-1) ** swaps * a[n - 1][n - 1], scale)
+    return Fraction((-1) ** swaps * pivots[-1], scale)
 
 
 def solve(m: Sequence[Sequence[RatLike]], c: Sequence[RatLike]) -> tuple[Fraction, ...]:
@@ -310,45 +326,32 @@ def solve(m: Sequence[Sequence[RatLike]], c: Sequence[RatLike]) -> tuple[Fractio
         raise ValueError("dimension mismatch")
     if n == 0:
         return ()
-    rows, rhs, _ = _sparse_rows(m, c)
-    if _symmetric_pattern(rows):
-        done = _sparse_bareiss(rows, rhs)
-        if done is not None:
-            order, pivots = done
-            d = pivots[-1]
-            y = [0] * n
-            for p, pivot in zip(reversed(order), reversed(pivots)):
-                y[p] = (d * rhs[p] - sum(v * y[j] for j, v in rows[p].items())) // pivot
-            return tuple(Fraction(yi, d) for yi in y)
-    a, _ = _scaled_rows([*row, x] for row, x in zip(m, c))
-    bareiss(a, n + 1)
-    d = a[n - 1][n - 1]
-    return tuple(Fraction(yi, d) for yi in back_substitute(a, n))
+    rows, rhs, order, pivots, _, _ = _factor(m, c)
+    d = pivots[-1]
+    return tuple(Fraction(yi, d) for yi in back_substitute(rows, rhs, order, pivots))
 
 
-def back_substitute(a: list[list[int]], n: int) -> list[int]:
-    """The integer vector y = d x, where x solves the n x n system whose
-    rows [A | b] `bareiss(a, n + 1)` has triangularized, and d = a[n-1][n-1].
+def back_substitute(
+    rows: list[dict[int, int]], rhs: list[int], order: Sequence[int], pivots: list[int]
+) -> list[int]:
+    """The integer vector y = d x, where x solves the system whose rows
+    were factored in `order` with these `pivots`, and d = pivots[-1].
 
-    d is +-det A, so y is integral (Cramer) and every division is exact.
+    Row `order[k]` maps each column eliminated after step k to its entry
+    and `rhs` holds the right-hand side, as `sparse_bareiss` leaves them.
+    d is +-det, so y is integral (Cramer) and every division is exact.
     """
-    d = a[n - 1][n - 1]
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        s = d * row[n]
-        for j in range(i + 1, n):
-            s -= row[j] * y[j]
-        y[i] = s // row[i]
+    d = pivots[-1]
+    y = [0] * len(rows)
+    for p, pivot in zip(reversed(order), reversed(pivots)):
+        y[p] = (d * rhs[p] - sum(v * y[j] for j, v in rows[p].items())) // pivot
     return y
 
 
-def negative_pivots(a: list[list[int]], swaps: int) -> bool:
-    """Whether the rows `a`, as `bareiss` left them after `swaps` row swaps,
-    come from a negative definite matrix: the leading principal minors D_k
-    on the diagonal satisfy (-1)^k D_k > 0 for every k.  A swap means some
-    D_k vanished."""
-    return swaps == 0 and all((a[k][k] < 0) == (k % 2 == 0) for k in range(len(a)))
+def negative_pivots(pivots: Sequence[int]) -> bool:
+    """Whether the leading principal minors D_1, D_2, ... in `pivots` come
+    from a negative definite matrix: (-1)^k D_k > 0 for every k."""
+    return all((d < 0) == (k % 2 == 0) for k, d in enumerate(pivots))
 
 
 def is_negative_definite(m: Sequence[Sequence[RatLike]]) -> bool:
@@ -361,8 +364,8 @@ def is_negative_definite(m: Sequence[Sequence[RatLike]]) -> bool:
     if not is_symmetric(m):
         raise ValueError("symmetric matrix expected")
     rows, _, _ = _sparse_rows(m)
-    done = _sparse_bareiss(rows, [])
-    return done is not None and all((d < 0) == (k % 2 == 0) for k, d in enumerate(done[1]))
+    done = sparse_bareiss(rows, [])
+    return done is not None and negative_pivots(done[1])
 
 
 def quadratic_form(m: Sequence[Sequence[RatLike]], v: Sequence[RatLike]) -> Fraction:

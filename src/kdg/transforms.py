@@ -599,9 +599,13 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
 
     -K^2 along one stretched string is a degree-(1,1) rational function of
     the length L, so three exact samples pin it down.  Samples are taken at
-    L in {0, 1, 2}; if a shrunken member fails negative definiteness the
-    window shifts to the current length.  Returns the fitted limit a/c, or
-    UNBOUNDED when the fit is linear (c = 0 with a != 0).
+    L in {0, 1, 2}; when length 0 cannot be built (both attachments on one
+    vertex) the window shifts to the current length.  g must be negative
+    definite, as `limit_k_squared` checks first.  Shrinking a (-2) string
+    keeps definiteness, so a member that is not definite has every longer
+    one fail too, and its `NotNegativeDefiniteError` is raised as is.
+    Returns the fitted limit a/c, or UNBOUNDED when the fit is linear
+    (c = 0 with a != 0).
     """
     (desc,) = _resolve_designated(g, [s])
     lengths = [0, 1, 2]
@@ -609,7 +613,7 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     for length in lengths:
         try:
             values.append(k_squared(with_string_length(g, desc, length)[0]))
-        except (PreconditionError, NotNegativeDefiniteError):
+        except PreconditionError:
             base = max(2, len(desc.chain))
             lengths = [base, base + 1, base + 2]
             values = [k_squared(with_string_length(g, desc, x)[0]) for x in lengths]

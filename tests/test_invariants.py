@@ -296,7 +296,11 @@ def test_cycle_degrees_of_canonical_cycle_on_family_grid():
 def test_class_invariants_cross_check_k_squared(monkeypatch):
     """A wrong solution of M m = c must trip the two-way -K^2 comparison."""
     real = invariants.back_substitute
-    monkeypatch.setattr(invariants, "back_substitute", lambda a, n: [y + 1 for y in real(a, n)])
+    monkeypatch.setattr(
+        invariants,
+        "back_substitute",
+        lambda rows, rhs, order, pivots: [y + 1 for y in real(rows, rhs, order, pivots)],
+    )
     with pytest.raises(InternalCheckError, match="-K\\^2 mismatch"):
         integer_invariants(x31())
 
@@ -322,6 +326,8 @@ def test_pa_max_on_non_rational_tails():
     assert pa_max_bounded(tail_graph(1, -1, 40)) == 1
     assert pa_max_bounded(tail_graph(2, -1, 40)) == 4
     assert pa_max_bounded(tail_graph(3, -1, 40)) == 7
+    # a long tree through the sparse ellipsoid
+    assert pa_max_bounded(tail_graph(1, -1, 1500)) == 1
     for g in (tail_graph(2, -1, 4), tail_graph(3, -2, 3)):
         assert compare_pa_max_with_box(g)
 
