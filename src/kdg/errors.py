@@ -6,10 +6,12 @@ Every error carries the exit code the CLI maps it to:
        disconnected where connectivity is required)
     3  graph not negative definite
     4  operation precondition violated (bad insertion site, bad string
-       designation, out-of-domain family parameters, p_a search over its
-       work budget, an enumeration box with more search tasks than its
-       budget or with a task that visits more search nodes than its budget,
-       a result with more digits than the interpreter prints)
+       designation, a string limit on a graph that is not negative definite
+       or whose stretched family leaves that class, out-of-domain family
+       parameters, p_a search over its work budget, an enumeration box with
+       more search tasks than its budget or with a task that visits more
+       search nodes than its budget, a result with more digits than the
+       interpreter prints)
     5  internal assertion failure (an exact identity that must hold did not)
 """
 

@@ -11,21 +11,24 @@ principal minors unchanged.  `sparse_bareiss` runs fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) on them in leaf-first order,
 reverse breadth-first over the nonzero pattern, without row swaps.  Step k
 touches only the rows that meet the pivot, and on a tree nothing fills in
-(Parter, SIAM Review 3, 1961), whatever the vertex order.  Determinants
-are the last pivot, solves back substitute in integers
-(`back_substitute`), and negative definiteness is read off the signs of
-the pivots (`negative_pivots`); a zero pivot means the matrix is not
-definite.  Callers that hold a graph's adjacency maps build the rows
-themselves and call the same three.  When a pivot vanishes, or the
-nonzero pattern is not symmetric, `det` and `solve` fall back to `bareiss`
-on dense integer rows in the given order, with row swaps.  Both kernels
-scale rows lazily: a step whose pivot column is zero in a row only
-multiplies that row by a factor, and those factors telescope, so the row
-is skipped and brought up to date with one exact multiply and divide when
-it is next used.  Only `nullspace`, the kernel of a rectangular matrix,
-runs its own rational elimination.  No floating point enters any
-computation; a float entry raises, and decimal strings are produced for
-display only.
+(Parter, SIAM Review 3, 1961), whatever the vertex order.  Rows are scaled
+lazily: a step whose pivot column is zero in a row only multiplies that
+row by a factor, and those factors telescope, so the row is skipped and
+brought up to date when it is next used.  Determinants are the last
+pivot, solves back substitute in integers (`back_substitute`), and
+negative definiteness is read off the signs of the pivots
+(`negative_pivots`).  A pivot that vanishes over a zero row makes the
+matrix singular: `det` gives 0 and `solve` raises `SingularMatrixError`.
+One that vanishes over a nonzero entry would need a row swap, which a
+symmetric matrix needs only when it is indefinite, so `det` and `solve`
+raise ValueError there, as they do for a nonzero pattern that is not
+symmetric; either way the matrix is not definite.  Every negative
+(semi)definite matrix, the only kind kdg solves, eliminates without a
+swap.  Callers that hold a graph's
+adjacency maps build the rows themselves and call the same kernel.  Only
+`nullspace`, the kernel of a rectangular matrix, runs its own rational
+elimination.  No floating point enters any computation; a float entry
+raises, and decimal strings are produced for display only.
 """
 
 from __future__ import annotations
@@ -46,10 +49,9 @@ RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 class SingularMatrixError(KdgError):
-    """Raised by `bareiss`, and so by `solve`, when elimination finds no pivot.
+    """Raised by `solve` when a pivot vanishes over a zero row.
 
-    `stage` is the zero-based elimination column where every candidate
-    pivot vanished.
+    `stage` is the zero-based step, in elimination order, where it did.
     """
 
     exit_code = 5
@@ -104,78 +106,6 @@ def dot(u: Sequence[RatLike], v: Sequence[RatLike]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum((rat(a) * rat(b) for a, b in zip(u, v)), Fraction(0))
-
-
-def bareiss(a: list[list[int]], cols: int) -> int:
-    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968), in place.
-
-    Triangularizes the integer rows `a` over their first len(a) columns;
-    columns len(a)..cols-1 ride along.  Every division is exact, and on
-    return a[k][j] is the k-th pivot a[k-1][k-1] times the entry rational
-    elimination would give, so a[k][k] is the (k+1)-st leading principal
-    minor of the row-swapped matrix.  Returns the number of row swaps, or
-    raises SingularMatrixError(k) when column k has no nonzero pivot
-    candidate.
-
-    Scaling is lazy, so sparse rows cost little.  Step k only multiplies a
-    row with a zero in column k by pivot / prev, and those factors
-    telescope: a row last brought up to date before step s holds its true
-    entries times divisor[s] / divisor[k] at step k, where divisor[k] is
-    the pivot of step k - 1.  Such a row is skipped, and is brought up to
-    date with one exact multiply and divide just before it is next used,
-    as the pivot row or as a row with a nonzero in the pivot column.  A
-    zero test needs no update, since the factor is never zero.
-    """
-    n = len(a)
-    swaps = 0
-    divisor = [1]
-    since = [0] * n
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    since[k], since[i] = since[i], since[k]
-                    swaps += 1
-                    break
-            else:
-                raise SingularMatrixError(k)
-        prev = divisor[k]
-        row_k = a[k]
-        s = since[k]
-        if s != k:
-            old = divisor[s]
-            for j in range(k, cols):
-                row_k[j] = row_k[j] * prev // old
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            if row_i[k] == 0:
-                continue
-            s = since[i]
-            if s != k:
-                old = divisor[s]
-                for j in range(k, cols):
-                    row_i[j] = row_i[j] * prev // old
-            aik = row_i[k]
-            for j in range(k + 1, cols):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-            since[i] = k + 1
-        divisor.append(pivot)
-    return swaps
-
-
-def _scaled_rows(m: Iterable[Sequence[RatLike]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators.  Entries are ints or
-    Fractions, read through their numerator and denominator, so a float
-    raises; zeros need no multiply.  The lcm runs over the distinct
-    denominators only, since `math.lcm` costs per argument."""
-    rows = []
-    for row in m:
-        r = math.lcm(*set(map(attrgetter("denominator"), row)))
-        rows.append([x.numerator * (r // x.denominator) if x else 0 for x in row])
-    return rows
 
 
 def _sparse_rows(
@@ -235,36 +165,52 @@ def sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple
     """Fraction-free elimination of sparse rows with a symmetric nonzero
     pattern, in place, in `_leaf_order` and without row swaps.
 
-    Returns the order and the pivots, pivot k being the (k+1)-st leading
-    principal minor of the reordered matrix, or None when one is zero.
-    Row i maps column j to entry (i, j); zeros may be left out.  The
-    entries `bareiss` would leave right of each pivot stay in that pivot's
-    row, and `rhs` rides along like a last column.
+    Returns the order and the pivots, or None when a pivot vanishes over a
+    nonzero entry of its remaining row: only a row swap could go on, and
+    the Schur complement then holds a block [[0, b], [b, x]] with b != 0,
+    so a symmetric matrix is indefinite.  A pivot that vanishes over a
+    zero row means the matrix is singular: it is recorded as 0 and the
+    step is skipped.  A zero row changes no other row, and its column only
+    rides along like `rhs`, so the rest of the elimination is that of the
+    matrix without that vertex, and each nonzero pivot is a leading
+    principal minor of the reordered matrix with the skipped vertices left
+    out.  Only a zero pivot pays for the test of its row.  Row i maps
+    column j to entry (i, j); zeros may be left out.  The entries
+    `back_substitute` reads right of each pivot stay in that pivot's row,
+    and `rhs` rides along like a last column.
 
     The pattern being symmetric, the rows with a nonzero in the pivot
     column are the columns of the pivot row, so step k touches only those
-    rows, and fill-in stays symmetric.  Scaling is lazy as in `bareiss`,
-    and a row's catch-up factor divisor[k] / divisor[s] folds into its
-    update: (pivot x - a v) / divisor[k] on caught-up x and a is
-    (pivot x - a v) / divisor[s] on the stale ones, exact either way.
+    rows, and fill-in stays symmetric.  Scaling is lazy: a row untouched
+    by a step would only be multiplied by pivot / previous pivot, and
+    those factors telescope, so a row last updated when divisor[s] was
+    current holds its true entries times divisor[s] / divisor[t] at step
+    t.  The catch-up folds into the row's next update: (pivot x - a v) /
+    divisor[t] on caught-up x and a is (pivot x - a v) / divisor[s] on the
+    stale ones, exact either way.
     """
     order = _leaf_order(rows)
     since = [0] * len(rows)
     divisor = [1]
-    for k, p in enumerate(order):
-        prev = divisor[k]
+    pivots = []
+    for p in order:
+        t = len(divisor) - 1
+        prev = divisor[t]
         row_p = rows[p]
         pivot = row_p.pop(p, 0)
         s = since[p]
-        if s != k:
+        if s != t:
             old = divisor[s]
             pivot = pivot * prev // old
             for j, x in row_p.items():
                 row_p[j] = x * prev // old
             if rhs:
                 rhs[p] = rhs[p] * prev // old
+        pivots.append(pivot)
         if not pivot:
-            return None
+            if any(row_p.values()):
+                return None
+            continue
         for i in row_p:
             row_i = rows[i]
             a = row_i.pop(p)
@@ -276,57 +222,53 @@ def sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple
             rows[i] = row_i
             if rhs:
                 rhs[i] = (pivot * rhs[i] - a * rhs[p]) // old
-            since[i] = k + 1
+            since[i] = t + 1
         divisor.append(pivot)
-    return order, divisor[1:]
+    return order, pivots
 
 
 def _factor(
     m: Sequence[Sequence[RatLike]], c: Sequence[RatLike] = ()
-) -> tuple[list[dict[int, int]], list[int], Sequence[int], list[int], int, int]:
+) -> tuple[list[dict[int, int]], list[int], list[int], list[int], int]:
     """Factor the rows [m | c] of a square m for `det` and `solve`.
 
-    Returns (rows, rhs, order, pivots) as `back_substitute` reads them, the
-    number of row swaps and the product of the row multipliers.  The rows
-    go to `sparse_bareiss`; when a pivot vanishes, or the nonzero pattern
-    is not symmetric, they go to `bareiss` as dense rows in the given
-    order instead, and row i of the triangle is the map of its nonzeros
-    right of the diagonal.  Raises SingularMatrixError(stage) when the
-    dense run finds no pivot.
+    Returns (rows, rhs, order, pivots) as `sparse_bareiss` leaves them and
+    the product of the row multipliers.  Raises ValueError when the
+    nonzero pattern of m is not symmetric, or when elimination would need
+    a row swap, which on a symmetric m means it is indefinite.
     """
     rows, rhs, scale = _sparse_rows(m, c)
-    if _symmetric_pattern(rows):
-        done = sparse_bareiss(rows, rhs)
-        if done is not None:
-            return (rows, rhs, *done, 0, scale)
-    n = len(m)
-    a = _scaled_rows([*row, *c[i : i + 1]] for i, row in enumerate(m))
-    swaps = bareiss(a, len(a[0]))
-    rows = [{j: row[j] for j in range(i + 1, n) if row[j]} for i, row in enumerate(a)]
-    rhs = [row[n] for row in a] if c else []
-    return rows, rhs, range(n), [row[i] for i, row in enumerate(a)], swaps, scale
+    if not _symmetric_pattern(rows):
+        raise ValueError("matrix with a symmetric nonzero pattern expected")
+    done = sparse_bareiss(rows, rhs)
+    if done is None:
+        raise ValueError(
+            "a pivot vanishes over a nonzero row: elimination needs a row swap,"
+            " which a symmetric matrix needs only when it is indefinite"
+        )
+    return (rows, rhs, *done, scale)
 
 
 def det(m: Sequence[Sequence[RatLike]]) -> Fraction:
-    """Exact determinant."""
+    """Exact determinant.  Raises ValueError as `_factor` does."""
     if dim(m) == 0:
         return Fraction(1)
-    try:
-        _, _, _, pivots, swaps, scale = _factor(m)
-    except SingularMatrixError:
-        return Fraction(0)
-    return Fraction((-1) ** swaps * pivots[-1], scale)
+    _, _, _, pivots, scale = _factor(m)
+    return Fraction(pivots[-1], scale) if all(pivots) else Fraction(0)
 
 
 def solve(m: Sequence[Sequence[RatLike]], c: Sequence[RatLike]) -> tuple[Fraction, ...]:
-    """Solve m x = c exactly.  Raises SingularMatrixError(stage) when
-    singular, with stage counted in the given order."""
+    """Solve m x = c exactly.  Raises SingularMatrixError(stage) when m is
+    singular, stage counted in elimination order, and ValueError as
+    `_factor` does."""
     n = dim(m)
     if len(c) != n:
         raise ValueError("dimension mismatch")
     if n == 0:
         return ()
-    rows, rhs, order, pivots, _, _ = _factor(m, c)
+    rows, rhs, order, pivots, _ = _factor(m, c)
+    if not all(pivots):
+        raise SingularMatrixError(pivots.index(0))
     d = pivots[-1]
     return tuple(Fraction(yi, d) for yi in back_substitute(rows, rhs, order, pivots))
 
@@ -339,7 +281,8 @@ def back_substitute(
 
     Row `order[k]` maps each column eliminated after step k to its entry
     and `rhs` holds the right-hand side, as `sparse_bareiss` leaves them.
-    d is +-det, so y is integral (Cramer) and every division is exact.
+    d is the determinant of that system, so y is integral (Cramer) and
+    every division is exact.
     """
     d = pivots[-1]
     y = [0] * len(rows)
@@ -350,8 +293,11 @@ def back_substitute(
 
 def negative_pivots(pivots: Sequence[int]) -> bool:
     """Whether the leading principal minors D_1, D_2, ... in `pivots` come
-    from a negative definite matrix: (-1)^k D_k > 0 for every k."""
-    return all((d < 0) == (k % 2 == 0) for k, d in enumerate(pivots))
+    from a negative definite matrix: (-1)^k D_k > 0 for every k.  Of a
+    symmetric matrix that `sparse_bareiss` factored, the nonzero pivots
+    pass exactly when it is negative semidefinite: a skipped zero row only
+    drops its vertex."""
+    return all(d < 0 if k % 2 == 0 else d > 0 for k, d in enumerate(pivots))
 
 
 def is_negative_definite(m: Sequence[Sequence[RatLike]]) -> bool:

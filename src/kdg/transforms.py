@@ -35,19 +35,21 @@ from .graph import (
     intersection_matrix,
     validate,
 )
-from .invariants import k_squared
+from .invariants import _checked_k_squared, k_squared
 from .rational import (
     RatMatrix,
-    SingularMatrixError,
     UNBOUNDED,
+    back_substitute,
     det,
     dot,
     is_negative_definite,
     lcm_denominators,
+    negative_pivots,
     nullspace,
     quadratic_form,
     rat_str,
     solve,
+    sparse_bareiss,
 )
 
 
@@ -242,26 +244,14 @@ def contract_string(g: WeightedDualGraph, s: StringDescriptor) -> RatMatrix:
         raise PreconditionError("props must be (-2)-curves")
     if s.chain and g.edge_mult(s.left, s.right) != 0:
         raise PreconditionError("props of a non-empty string must not be adjacent")
-    _, rows = _contract(g, [(s.left, s.chain, s.right)])
-    return tuple(map(tuple, rows))
-
-
-def _contract(g: WeightedDualGraph, blocks) -> tuple[dict[int, int], list[list]]:
-    """Eliminate the chain of every (p, chain, q) block from the
-    intersection matrix of g.  Returns the row of each surviving vertex, in
-    vertex order, and the rows.  The props p and q of an n-chain get the
-    Schur block of the module docstring, which for n = 0 is their own -2
-    and 1; every other entry is untouched."""
-    chains = {i for _, chain, _ in blocks for i in chain}
-    local = {i: k for k, i in enumerate(i for i in range(len(g)) if i not in chains)}
+    keep = contracted_indices(g, s)
     full = intersection_matrix(g)
-    rows = [[full[i][j] for j in local] for i in local]
-    for p, chain, q in blocks:
-        n = len(chain)
-        p, q = local[p], local[q]
-        rows[p][p] = rows[q][q] = Fraction(-(n + 2), n + 1)
-        rows[p][q] = rows[q][p] = Fraction(1, n + 1)
-    return local, rows
+    rows = [[full[i][j] for j in keep] for i in keep]
+    n = len(s.chain)
+    p, q = keep.index(s.left), keep.index(s.right)
+    rows[p][p] = rows[q][q] = Fraction(-(n + 2), n + 1)
+    rows[p][q] = rows[q][p] = Fraction(1, n + 1)
+    return tuple(map(tuple, rows))
 
 
 def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> InsertionIdentityReport:
@@ -547,21 +537,56 @@ def _resolve_designated(
     return resolved
 
 
+def _check_negative_definite(g: WeightedDualGraph) -> None:
+    """PreconditionError unless g is negative definite, decided by the
+    pivot signs of its adjacency rows."""
+    adj = g.adjacency()
+    done = sparse_bareiss([adj[i] | {i: v.self_int} for i, v in enumerate(g.vertices)], [])
+    if done is None or not negative_pivots(done[1]):
+        raise PreconditionError("limit needs a negative definite graph")
+
+
+def _limit_system(
+    g: WeightedDualGraph, stretched: Sequence[StringDescriptor]
+) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
+    """The integer system of g with the `stretched` strings at their limit:
+    (diagonal, adjacency maps, c, position of each kept vertex of g).
+
+    A stretched n-interior string contracts to its two ends with
+    -(n+2)/(n+1) on the diagonal and 1/(n+1) between them, which tends to
+    -1 and 0, so its ends get -1, no entry between them, and its interior
+    is dropped.  c is that of g: the ends are genus-0 (-2)-vertices.
+    """
+    adj = g.adjacency()
+    dropped = {i for s in stretched for i in s.chain[1:-1]}
+    keep = [i for i in range(len(g)) if i not in dropped]
+    local = {v: k for k, v in enumerate(keep)}
+    weights = [g.vertices[v].self_int for v in keep]
+    rows = [{local[j]: mult for j, mult in adj[v].items() if j in local} for v in keep]
+    for s in stretched:
+        p, q = local[s.chain[0]], local[s.chain[-1]]
+        weights[p] = weights[q] = -1
+        rows[p].pop(q, None)
+        rows[q].pop(p, None)
+    degrees = adjunction_degrees(g)
+    return weights, rows, [degrees[v] for v in keep], local
+
+
 def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -> Fraction:
     """Limit of -K^2 as every designated string length goes to infinity.
 
-    Strings are processed in designation order.  For each one the prop
-    coefficients m_p, m_q of the current contracted system are compared:
-    when they agree the value is constant in that direction and the string
-    is frozen at its current length; otherwise its contracted block is
-    replaced by the entrywise limit (diagonal -1, coupling 0).  A singular
-    matrix anywhere is reported via SingularLimitError, never guessed at.
+    Strings are processed in designation order.  For each one the end
+    coefficients m_p, m_q of the current system are compared: when they
+    agree the value is constant in that direction and the string is frozen
+    at its current length; otherwise it goes to its limit (`_limit_system`).
+    Every system is factored by `sparse_bareiss`, and its pivots decide:
+    a matrix that is not negative semidefinite means the stretched family
+    leaves the negative definite class (PreconditionError); a singular one
+    is reported via SingularLimitError, never guessed at.
     """
-    if not is_negative_definite(intersection_matrix(g)):
-        raise PreconditionError("limit needs a negative definite graph")
+    _check_negative_definite(g)
     descs = _resolve_designated(g, strings)
     work = g
-    descs = list(descs)
     for i in range(len(descs)):
         if len(descs[i].chain) < 2:
             # splice to length 2 first: the limit direction only depends on
@@ -570,28 +595,47 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
             work, grown = with_string_length(work, descs[i], 2)
             assert grown is not None
             descs[i] = grown
-    local, m = _contract(work, [(s.chain[0], s.chain[1:-1], s.chain[-1]) for s in descs])
-    degrees = adjunction_degrees(work)
-    c = [degrees[i] for i in local]
+    stretched: list[StringDescriptor] = []
+    y = None
     for s in descs:
-        p, q = local[s.chain[0]], local[s.chain[-1]]
-        try:
-            coeffs = solve(m, c)
-        except SingularMatrixError:
-            raise SingularLimitError(
-                "intermediate limit matrix is singular; no finite limit reported"
-            ) from None
-        if coeffs[p] == coeffs[q]:
-            continue
-        m[p][p] = m[q][q] = Fraction(-1)
-        m[p][q] = m[q][p] = Fraction(0)
-    try:
-        coeffs = solve(m, c)
-    except SingularMatrixError:
-        raise SingularLimitError(
-            "limit matrix is singular; the value diverges or needs analysis beyond this procedure"
-        ) from None
-    return -dot(coeffs, c)
+        if y is None:
+            weights, adj, c, local = _limit_system(work, stretched)
+            y, d = _limit_solution(
+                weights, adj, c, "intermediate limit matrix is singular; no finite limit reported"
+            )
+        if y[local[s.chain[0]]] != y[local[s.chain[-1]]]:
+            stretched.append(s)
+            y = None
+    if y is None:
+        weights, adj, c, _ = _limit_system(work, stretched)
+        y, d = _limit_solution(
+            weights,
+            adj,
+            c,
+            "limit matrix is singular; the value diverges or needs analysis beyond this procedure",
+        )
+    return _checked_k_squared(weights, adj, c, y, d)
+
+
+def _limit_solution(
+    weights: list[int], adj: list[dict[int, int]], c: list[int], singular: str
+) -> tuple[list[int], int]:
+    """(y, d) with y = d m and d = det M for M m = c, M given by its
+    diagonal and adjacency maps.  Raises PreconditionError when M is not
+    negative semidefinite, and SingularLimitError(singular) when M is
+    singular."""
+    rows = [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
+    rhs = c.copy()
+    done = sparse_bareiss(rows, rhs)
+    if done is None or not negative_pivots([d for d in done[1] if d]):
+        raise PreconditionError(
+            "limit matrix is not negative semidefinite;"
+            " the stretched family leaves the negative definite class"
+        )
+    order, pivots = done
+    if not all(pivots):
+        raise SingularLimitError(singular)
+    return back_substitute(rows, rhs, order, pivots), pivots[-1]
 
 
 def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[Fraction, object]:
@@ -601,12 +645,14 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     the length L, so three exact samples pin it down.  Samples are taken at
     L in {0, 1, 2}; when length 0 cannot be built (both attachments on one
     vertex) the window shifts to the current length.  g must be negative
-    definite, as `limit_k_squared` checks first.  Shrinking a (-2) string
-    keeps definiteness, so a member that is not definite has every longer
-    one fail too, and its `NotNegativeDefiniteError` is raised as is.
+    definite, as `limit_k_squared` also checks first (PreconditionError).
+    Shrinking a (-2) string keeps definiteness, so a member that is not
+    definite has every longer one fail too, and its
+    `NotNegativeDefiniteError` is raised as is.
     Returns the fitted limit a/c, or UNBOUNDED when the fit is linear
     (c = 0 with a != 0).
     """
+    _check_negative_definite(g)
     (desc,) = _resolve_designated(g, [s])
     lengths = [0, 1, 2]
     values = []

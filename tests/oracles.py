@@ -10,9 +10,11 @@ enumeration of a coefficient box instead of Laufer's algorithm, and the
 maximal arithmetic genus by visiting every cycle of the box instead of the
 pruned search, and the enumeration by filling every matrix of the box with
 no pruning and minimizing over every vertex permutation instead of the
-pruned search and its stabilizer scan, and the orderly prefix lemma by
+pruned search and its stabilizer scan, the orderly prefix lemma by
 trying every permutation of each leading block instead of the search's
-per-column data stabilizers.
+per-column data stabilizers, and string limits by Schur contraction of
+each string to its two ends and Gauss-Jordan elimination over `Fraction`s
+instead of integer rows factored without row swaps.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from kdg.graph import WeightedDualGraph, adjunction_degrees, intersection_matrix
 from kdg.invariants import fundamental_cycle
+from kdg.transforms import with_string_length
 
 
 def cofactor_det(m) -> Fraction:
@@ -104,6 +107,75 @@ def negdef_by_charpoly(m) -> bool:
     monic polynomial being strictly positive.
     """
     return all(c > 0 for c in char_poly(m)[1:])
+
+
+def fraction_solve(m, c):
+    """x with m x = c, by Gauss-Jordan elimination over `Fraction`s with row
+    swaps, or None when m is singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(ci)] for row, ci in zip(m, c)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def schur_limit(g: WeightedDualGraph, strings):
+    """Reference for `limit_k_squared` on maximal strings of g.
+
+    Every string shorter than 2 is spliced to length 2, and every string of
+    n interior vertices is eliminated from the intersection matrix: its two
+    ends get -(n+2)/(n+1) on the diagonal and 1/(n+1) between them.  In
+    designation order, a string whose end coefficients differ goes to its
+    limit, -1 and 0, and one whose coefficients agree keeps its block.
+    Returns (outcome, semidefinite): the limit of -K^2, or "intermediate" or
+    "final" for the first matrix solved that is singular; and whether every
+    matrix solved up to there is negative semidefinite, which for a
+    symmetric matrix means every coefficient of det(x*I - M) is >= 0 (here
+    of a positive integer multiple of M).
+    """
+    descs = list(strings)
+    for i, s in enumerate(descs):
+        if len(s.chain) < 2:
+            g, descs[i] = with_string_length(g, s, 2)
+    interior = {v for s in descs for v in s.chain[1:-1]}
+    keep = [v for v in range(len(g)) if v not in interior]
+    local = {v: k for k, v in enumerate(keep)}
+    full = intersection_matrix(g)
+    m = [[Fraction(full[i][j]) for j in keep] for i in keep]
+    ends = [(local[s.chain[0]], local[s.chain[-1]]) for s in descs]
+    for (p, q), s in zip(ends, descs):
+        n = len(s.chain) - 2
+        m[p][p] = m[q][q] = Fraction(-(n + 2), n + 1)
+        m[p][q] = m[q][p] = Fraction(1, n + 1)
+    degrees = adjunction_degrees(g)
+    c = [degrees[v] for v in keep]
+    semidefinite = True
+
+    def solved():
+        nonlocal semidefinite
+        scale = prod({x.denominator for row in m for x in row})
+        poly = char_poly([[int(x * scale) for x in row] for row in m])
+        semidefinite = semidefinite and all(x >= 0 for x in poly[1:])
+        return fraction_solve(m, c)
+
+    for p, q in ends:
+        x = solved()
+        if x is None:
+            return "intermediate", semidefinite
+        if x[p] != x[q]:
+            m[p][p] = m[q][q] = Fraction(-1)
+            m[p][q] = m[q][p] = Fraction(0)
+    x = solved()
+    if x is None:
+        return "final", semidefinite
+    return -sum(xi * ci for xi, ci in zip(x, c)), semidefinite
 
 
 def quad_form_counterexample(m, vectors) -> tuple | None:

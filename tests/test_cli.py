@@ -154,6 +154,22 @@ def test_limit_auto_unbounded(tmp_path):
     assert "no finite limit" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "spec, strings",
+    [(family_spec("E8"), "auto"), (family_spec("II", n=0, s=1), "f1")],
+    ids=["E8-auto", "II(n=0,s=1)-f1"],
+)
+def test_limit_leaving_the_definite_class_exits_4(tmp_path, spec, strings):
+    # E8 = T(2,3,5) stretched is T(p,q,r) with 1/p + 1/q + 1/r < 1; the
+    # values of II(n=0,s=1) along f1 are 4/(9 - L), singular at L = 9
+    p = tmp_path / "g.json"
+    p.write_text(graph_to_json(generate(spec)))
+    res = run("limit", str(p), "--strings", strings)
+    assert res.returncode == 4
+    assert "leaves the negative definite class" in res.stderr
+    assert "limit of -K^2" not in res.stdout
+
+
 def test_enumerate_csv(tmp_path):
     res = run("enumerate", "--max-vertices", "2", "--min-self", "-3")
     assert res.returncode == 0

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kdg import transforms
 from kdg.checks import _family_corpus
+from kdg.enumeration import EnumBounds, random_admissible
 from kdg.errors import NotNegativeDefiniteError, PreconditionError, SingularLimitError
 from kdg.families import family_spec, generate, stretch_descriptor
 from kdg.graph import Edge, VertexData, WeightedDualGraph, build_graph, intersection_matrix
@@ -22,6 +26,8 @@ from kdg.transforms import (
     verify_insertion,
     with_string_length,
 )
+
+from .oracles import schur_limit
 
 ALWAYS_IDENTITIES = {
     "contraction_matches_direct",
@@ -360,16 +366,51 @@ def test_mobius_constant_direction():
     assert k_squared(g) != 1  # genuinely a limit, not the member value
 
 
+def test_mobius_refuses_graph_not_negative_definite():
+    # T(2,3,7): E8 with its long arm stretched to 6; its members with that
+    # arm at lengths 0-2 are definite, so only a check of g itself refuses
+    spec = family_spec("E8")
+    e8 = generate(spec)
+    (long_arm,) = [s for s in detect_strings(e8) if len(s.chain) == 4]
+    g, arm = with_string_length(e8, long_arm, 6)
+    assert not is_negative_definite(intersection_matrix(g))
+    with pytest.raises(PreconditionError, match="negative definite graph"):
+        mobius_limit_crosscheck(g, arm)
+    with pytest.raises(PreconditionError, match="negative definite graph"):
+        limit_k_squared(g, [arm])
+
+
+LIMIT_BOUNDS = EnumBounds(8, min_self=-4, max_genus=1, max_edge_multiplicity=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.data())
+@example(0, None)  # a value
+@example(5, None)  # a limit matrix with a positive pivot
+@example(276, None)  # a zero pivot over a nonzero row
+@example(29, None)  # a singular limit matrix
+@example(71, None)  # a singular intermediate matrix
+def test_limit_matches_schur_oracle(seed, data):
+    g = random_admissible(random.Random(seed), LIMIT_BOUNDS)
+    strings = [s for s in detect_strings(g) if s.left is not None or s.right is not None]
+    assume(strings)
+    if data is None:  # the explicit examples
+        picked = strings[:3]
+    else:
+        picked = data.draw(st.lists(st.sampled_from(strings), min_size=1, max_size=3, unique=True))
+    want, semidefinite = schur_limit(g, picked)
+    try:
+        got = limit_k_squared(g, picked)
+    except PreconditionError:
+        assert not semidefinite
+        return
+    except SingularLimitError as exc:
+        got = "intermediate" if str(exc).startswith("intermediate") else "final"
+    assert semidefinite
+    assert got == want
+
+
 def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
-    # the chain -1, -2, -2, -2, -1 (genus-1 ends) is singular at every
-    # string length: the length-0 member fails, and since shrinking a
-    # (-2) string keeps definiteness, no other member is tried
-    g = build_graph(
-        [("x", 1, -1), ("s0", 0, -2), ("s1", 0, -2), ("s2", 0, -2), ("y", 1, -1)],
-        [("x", "s0"), ("s0", "s1"), ("s1", "s2"), ("s2", "y")],
-    )
-    (s,) = detect_strings(g)
-    assert len(s.chain) == 3 and s.left is not None and s.right is not None
     sizes = []
     real = transforms.k_squared
 
@@ -378,6 +419,24 @@ def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
         return real(member)
 
     monkeypatch.setattr(transforms, "k_squared", spy)
+    # E8 = T(2,3,5) is definite, and so are its members with the short arm
+    # at length 0 and 1; at length 2 it is T(3,3,5), which is not, and its
+    # error is raised as is
+    spec = family_spec("E8")
+    g = generate(spec)
+    (arm,) = [s for s in detect_strings(g) if len(s.chain) == 1]
     with pytest.raises(NotNegativeDefiniteError):
+        mobius_limit_crosscheck(g, arm)
+    assert sizes == [7, 8, 9]
+    # the chain -1, -2, -2, -2, -1 (genus-1 ends) is singular at every
+    # string length: g itself is refused before any member is built
+    sizes.clear()
+    g = build_graph(
+        [("x", 1, -1), ("s0", 0, -2), ("s1", 0, -2), ("s2", 0, -2), ("y", 1, -1)],
+        [("x", "s0"), ("s0", "s1"), ("s1", "s2"), ("s2", "y")],
+    )
+    (s,) = detect_strings(g)
+    assert len(s.chain) == 3 and s.left is not None and s.right is not None
+    with pytest.raises(PreconditionError, match="negative definite graph"):
         mobius_limit_crosscheck(g, s)
-    assert sizes == [2]
+    assert sizes == []
