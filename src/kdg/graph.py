@@ -150,6 +150,16 @@ def intersection_matrix(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+def intersection_rows(g: WeightedDualGraph) -> list[dict[int, int]]:
+    """The intersection matrix as map rows for the `rational` kernels: row
+    i maps each neighbour of vertex i to the intersection number and i to
+    its self-intersection.  Built in O(n + edges); new maps on every call."""
+    rows = list(g.adjacency())
+    for i, v in enumerate(g.vertices):
+        rows[i][i] = v.self_int
+    return rows
+
+
 def adjunction_degrees(g: WeightedDualGraph) -> tuple[int, ...]:
     """The vector c with c_i = 2*genus_i - 2 - self_int_i.
 
@@ -189,7 +199,7 @@ def validate(g: WeightedDualGraph) -> ValidationReport:
     connected = is_connected(g)
     if not connected:
         messages.append(f"not connected: {len(connected_components(g))} components")
-    negdef = is_negative_definite(intersection_matrix(g))
+    negdef = is_negative_definite(intersection_rows(g))
     if not negdef:
         messages.append("not negative definite")
     minimal = True

@@ -22,7 +22,7 @@ from .errors import InternalCheckError, InvalidGraphError, NotNegativeDefiniteEr
 from .graph import (
     WeightedDualGraph,
     adjunction_degrees,
-    intersection_matrix,
+    intersection_rows,
     is_connected,
     validate,
 )
@@ -86,7 +86,9 @@ class InvariantReport:
 
 
 def _checked_matrix(g: WeightedDualGraph):
-    m = intersection_matrix(g)
+    """M as map rows (`intersection_rows`); NotNegativeDefiniteError
+    unless it is negative definite."""
+    m = intersection_rows(g)
     if not is_negative_definite(m):
         raise NotNegativeDefiniteError("intersection matrix is not negative definite")
     return m

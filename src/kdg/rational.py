@@ -1,9 +1,26 @@
 """Exact rational scalars, vectors and matrices.
 
 Scalars are `int` or `fractions.Fraction` (arbitrary precision, always in
-lowest terms with positive denominator); vectors and matrices are immutable
-tuples.  Intersection matrices are all integers, contracted systems carry
+lowest terms with positive denominator); vectors are immutable tuples.
+Intersection matrices are all integers, contracted systems carry
 `Fraction`s, and every rational result is a `Fraction` either way.
+
+A square matrix of n rows comes in one of two forms, and `dim`,
+`is_symmetric`, `det`, `solve`, `is_negative_definite` and
+`quadratic_form` accept both:
+
+* dense rows, each a sequence of n entries;
+* map rows, each a dict column -> entry over some of the columns
+  0..n-1, the entries it leaves out being 0.  A graph's intersection
+  matrix in this form is its adjacency maps plus the diagonal
+  (`graph.intersection_rows`), and callers that hold a graph pass that.
+
+Map rows are read in O(n + stored entries), dense rows in O(n^2); both
+follow the same rules (every stored entry is read, so a float raises
+wherever it stands) and go into the same elimination.  A map row naming a
+column outside 0..n-1 raises ValueError.  Kernels copy what they
+eliminate, so the caller's rows are never changed.
+
 `det`, `solve` and `is_negative_definite` eliminate sparse integer rows:
 one map column -> entry per row, over its nonzeros, each row multiplied by
 the lcm of its denominators, which leaves the signs of the leading
@@ -11,24 +28,25 @@ principal minors unchanged.  `sparse_bareiss` runs fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) on them in leaf-first order,
 reverse breadth-first over the nonzero pattern, without row swaps.  Step k
 touches only the rows that meet the pivot, and on a tree nothing fills in
-(Parter, SIAM Review 3, 1961), whatever the vertex order.  Rows are scaled
-lazily: a step whose pivot column is zero in a row only multiplies that
-row by a factor, and those factors telescope, so the row is skipped and
-brought up to date when it is next used.  Determinants are the last
-pivot, solves back substitute in integers (`back_substitute`), and
-negative definiteness is read off the signs of the pivots
-(`negative_pivots`).  A pivot that vanishes over a zero row makes the
-matrix singular: `det` gives 0 and `solve` raises `SingularMatrixError`.
-One that vanishes over a nonzero entry would need a row swap, which a
-symmetric matrix needs only when it is indefinite, so `det` and `solve`
-raise ValueError there, as they do for a nonzero pattern that is not
-symmetric; either way the matrix is not definite.  Every negative
-(semi)definite matrix, the only kind kdg solves, eliminates without a
-swap.  Callers that hold a graph's
-adjacency maps build the rows themselves and call the same kernel.  Only
-`nullspace`, the kernel of a rectangular matrix, runs its own rational
-elimination.  No floating point enters any computation; a float entry
-raises, and decimal strings are produced for display only.
+(Parter, SIAM Review 3, 1961), whatever the vertex order, so a tree given
+by map rows costs time linear in its size, up to the growth of the
+integers.  Rows are scaled lazily: a step whose pivot column is zero in a
+row only multiplies that row by a factor, and those factors telescope, so
+the row is skipped and brought up to date when it is next used.
+Determinants are the last pivot, solves back substitute in integers
+(`back_substitute`), and negative definiteness is read off the signs of
+the pivots (`negative_pivots`).  A pivot that vanishes over a zero row
+makes the matrix singular: `det` gives 0 and `solve` raises
+`SingularMatrixError`.  One that vanishes over a nonzero entry would need
+a row swap, which a symmetric matrix needs only when it is indefinite, so
+`det` and `solve` raise ValueError there, as they do for a nonzero pattern
+that is not symmetric; either way the matrix is not definite.  Every
+negative (semi)definite matrix, the only kind kdg solves, eliminates
+without a swap.  Callers that build integer rows of their own (the
+enumerator, the p_a ellipsoid, string limits) call `sparse_bareiss`
+directly.  Only `nullspace`, the kernel of a rectangular matrix, runs its
+own rational elimination.  No floating point enters any computation; a
+float entry raises, and decimal strings are produced for display only.
 """
 
 from __future__ import annotations
@@ -36,7 +54,7 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -46,6 +64,8 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 RatVector = tuple[Fraction, ...]
 RatMatrix = tuple[tuple[Fraction, ...], ...]
+#: A square matrix as dense rows or as map rows (column -> entry).
+Matrix = Sequence[Union[Sequence[RatLike], dict[int, RatLike]]]
 
 
 class SingularMatrixError(KdgError):
@@ -89,15 +109,35 @@ def vec(entries: Iterable[RatLike]) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in entries)
 
 
-def dim(m: Sequence[Sequence[RatLike]]) -> int:
+def _shape(m: Matrix) -> tuple[int, bool]:
+    """(n, whether the rows are maps) for a square matrix m of n rows.
+
+    Raises ValueError unless every row is a dense sequence of n entries or
+    every row is a dict whose columns lie in 0..n-1."""
     n = len(m)
-    if any(len(row) != n for row in m):
+    maps = sum(map(isinstance, m, repeat(dict)))
+    if maps and maps == n:
+        columns = set().union(*m)
+        if columns and (min(columns) < 0 or max(columns) >= n):
+            raise ValueError(f"map row with a column outside 0..{n - 1}")
+        return n, True
+    if maps or set(map(len, m)) - {n}:
         raise ValueError("square matrix expected")
-    return n
+    return n, False
 
 
-def is_symmetric(m: Sequence[Sequence[RatLike]]) -> bool:
-    dim(m)
+def dim(m: Matrix) -> int:
+    return _shape(m)[0]
+
+
+def is_symmetric(m: Matrix) -> bool:
+    if _shape(m)[1]:
+        # every stored entry against its mirror, a missing one read as 0
+        for i, row in enumerate(m):
+            for j, x in row.items():
+                if m[j].get(i, 0) != x:
+                    return False
+        return True
     # Whole rows against whole columns: tuple comparison runs in C.
     return all(tuple(row) == col for row, col in zip(m, zip(*m)))
 
@@ -108,26 +148,30 @@ def dot(u: Sequence[RatLike], v: Sequence[RatLike]) -> Fraction:
     return sum((rat(a) * rat(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def _sparse_rows(
-    m: Sequence[Sequence[RatLike]], c: Sequence[RatLike] = ()
-) -> tuple[list[dict[int, int]], list[int], int]:
-    """Each row of m as a map column -> entry over its nonzeros, times the
-    lcm of its denominators (c[i] included when c is given); c scaled
-    alike; and the product of those positive multipliers.  Every entry,
-    zeros included, is read, so a float raises wherever it stands; rows of
-    plain ints, the common case, need no denominators."""
+def _sparse_rows(m: Matrix, c: Sequence[RatLike] = ()) -> tuple[list[dict[int, int]], list[int], int]:
+    """Each row of m, dense or a map, as a new map column -> entry over its
+    nonzeros, times the lcm of its denominators (c[i] included when c is
+    given); c scaled alike; and the product of those positive multipliers.
+    Every entry a row holds, zeros included, is read, so a float raises
+    wherever it stands; rows of plain ints, the common case, need no
+    denominators."""
     rows = []
     rhs = []
     scale = 1
     for i, row in enumerate(m):
         extra = (c[i],) if c else ()
-        if set(map(type, chain(row, extra))) == {int}:
-            r = 1
-            rows.append(dict(compress(enumerate(row), row)))
+        if isinstance(row, dict):
+            entries, values = row.items(), row.values()
         else:
-            r = math.lcm(*set(map(attrgetter("denominator"), chain(row, extra))))
-            rows.append({j: x.numerator * (r // x.denominator) for j, x in compress(enumerate(row), row)})
-        rhs.extend(x.numerator * (r // x.denominator) for x in extra)
+            entries, values = enumerate(row), row
+        if set(map(type, chain(values, extra))) == {int}:
+            r = 1
+            rows.append(dict(compress(entries, values)))
+        else:
+            r = math.lcm(*set(map(attrgetter("denominator"), chain(values, extra))))
+            rows.append({j: x.numerator * (r // x.denominator) for j, x in compress(entries, values)})
+        if c:
+            rhs.append(c[i].numerator * (r // c[i].denominator))
         scale *= r
     return rows, rhs, scale
 
@@ -228,7 +272,7 @@ def sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple
 
 
 def _factor(
-    m: Sequence[Sequence[RatLike]], c: Sequence[RatLike] = ()
+    m: Matrix, c: Sequence[RatLike] = ()
 ) -> tuple[list[dict[int, int]], list[int], list[int], list[int], int]:
     """Factor the rows [m | c] of a square m for `det` and `solve`.
 
@@ -249,7 +293,7 @@ def _factor(
     return (rows, rhs, *done, scale)
 
 
-def det(m: Sequence[Sequence[RatLike]]) -> Fraction:
+def det(m: Matrix) -> Fraction:
     """Exact determinant.  Raises ValueError as `_factor` does."""
     if dim(m) == 0:
         return Fraction(1)
@@ -257,7 +301,7 @@ def det(m: Sequence[Sequence[RatLike]]) -> Fraction:
     return Fraction(pivots[-1], scale) if all(pivots) else Fraction(0)
 
 
-def solve(m: Sequence[Sequence[RatLike]], c: Sequence[RatLike]) -> tuple[Fraction, ...]:
+def solve(m: Matrix, c: Sequence[RatLike]) -> tuple[Fraction, ...]:
     """Solve m x = c exactly.  Raises SingularMatrixError(stage) when m is
     singular, stage counted in elimination order, and ValueError as
     `_factor` does."""
@@ -300,7 +344,7 @@ def negative_pivots(pivots: Sequence[int]) -> bool:
     return all(d < 0 if k % 2 == 0 else d > 0 for k, d in enumerate(pivots))
 
 
-def is_negative_definite(m: Sequence[Sequence[RatLike]]) -> bool:
+def is_negative_definite(m: Matrix) -> bool:
     """True iff the symmetric matrix m is negative definite.
 
     Decided exactly: the leading principal minors D_k of m in leaf-first
@@ -314,18 +358,18 @@ def is_negative_definite(m: Sequence[Sequence[RatLike]]) -> bool:
     return done is not None and negative_pivots(done[1])
 
 
-def quadratic_form(m: Sequence[Sequence[RatLike]], v: Sequence[RatLike]) -> Fraction:
+def quadratic_form(m: Matrix, v: Sequence[RatLike]) -> Fraction:
     """The value t(v) m v, exactly."""
     n = dim(m)
     if len(v) != n:
         raise ValueError("dimension mismatch")
     w = vec(v)
-    support = [j for j in range(n) if w[j]]
     total = Fraction(0)
-    for i in support:
-        row = m[i]
-        terms = (rat(row[j]) * w[j] for j in support if row[j])
-        total += w[i] * sum(terms, Fraction(0))
+    for i, wi in enumerate(w):
+        if wi:
+            row = m[i]
+            entries = row.items() if isinstance(row, dict) else enumerate(row)
+            total += wi * sum((rat(x) * w[j] for j, x in entries if x and w[j]), Fraction(0))
     return total
 
 

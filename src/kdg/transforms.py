@@ -33,6 +33,7 @@ from .graph import (
     adjunction_degrees,
     build_graph,
     intersection_matrix,
+    intersection_rows,
     validate,
 )
 from .invariants import _checked_k_squared, k_squared
@@ -264,7 +265,7 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     _check_site(g, site)
     if n < 1:
         raise PreconditionError(f"insertion length must be >= 1, got {n}")
-    m0 = intersection_matrix(g)
+    m0 = intersection_rows(g)
     if not is_negative_definite(m0):
         raise NotNegativeDefiniteError("base graph must be negative definite")
     c = adjunction_degrees(g)
@@ -273,7 +274,7 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     det_base = det(m0)
 
     stretched = insert_minus2(g, site, n)
-    m_stretched = intersection_matrix(stretched)
+    m_stretched = intersection_rows(stretched)
     if not is_negative_definite(m_stretched):
         # the notion is only defined between negative definite divisors;
         # long chains at a trivalent hub can leave that class
@@ -540,8 +541,7 @@ def _resolve_designated(
 def _check_negative_definite(g: WeightedDualGraph) -> None:
     """PreconditionError unless g is negative definite, decided by the
     pivot signs of its adjacency rows."""
-    adj = g.adjacency()
-    done = sparse_bareiss([adj[i] | {i: v.self_int} for i, v in enumerate(g.vertices)], [])
+    done = sparse_bareiss(intersection_rows(g), [])
     if done is None or not negative_pivots(done[1]):
         raise PreconditionError("limit needs a negative definite graph")
 
@@ -650,7 +650,10 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     definite has every longer one fail too, and its
     `NotNegativeDefiniteError` is raised as is.
     Returns the fitted limit a/c, or UNBOUNDED when the fit is linear
-    (c = 0 with a != 0).
+    (c = 0 with a != 0).  A fit (aL + b)/(cL + d) with a pole -d/c beyond
+    the sampled lengths raises PreconditionError: up to the sign (-1)^L,
+    the determinant of a member is affine in L, so the pole is where it
+    vanishes, and the members past it are not negative definite.
     """
     _check_negative_definite(g)
     (desc,) = _resolve_designated(g, [s])
@@ -675,6 +678,12 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
         raise InternalCheckError("degenerate rational fit in limit cross-check")
     a, b, c, d = kernel[0]
     if c != 0:
+        pole = -d / c
+        if pole > lengths[-1]:
+            raise PreconditionError(
+                f"the fitted -K^2 has a pole at string length {rat_str(pole)};"
+                " the stretched family leaves the negative definite class"
+            )
         return a / c
     if a != 0:
         return UNBOUNDED

@@ -13,6 +13,7 @@ from kdg.graph import (
     graph_to_json,
     graph_to_obj,
     intersection_matrix,
+    intersection_rows,
     is_connected,
     load_graph,
     parse_graph_json,
@@ -65,6 +66,7 @@ def test_intersection_data_is_integer(g):
     m = intersection_matrix(g)
     assert all(type(x) is int for row in m for x in row)
     assert all(type(x) is int for x in adjunction_degrees(g))
+    assert intersection_rows(g) == [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 @given(small_graphs())
@@ -72,8 +74,9 @@ def test_intersection_data_is_integer(g):
 def test_kernels_agree_on_integer_and_fraction_matrices(g):
     m = intersection_matrix(g)
     q = tuple(tuple(Fraction(x) for x in row) for row in m)
+    rows = intersection_rows(g)
     c = adjunction_degrees(g)
-    assert is_negative_definite(m) == is_negative_definite(q)
+    assert is_negative_definite(m) == is_negative_definite(q) == is_negative_definite(rows)
     try:
         d = det(m)
     except ValueError:
@@ -81,14 +84,15 @@ def test_kernels_agree_on_integer_and_fraction_matrices(g):
         # and both forms factor the same integer rows
         assert not all(x >= 0 for x in char_poly(m)[1:])
         for kernel in (det, lambda m: solve(m, c)):
-            with pytest.raises(ValueError):
-                kernel(q)
+            for form in (q, rows):
+                with pytest.raises(ValueError):
+                    kernel(form)
         return
-    assert type(d) is Fraction and d == det(q)
+    assert type(d) is Fraction and d == det(q) == det(rows)
     if d:
         x = solve(m, c)
         assert all(type(xi) is Fraction for xi in x)
-        assert x == solve(q, [Fraction(ci) for ci in c])
+        assert x == solve(q, [Fraction(ci) for ci in c]) == solve(rows, c)
 
 
 def test_float_entries_raise_in_kernels():

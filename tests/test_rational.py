@@ -12,6 +12,7 @@ from kdg.rational import (
     det,
     dot,
     is_negative_definite,
+    is_symmetric,
     lcm_denominators,
     negative_pivots,
     nullspace,
@@ -511,3 +512,84 @@ def test_ragged_matrix_rejected():
         det([[1, 2], [3]])
     with pytest.raises(ValueError):
         solve([[1, 2], [3, 4]], [1])
+
+
+# ---------------------------------------------------------------------------
+# map rows: the same matrix given as one dict column -> entry per row
+
+
+@st.composite
+def map_rows_of(draw, m):
+    """m as map rows: the nonzeros of each row and some of its zeros, off
+    the diagonal in column order and the diagonal last, as
+    `graph.intersection_rows` stores them."""
+    rows = []
+    for i, row in enumerate(m):
+        stored = [j for j in range(len(m)) if j != i] + [i]
+        rows.append({j: row[j] for j in stored if row[j] or draw(st.booleans())})
+    return rows
+
+
+def outcome(kernel, m):
+    """What kernel(m) returns, or the error it raises (with its stage)."""
+    try:
+        return kernel(m)
+    except SingularMatrixError as exc:
+        return SingularMatrixError, exc.stage
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(patterned(3), patterned(4), patterned(3, fracs), large_sparse_matrices()),
+    st.data(),
+)
+@example([[-2, 1, 0], [0, -2, 1], [0, 1, -2]], None)  # an entry above without its mirror
+@example([[-2, 0], [1, -2]], None)  # an entry below without its mirror
+@example(d4_tail([-2, -3], [0]), None)  # a zero pivot over a nonzero row
+def test_map_rows_match_dense_rows(m, data):
+    n = len(m)
+    if data is None:
+        rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+        b = [1] * n
+    else:
+        rows = data.draw(map_rows_of(m))
+        b = data.draw(st.lists(st.one_of(ints, fracs), min_size=n, max_size=n))
+    snapshot = [list(row.items()) for row in rows]
+    assert is_symmetric(rows) == is_symmetric(m)
+    for kernel in (det, lambda a: solve(a, b), is_negative_definite, lambda a: quadratic_form(a, b)):
+        assert outcome(kernel, rows) == outcome(kernel, m)
+        assert [list(row.items()) for row in rows] == snapshot
+    if not is_symmetric(m):
+        with pytest.raises(ValueError, match="symmetric"):
+            is_negative_definite(rows)
+
+
+def test_float_in_map_row_raises():
+    rows = [{0: -3, 1: 1}, {0: 1, 1: -2, 2: 1}, {1: 1, 2: -2}]
+    c = [1, 0, 0]
+    for i, j, x in ((0, 0, -3.0), (0, 2, 0.0)):
+        bad = [dict(row) for row in rows]
+        bad[i][j] = bad[j][i] = x
+        for kernel in (det, is_negative_definite, lambda m: solve(m, c)):
+            with pytest.raises(AttributeError, match="float"):
+                kernel(bad)
+    with pytest.raises(AttributeError, match="float"):
+        solve(rows, [1.0, 0, 0])
+
+
+@pytest.mark.parametrize("row", [{0: -2, 2: 1}, {-1: 1, 0: -2}])
+def test_map_row_column_out_of_range(row):
+    rows = [row, {1: -2}]
+    for kernel in (det, is_symmetric, is_negative_definite, lambda m: solve(m, [0, 0])):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            kernel(rows)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        quadratic_form(rows, [1, 1])
+
+
+def test_mixed_row_forms_rejected():
+    for m in ([{0: -2}, [0, -2]], [[-2, 0], {1: -2}]):
+        with pytest.raises(ValueError, match="square"):
+            det(m)

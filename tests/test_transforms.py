@@ -380,6 +380,21 @@ def test_mobius_refuses_graph_not_negative_definite():
         limit_k_squared(g, [arm])
 
 
+def test_mobius_refuses_pole_beyond_window():
+    # II(0,1) along f1: -K^2 = 4/(9 - L) at L = 0, 1, 2 and the member at
+    # L = 9 is singular, so the fitted limit 0 is no limit of the family
+    spec = family_spec("II", n=0, s=1)
+    g = generate(spec)
+    (f1,) = [s for s in detect_strings(g) if s.chain == (g.index_of("f1"),)]
+    assert [k_squared(with_string_length(g, f1, L)[0]) for L in (0, 1, 2)] == [
+        Fraction(4, 9 - L) for L in (0, 1, 2)
+    ]
+    member, _ = with_string_length(g, f1, 9)
+    assert not is_negative_definite(intersection_matrix(member))
+    with pytest.raises(PreconditionError, match="pole at string length 9"):
+        mobius_limit_crosscheck(g, f1)
+
+
 LIMIT_BOUNDS = EnumBounds(8, min_self=-4, max_genus=1, max_edge_multiplicity=2)
 
 
