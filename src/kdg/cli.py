@@ -2,8 +2,9 @@
 
 Subcommands: compute, family, sweep, limit, enumerate, verify.  Exit codes
 follow the contract in errors.py: 0 success, 2 invalid input graph, 3 not
-negative definite, 4 precondition violation (including a result too long to
-print), 5 internal assertion failure.
+negative definite, 4 precondition violation (including a sweep range over
+SWEEP_ROW_BUDGET rows and a result too long to print), 5 internal assertion
+failure.
 Decimal columns are display-only renderings of the exact values next to
 them.  The argument parser is built once, at import.
 """
@@ -31,6 +32,11 @@ from .transforms import (
     limit_k_squared,
     mobius_limit_crosscheck,
 )
+
+
+#: Rows `sweep --range a..b` may ask for; a longer range is refused with
+#: a `PreconditionError` (exit code 4), counted before any member is built.
+SWEEP_ROW_BUDGET = 10_000
 
 
 def _parse_params(text: Optional[str]) -> dict[str, int]:
@@ -123,6 +129,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.param in fixed:
         raise PreconditionError(f"swept parameter {args.param} also appears in --fix")
     lo, hi = _parse_range(args.range)
+    count = hi - lo + 1
+    if count > SWEEP_ROW_BUDGET:
+        raise PreconditionError(
+            _printable(lambda: f"sweep range has {count} rows, over the budget of {SWEEP_ROW_BUDGET}")
+        )
     rows = [["param", "k2_exact", "k2_decimal", "closed_form", "match"]]
     for value in range(lo, hi + 1):
         spec = family_spec(args.name, **{**fixed, args.param: value})
@@ -132,7 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             [value, rat_str(direct), rat_decimal(direct), rat_str(formula),
              "true" if direct == formula else "false"]
         )
-    _emit(_csv_text(rows), args.csv, f"{hi - lo + 1} rows")
+    _emit(_csv_text(rows), args.csv, f"{count} rows")
     return 0
 
 

@@ -10,8 +10,8 @@ Every error carries the exit code the CLI maps it to:
        or whose stretched family leaves that class, out-of-domain family
        parameters, p_a search over its work budget, an enumeration box with
        more search tasks than its budget or with a task that visits more
-       search nodes than its budget, a result with more digits than the
-       interpreter prints)
+       search nodes than its budget, a `sweep` range with more rows than
+       its budget, a result with more digits than the interpreter prints)
     5  internal assertion failure (an exact identity that must hold did not)
 """
 

@@ -87,8 +87,9 @@ class WeightedDualGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    # Lookup maps, built on first use.  They live in the instance dict, not
-    # in fields, so equality and hashing still see only vertices and edges.
+    # Lookup maps and derived data, built on first use.  They live in the
+    # instance dict, not in fields, so equality and hashing still see only
+    # vertices and edges.
     @cached_property
     def _index(self) -> dict[str, int]:
         return {v.id: i for i, v in enumerate(self.vertices)}
@@ -97,6 +98,35 @@ class WeightedDualGraph:
     def _mults(self) -> dict[tuple[int, int], int]:
         return {(e.a, e.b): e.mult for e in self.edges}
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict[int, int], ...]:
+        adj: tuple[dict[int, int], ...] = tuple({} for _ in self.vertices)
+        for e in self.edges:
+            adj[e.a][e.b] = e.mult
+            adj[e.b][e.a] = e.mult
+        return adj
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        adj = self._adjacency
+        seen: set[int] = set()
+        comps = []
+        for start in range(len(self.vertices)):
+            if start in seen:
+                continue
+            stack = [start]
+            comp = []
+            seen.add(start)
+            while stack:
+                i = stack.pop()
+                comp.append(i)
+                for j in adj[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
     def index_of(self, vertex_id: str) -> int:
         return self._index[vertex_id]
 
@@ -104,12 +134,12 @@ class WeightedDualGraph:
         return tuple(v.id for v in self.vertices)
 
     def adjacency(self) -> tuple[dict[int, int], ...]:
-        """Per-vertex map neighbor index -> intersection multiplicity."""
-        adj: tuple[dict[int, int], ...] = tuple({} for _ in self.vertices)
-        for e in self.edges:
-            adj[e.a][e.b] = e.mult
-            adj[e.b][e.a] = e.mult
-        return adj
+        """Per-vertex map neighbor index -> intersection multiplicity.
+
+        The maps are built once per graph and every call hands out the same
+        ones, so they are read-only: a caller that needs to change a row
+        copies it first (`intersection_rows` returns new maps)."""
+        return self._adjacency
 
     def edge_mult(self, i: int, j: int) -> int:
         return self._mults.get((min(i, j), max(i, j)), 0)
@@ -154,10 +184,7 @@ def intersection_rows(g: WeightedDualGraph) -> list[dict[int, int]]:
     """The intersection matrix as map rows for the `rational` kernels: row
     i maps each neighbour of vertex i to the intersection number and i to
     its self-intersection.  Built in O(n + edges); new maps on every call."""
-    rows = list(g.adjacency())
-    for i, v in enumerate(g.vertices):
-        rows[i][i] = v.self_int
-    return rows
+    return [row | {i: v.self_int} for i, (row, v) in enumerate(zip(g.adjacency(), g.vertices))]
 
 
 def adjunction_degrees(g: WeightedDualGraph) -> tuple[int, ...]:
@@ -170,35 +197,20 @@ def adjunction_degrees(g: WeightedDualGraph) -> tuple[int, ...]:
 
 
 def connected_components(g: WeightedDualGraph) -> list[list[int]]:
-    adj = g.adjacency()
-    seen: set[int] = set()
-    comps = []
-    for start in range(len(g)):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
+    """Vertex indices of each connected component, sorted, in the order of
+    their least index; new lists on every call."""
+    return [list(comp) for comp in g._components]
 
 
 def is_connected(g: WeightedDualGraph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(g._components) == 1
 
 
 def validate(g: WeightedDualGraph) -> ValidationReport:
     messages = []
     connected = is_connected(g)
     if not connected:
-        messages.append(f"not connected: {len(connected_components(g))} components")
+        messages.append(f"not connected: {len(g._components)} components")
     negdef = is_negative_definite(intersection_rows(g))
     if not negdef:
         messages.append("not negative definite")

@@ -29,7 +29,6 @@ from .graph import (
 from .rational import (
     RatVector,
     back_substitute,
-    dot,
     is_negative_definite,
     lcm_denominators,
     negative_pivots,
@@ -178,20 +177,39 @@ def _laufer(weights: Sequence[int], adj) -> tuple[list[int], list[int]]:
     return z, products
 
 
-def cycle_degrees(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> tuple[Fraction, Fraction]:
-    """(D^2, K.D) for an integral cycle D; K.D = sum d_i c_i."""
+def _coefficients(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> RatVector:
+    """D's coefficients as `Fraction`s; ValueError unless there is one per
+    vertex of g."""
     coeffs = d.coefficients if isinstance(d, Cycle) else vec(d)
-    k_dot = dot(coeffs, adjunction_degrees(g))  # rejects a wrong length first
-    return _form([v.self_int for v in g.vertices], g.adjacency(), coeffs), k_dot
+    if len(coeffs) != len(g):
+        raise ValueError("dimension mismatch")
+    return coeffs
+
+
+def _degrees(g: WeightedDualGraph, coeffs: RatVector) -> tuple[Union[int, Fraction], Union[int, Fraction]]:
+    """(D^2, K.D) with K.D = sum d_i c_i: ints, evaluated on the numerators,
+    when every coefficient is integral, and `Fraction`s otherwise."""
+    if all(x.denominator == 1 for x in coeffs):
+        coeffs = [x.numerator for x in coeffs]
+    weights = [v.self_int for v in g.vertices]
+    return _form(weights, g.adjacency(), coeffs), sum(map(mul, coeffs, adjunction_degrees(g)))
+
+
+def cycle_degrees(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> tuple[Fraction, Fraction]:
+    """(D^2, K.D) as `Fraction`s for a cycle D with rational coefficients;
+    K.D = sum d_i c_i.  ValueError unless D has one coefficient per vertex."""
+    d_sq, k_dot = _degrees(g, _coefficients(g, d))
+    return Fraction(d_sq), Fraction(k_dot)
 
 
 def cycle_pa(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> int:
-    """Arithmetic genus p_a(D) = 1 + (D^2 + K.D)/2 of an integral cycle."""
-    coeffs = d.coefficients if isinstance(d, Cycle) else vec(d)
+    """Arithmetic genus p_a(D) = 1 + (D^2 + K.D)/2 of an integral cycle.
+    ValueError unless D has one coefficient per vertex, then
+    PreconditionError unless every coefficient is an integer."""
+    coeffs = _coefficients(g, d)
     if any(x.denominator != 1 for x in coeffs):
         raise PreconditionError("p_a is defined for integral cycles only")
-    d_sq, k_dot = cycle_degrees(g, coeffs)
-    return _pa_from_twice(d_sq + k_dot)
+    return _pa_from_twice(sum(_degrees(g, coeffs)))
 
 
 def _pa_from_twice(twice: Union[int, Fraction]) -> int:
@@ -403,14 +421,14 @@ def classify(g: WeightedDualGraph) -> str:
     k2 = k_squared(g)
     z_sq = pa = None
     if k2 != 0:
-        z_sq, pa = _z_data(g, fundamental_cycle(g))
+        z_sq, _, pa = _z_data(g, fundamental_cycle(g))
     return _class_of(k2, [(v.genus, v.self_int) for v in g.vertices], z_sq, pa)
 
 
-def _z_data(g: WeightedDualGraph, z: Cycle) -> tuple[Fraction, int]:
-    """(Z^2, p_a(Z)) from one `cycle_degrees` call."""
-    z_sq, k_dot_z = cycle_degrees(g, z)
-    return z_sq, _pa_from_twice(z_sq + k_dot_z)
+def _z_data(g: WeightedDualGraph, z: Cycle) -> tuple[int, int, int]:
+    """(Z^2, K.Z, p_a(Z)) of the fundamental cycle Z, in integers."""
+    z_sq, k_dot_z = _degrees(g, z.coefficients)
+    return z_sq, k_dot_z, _pa_from_twice(z_sq + k_dot_z)
 
 
 def _class_of(k2: Fraction, data: Sequence[tuple[int, int]], z_sq, pa: Optional[int]) -> str:
@@ -476,19 +494,22 @@ def bound_checks(g: WeightedDualGraph, pa_bound: int = 3) -> tuple[BoundCheck, .
     """
     k2 = k_squared(g)
     checks = []
-    csum = sum(
-        (Fraction((2 * v.genus - 2 - v.self_int) ** 2, -v.self_int) for v in g.vertices),
-        Fraction(0),
+    # sum c_i^2 / (-self_int_i) as one numerator over one common denominator
+    den = lcm(*(-v.self_int for v in g.vertices))
+    csum = Fraction(
+        sum(c * c * (den // -v.self_int) for c, v in zip(adjunction_degrees(g), g.vertices)), den
     )
     checks.append(BoundCheck("component_sum", k2, csum, k2 >= csum))
     if k2 != 0:
         checks.append(BoundCheck("nonzero_minimum", k2, Fraction(1, 3), k2 >= Fraction(1, 3)))
-    z_sq, pa = _z_data(g, fundamental_cycle(g))
+    z_sq, _, pa = _z_data(g, fundamental_cycle(g))
     if pa == 0:
         mult = -z_sq
-        checks.append(BoundCheck("multiplicity", k2, mult - 4, k2 >= mult - 4))
+        rhs = Fraction(mult - 4)
+        checks.append(BoundCheck("multiplicity", k2, rhs, k2 >= rhs))
         embdim = mult + 1
-        checks.append(BoundCheck("embedding_dimension", k2, embdim - 5, k2 >= embdim - 5))
+        rhs = Fraction(embdim - 5)
+        checks.append(BoundCheck("embedding_dimension", k2, rhs, k2 >= rhs))
     pa_best = pa_max_bounded(g, pa_bound)
     rhs = Fraction(4 * pa_best - 3)
     checks.append(BoundCheck("arithmetic_genus", k2, rhs, k2 >= rhs))
@@ -505,14 +526,14 @@ def invariant_report(g: WeightedDualGraph, pa_bound: int = 3) -> InvariantReport
     canonical = canonical_cycle(g)
     k2 = k_squared(g)
     z = fundamental_cycle(g)
-    z_sq, k_dot_z = cycle_degrees(g, z)
+    z_sq, k_dot_z, pa_z = _z_data(g, z)
     return InvariantReport(
         canonical=canonical,
         k_squared=k2,
         fundamental=z,
-        z_squared=int(z_sq),
-        k_dot_z=int(k_dot_z),
-        pa_z=_pa_from_twice(z_sq + k_dot_z),
+        z_squared=z_sq,
+        k_dot_z=k_dot_z,
+        pa_z=pa_z,
         numerical_index=numerical_index(g),
         classification=classify(g),
         bound_checks=bound_checks(g, pa_bound),

@@ -657,15 +657,17 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     """
     _check_negative_definite(g)
     (desc,) = _resolve_designated(g, [s])
+    # every sample splices the same string of g, so check it once
+    _check_string_structure(g, desc, allow_empty=False)
     lengths = [0, 1, 2]
     values = []
     for length in lengths:
         try:
-            values.append(k_squared(with_string_length(g, desc, length)[0]))
+            values.append(k_squared(_splice(g, desc, length)[0]))
         except PreconditionError:
             base = max(2, len(desc.chain))
             lengths = [base, base + 1, base + 2]
-            values = [k_squared(with_string_length(g, desc, x)[0]) for x in lengths]
+            values = [k_squared(_splice(g, desc, x)[0]) for x in lengths]
             break
     if values[0] == values[1] == values[2]:
         return values[0]

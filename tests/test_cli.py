@@ -10,15 +10,18 @@ import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdg.cli
 import kdg.enumeration
+import kdg.families
 from kdg import invariants
 from kdg.cli import main
-from kdg.families import family_spec, generate
+from kdg.families import family_names, family_spec, generate
 from kdg.graph import build_graph, graph_to_json, parse_graph_json
 from kdg.invariants import invariant_report, report_to_obj
 
@@ -132,6 +135,89 @@ def test_sweep_fixed_params(tmp_path):
     assert len(rows) == 4
     assert rows[0]["k2_exact"] == "1/2"  # I(0,1,1) = 1/(3-0-1/2-1/2)
     assert all(r["match"] == "true" for r in rows)
+
+
+def test_sweep_row_budget(monkeypatch, capsys):
+    """A range of more than SWEEP_ROW_BUDGET rows exits 4 with its row
+    count, before any family member is built."""
+    assert main(["sweep", "A", "--param", "n", "--range", "0..1000000"]) == 4
+    assert "has 1000001 rows" in capsys.readouterr().err
+    monkeypatch.setattr(kdg.cli, "SWEEP_ROW_BUDGET", 3)
+    assert main(["sweep", "IV", "--param", "n", "--range", "0..2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    monkeypatch.setattr(kdg.cli, "generate", None)  # calling it would raise
+    assert main(["sweep", "IV", "--param", "n", "--range", "0..3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep range has 4 rows, over the budget of 3\n"
+
+
+_sweep_params = st.sampled_from(["n", "s", "t", "k", "m", "r", "x"])
+_sweep_ranges = st.one_of(
+    # no decimal digit anywhere, so it cannot parse as a range
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=12),
+    # reversed ranges
+    st.tuples(st.integers(-50, 50), st.integers(1, 50)).map(lambda t: f"{t[0]}..{t[0] - t[1]}"),
+    # a few rows of small members, which run
+    st.tuples(st.integers(-3, 10), st.integers(0, 2)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),
+    # over the budget: refused by count
+    st.tuples(st.integers(-(10**40), 10**40), st.integers(kdg.cli.SWEEP_ROW_BUDGET, 10**40)).map(
+        lambda t: f"{t[0]}..{t[0] + t[1]}"
+    ),
+    # ends of the most digits an int literal may have, and one more
+    st.sampled_from(["9" * 4300, "9" * 4301]).map(lambda hi: f"-{hi}..{hi}"),
+)
+_sweep_fixes = st.none() | st.lists(
+    st.tuples(_sweep_params, st.integers(-2, 6)).map(lambda t: f"{t[0]}={t[1]}"), max_size=3
+).map(",".join)
+
+
+@st.composite
+def _well_formed_sweeps(draw):
+    """A family, one of its parameters and small values for the others."""
+    name = draw(st.sampled_from([n for n in family_names() if kdg.families._PARAMS[n]]))
+    names = kdg.families._PARAMS[name]
+    param = draw(st.sampled_from(names))
+    fix = ",".join(f"{k}={draw(st.integers(0, 4))}" for k in names if k != param)
+    return name, param, fix or None
+
+
+_sweeps = st.tuples(st.sampled_from(family_names()), _sweep_params, _sweep_fixes) | _well_formed_sweeps()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweeps, _sweep_ranges)
+def test_sweep_exit_codes_on_arbitrary_ranges(sweep, text):
+    """`sweep` answers 0 or 4 and lets no exception escape.  A range over
+    the budget exits 4, refused by its row count: no test case may build
+    more than the three members of the longest small range."""
+    name, param, fix = sweep
+    argv = ["sweep", name, "--param", param, f"--range={text}"]
+    if fix is not None:
+        argv += ["--fix", fix]
+    built = []
+
+    def generate_at_most_three(spec):
+        built.append(spec)
+        assert len(built) <= 3, f"sweep {text} built a fourth member"
+        return generate(spec)
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.object(kdg.cli, "generate", generate_at_most_three):
+            code = main(argv)
+    assert code in {0, 4}
+    if code == 0:
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert rows[0][0] == "param" and all(row[-1] == "true" for row in rows[1:])
+    else:
+        assert err.getvalue().startswith("error: ")
+    try:
+        lo, hi = map(int, text.split(".."))
+    except ValueError:  # not a range, or ends too long to parse
+        return
+    if hi - lo + 1 > kdg.cli.SWEEP_ROW_BUDGET:
+        assert code == 4 and not built
 
 
 def test_limit_named_string(tmp_path):

@@ -122,6 +122,36 @@ def test_lookups_leave_equality_and_hash_alone():
     assert repr(g) == repr(twin)
 
 
+def test_cached_graph_data_stays_private():
+    """Callers get new maps from `intersection_rows` and new lists from
+    `connected_components`, so changing them leaves the graph's cached
+    adjacency and components alone; equal graphs stay equal and hash alike
+    whether or not their caches are filled."""
+    vertices = [("a", 0, -2), ("b", 0, -3), ("c", 0, -2), ("d", 1, -4)]
+    g = build_graph(vertices, [("a", "b", 2), ("b", "c", 1)])
+    twin = build_graph(vertices, [("c", "b"), ("b", "a", 2)])
+    adjacency = [dict(row) for row in g.adjacency()]
+    assert g.adjacency() is g.adjacency()
+    rows = intersection_rows(g)
+    expected = [dict(row) for row in rows]
+    for row in rows:
+        row[0] = 7
+        row.pop(1, None)
+    rows[2].clear()
+    assert [dict(row) for row in g.adjacency()] == adjacency
+    assert intersection_rows(g) == expected
+    comps = connected_components(g)
+    comps[0].append(3)
+    comps.pop()
+    assert connected_components(g) == [[0, 1, 2], [3]]
+    assert not is_connected(g)
+    assert g == twin and hash(g) == hash(twin)
+    for graph in (g, twin):
+        validate(graph)
+        intersection_rows(graph)
+    assert g == twin and hash(g) == hash(twin)
+
+
 def test_build_graph_rejects_bad_input():
     with pytest.raises(InvalidGraphError, match="at least one vertex"):
         build_graph([], [])

@@ -22,6 +22,7 @@ from kdg.invariants import (
     RATIONAL_DOUBLE,
     RATIONAL_OTHER,
     RATIONAL_TRIPLE,
+    Cycle,
     _class_invariants,
     _form,
     bound_checks,
@@ -280,6 +281,37 @@ def test_form_matches_dense_quadratic_form(g, data):
     form = _form(weights, g.adjacency(), v_int)
     assert type(form) is int and form == quadratic_form(m, v_int)
     assert _form(weights, g.adjacency(), v_rat) == quadratic_form(m, v_rat)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=150)
+def test_cycle_degrees_match_dense_form(seed, integral, as_cycle, data):
+    """`cycle_degrees` and `cycle_pa` against the dense `quadratic_form` and
+    `dot`, on integral cycles (their integer path) and on rational ones."""
+    rng = random.Random(seed)
+    g = random_admissible(rng, EnumBounds(6, min_self=-6, max_genus=2, max_edge_multiplicity=2))
+    n = len(g)
+    entries = st.integers(-9, 9)
+    if not integral:
+        entries = entries | st.fractions(-5, 5, max_denominator=7)
+    d = data.draw(st.lists(entries, min_size=n, max_size=n))
+    arg = Cycle.from_coefficients(d) if as_cycle else d
+    d_sq = quadratic_form(intersection_matrix(g), d)
+    k_dot = dot(d, adjunction_degrees(g))
+    degrees = cycle_degrees(g, arg)
+    assert degrees == (d_sq, k_dot)
+    assert all(type(x) is Fraction for x in degrees)
+    if all(Fraction(x).denominator == 1 for x in d):
+        pa = cycle_pa(g, arg)
+        assert type(pa) is int and pa == 1 + (d_sq + k_dot) / 2
+    else:
+        with pytest.raises(PreconditionError):
+            cycle_pa(g, arg)
+    for wrong in (d + [Fraction(1, 2)], d[:-1]):
+        with pytest.raises(ValueError):
+            cycle_degrees(g, wrong)
+        with pytest.raises(ValueError):
+            cycle_pa(g, wrong)
 
 
 def test_cycle_degrees_of_canonical_cycle_on_family_grid():
