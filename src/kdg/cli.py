@@ -3,8 +3,8 @@
 Subcommands: compute, family, sweep, limit, enumerate, verify.  Exit codes
 follow the contract in errors.py: 0 success, 2 invalid input graph, 3 not
 negative definite, 4 precondition violation (including a sweep range over
-SWEEP_ROW_BUDGET rows and a result too long to print), 5 internal assertion
-failure.
+SWEEP_ROW_BUDGET rows, a family member over the family vertex budget and a
+result too long to print), 5 internal assertion failure.
 Decimal columns are display-only renderings of the exact values next to
 them.  The argument parser is built once, at import.
 """
@@ -120,7 +120,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     spec = family_spec(args.name, **_parse_params(args.params))
-    _emit(graph_to_json(generate(spec)), args.out, str(spec))
+    g = generate(spec)
+    _emit(_printable(lambda: graph_to_json(g)), args.out, str(spec))
     return 0
 
 
@@ -139,10 +140,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = family_spec(args.name, **{**fixed, args.param: value})
         direct = k_squared(generate(spec))
         formula = closed_form_k2(spec)
-        rows.append(
-            [value, rat_str(direct), rat_decimal(direct), rat_str(formula),
-             "true" if direct == formula else "false"]
-        )
+        rows.append(_printable(lambda: [
+            value, rat_str(direct), rat_decimal(direct), rat_str(formula),
+            "true" if direct == formula else "false",
+        ]))
     _emit(_csv_text(rows), args.csv, f"{count} rows")
     return 0
 

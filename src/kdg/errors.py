@@ -11,7 +11,8 @@ Every error carries the exit code the CLI maps it to:
        parameters, p_a search over its work budget, an enumeration box with
        more search tasks than its budget or with a task that visits more
        search nodes than its budget, a `sweep` range with more rows than
-       its budget, a result with more digits than the interpreter prints)
+       its budget, a family member with more vertices than its budget, a
+       result with more digits than the interpreter prints)
     5  internal assertion failure (an exact identity that must hold did not)
 """
 

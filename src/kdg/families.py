@@ -146,6 +146,24 @@ def _check_domain(spec: FamilySpec) -> None:
         _require(p["w"] >= 1, "simple_elliptic needs w >= 1")
 
 
+#: Vertices `generate` may build for one spec; a larger member is refused
+#: with a `PreconditionError` (exit code 4), counted before anything is built.
+FAMILY_VERTEX_BUDGET = 100_000
+
+# Vertices of each family's member besides its chains of lengths n, s and t.
+_FIXED_VERTICES = {
+    "A": 0, "D": 0, "E6": 6, "E7": 7, "E8": 8,
+    "I": 1, "II": 4, "III": 1, "IV": 6, "V": 7, "VI": 3, "VII": 7, "VIII": 8, "IX": 8,
+    "two_curve": 2, "tail": 1, "two_tail": 1, "double_three": 2,
+    "simple_elliptic": 1, "non_lc_star": 5,
+}
+
+
+def vertex_count(spec: FamilySpec) -> int:
+    """Vertices of `generate(spec)`, from the parameters alone."""
+    return _FIXED_VERTICES[spec.name] + sum(v for k, v in spec.params if k in ("n", "s", "t"))
+
+
 def _chain_ids(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
@@ -155,8 +173,15 @@ def _chain_edges(ids: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def generate(spec: FamilySpec) -> WeightedDualGraph:
-    """The dual graph of this family member."""
+    """The dual graph of this family member.  PreconditionError when it
+    would have more than FAMILY_VERTEX_BUDGET vertices."""
     _check_domain(spec)
+    if vertex_count(spec) > FAMILY_VERTEX_BUDGET:
+        # the count itself may have too many digits to print
+        raise PreconditionError(
+            f"family {spec.name} with these parameters has more than"
+            f" {FAMILY_VERTEX_BUDGET} vertices, its vertex budget"
+        )
     p = dict(spec.params)
     name = spec.name
     verts: list[tuple[str, int, int]] = []

@@ -229,35 +229,6 @@ def _pa_of(weights, adj, c, d) -> int:
     return 1 + (_form(weights, adj, d) + sum(map(mul, d, c))) // 2
 
 
-def _ellipsoid_levels(weights: Sequence[int], adj, c: Sequence[int]):
-    """Symmetric elimination of -M, last level first, by `sparse_bareiss`
-    on the rows of -M with c riding along; M must be negative definite.
-
-    `weights` and `adj` give M by its diagonal and its adjacency maps.
-    Returns (order, piv, lower, const): `order` lists the vertices level by
-    level, the reverse of the leaf-first elimination order, so on a
-    connected graph it runs breadth-first from vertex 0.  With x indexed by
-    level,
-    (x - D*)^T (-M) (x - D*) = sum_k piv[k] * (x_k - mid_k)^2, D* = -m/2 for
-    M m = c, and mid_k = const[k] - sum_{(l, f) in lower[k]} f * x_l, so
-    mid_k depends only on the levels before k.  At x = 0 the form is
-    -K^2/4 = sum_k piv[k] * const[k]^2.
-    """
-    rows = [{j: -mult for j, mult in adj[v].items()} | {v: -w} for v, w in enumerate(weights)]
-    rhs = list(c)
-    elim, pivots = sparse_bareiss(rows, rhs)
-    n = len(elim)
-    level = {v: n - 1 - k for k, v in enumerate(elim)}
-    piv, lower, const = [], [], []
-    prev = 1
-    for p, d in zip(elim, pivots):
-        piv.append(Fraction(d, prev))
-        lower.append([(level[j], Fraction(x, d)) for j, x in rows[p].items() if x])
-        const.append(Fraction(rhs[p], 2 * d))
-        prev = d
-    return elim[::-1], piv[::-1], lower[::-1], const[::-1]
-
-
 def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     """Max of p_a(D) = 1 + (D^2 + K.D)/2 over all integral cycles D with
     0 < D <= bound * Z componentwise, Z the fundamental cycle.
@@ -281,11 +252,15 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     3. Ellipsoid pruning (Fincke & Pohst, Math. Comp. 44, 1985): with
        D* = -m/2 and M m = c, p_a(D) = 1 + (-K^2)/8 - (D - D*)^T (-M) (D - D*)/2,
        so p_a(D) > best confines D to an ellipsoid that shrinks as best
-       rises.  Coordinates are fixed depth-first in breadth-first vertex
-       order, each one within the exact projection of the ellipsoid given
-       the coordinates fixed before it, and within the bounds of step 2
-       that those coordinates imply.  It all runs on integers scaled by
-       one common denominator.
+       rises.  Its levels are the pivots D_k and rows of -M as
+       `sparse_bareiss` leaves them (Bareiss, Math. Comp. 22, 1968), last
+       eliminated first, so breadth-first on a connected graph: the form is
+       sum_k u_k^2 / (4 D_k D_(k-1)), u_k affine in the coordinate of level
+       k and those before it.  Coordinates are fixed depth-first, each one
+       within the exact projection of the ellipsoid given the coordinates
+       fixed before it, and within the bounds of step 2 that those
+       coordinates imply.  It all runs on integers scaled by the lcm of the
+       4 D_k D_(k-1).
 
     Raises `PreconditionError` (exit code 4) when the search visits more
     than `PA_SEARCH_BUDGET` nodes.
@@ -301,25 +276,29 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     if best == 0:
         return 0
     best = max(_pa_of(weights, adj, c, [t * zi for zi in z]) for t in range(1, bound + 1))
-    order, piv, lower, const = _ellipsoid_levels(weights, adj, c)
+    # Level k holds the vertex that `sparse_bareiss` eliminates k-th from
+    # last in the rows of -M, c riding along; piv[k] is its pivot D_k and
+    # piv[k + 1] the one before it, D_(k-1) (1 for the first).  Times unit,
+    # the form is sum_k scale[k] * u_k^2, with u_k = den[k] * x_k - (cst[k]
+    # - sum f * x_l over (l, f) in low[k]); at x = 0 it is base = unit * -K^2/4.
+    rows = [{j: -mult for j, mult in adj[v].items()} | {v: -w} for v, w in enumerate(weights)]
+    rhs = list(c)
+    elim, pivots = sparse_bareiss(rows, rhs)
+    order = elim[::-1]
+    piv = pivots[::-1] + [1]
     level = {v: k for k, v in enumerate(order)}
     w = [weights[v] for v in order]
     nbrs = [[(level[j], mult) for j, mult in adj[v].items()] for v in order]
-    quarter_k2 = sum((p * q * q for p, q in zip(piv, const)), Fraction(0))
-    if quarter_k2 < 2 * best:
-        return best
-
-    # Level k in integers: mid_k = (cst[k] - sum f * x_l) / den[k] over
-    # (l, f) in low[k], and its term of the form is scale[k] * u^2 / unit
-    # with u = den[k] * x_k - den[k] * mid_k.
-    den = [lcm(const[k].denominator, *(f.denominator for _, f in lower[k])) for k in range(n)]
-    cst = [int(const[k] * den[k]) for k in range(n)]
-    low = [[(l, int(f * den[k])) for l, f in lower[k]] for k in range(n)]
-    terms = [piv[k] / den[k] ** 2 for k in range(n)]
-    unit = lcm(quarter_k2.denominator, *(t.denominator for t in terms))
-    scale = [int(t * unit) for t in terms]
-    base = int(quarter_k2 * unit)
+    den = [2 * d for d in piv[:n]]
+    cst = [rhs[v] for v in order]
+    low = [[(level[j], 2 * f) for j, f in rows[v].items() if f] for v in order]
+    quad = [4 * piv[k] * piv[k + 1] for k in range(n)]
+    unit = lcm(*quad)
+    scale = [unit // q for q in quad]
+    base = sum(s * b * b for s, b in zip(scale, cst))
     limit = base - 2 * best * unit  # find D with form * unit <= limit
+    if limit < 0:
+        return best
 
     slack = [g.vertices[v].genus - weights[v] - 1 for v in order]
     z_lv = [z[v] for v in order]

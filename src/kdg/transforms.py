@@ -521,6 +521,10 @@ def _splice(
 def _resolve_designated(
     g: WeightedDualGraph, strings: Sequence[StringDescriptor]
 ) -> list[StringDescriptor]:
+    """The maximal strings of g that `strings` designate, in order, as
+    `detect_strings` gives them; PreconditionError for any other
+    descriptor.  What `detect_strings` gives passes `_check_string_structure`,
+    so callers splice them with `_splice` and check nothing again."""
     if not strings:
         raise PreconditionError("at least one designated string is required")
     detected = {frozenset(s.chain): s for s in detect_strings(g)}
@@ -592,7 +596,7 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
             # splice to length 2 first: the limit direction only depends on
             # the family, and in the frozen branch the value is constant, so
             # the reported number is unchanged either way
-            work, grown = with_string_length(work, descs[i], 2)
+            work, grown = _splice(work, descs[i], 2)
             assert grown is not None
             descs[i] = grown
     stretched: list[StringDescriptor] = []
@@ -657,8 +661,6 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     """
     _check_negative_definite(g)
     (desc,) = _resolve_designated(g, [s])
-    # every sample splices the same string of g, so check it once
-    _check_string_structure(g, desc, allow_empty=False)
     lengths = [0, 1, 2]
     values = []
     for length in lengths:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kdg.cli
@@ -115,6 +115,59 @@ def test_family_bad_params():
     assert run("family", "X").returncode == 2
 
 
+def test_family_vertex_budget_exits_4(monkeypatch, capsys):
+    """A member over FAMILY_VERTEX_BUDGET exits 4 from its count alone,
+    for `family` and for a `sweep` row."""
+    monkeypatch.setattr(kdg.families, "build_graph", None)  # building would raise
+    assert main(["family", "A", "--params", "n=10000000"]) == 4
+    assert main(["sweep", "I", "--param", "n", "--range", "99999..99999", "--fix", "s=1,t=0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: family A with these parameters has more than 100000 vertices, its vertex budget",
+        "error: family I with these parameters has more than 100000 vertices, its vertex budget",
+    ]
+
+
+# ends of the most digits an int literal may have, and one more
+_huge_values = st.sampled_from(["8" * 4300, "-" + "8" * 4300, "9" * 4301])
+# a chain length past the small ones is over the vertex budget, so no case
+# builds a large member
+_param_values = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(kdg.families.FAMILY_VERTEX_BUDGET + 1, 10**40).map(str),
+    _huge_values,
+)
+
+
+@st.composite
+def _family_params(draw):
+    """A family and `--params` text: its own parameter names, other names,
+    or any text, with small, large and unparsable values."""
+    name = draw(st.sampled_from(family_names()))
+    own = ",".join(f"{k}={draw(_param_values)}" for k in kdg.families._PARAMS[name])
+    names = st.sampled_from(["n", "s", "t", "k", "m", "r", "w", "x", " n", ""])
+    other = st.lists(st.tuples(names, _param_values).map("=".join), max_size=5).map(",".join)
+    return name, draw(st.just(own) | other | st.text(max_size=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_params())
+@example(("two_curve", f"k={'8' * 4300},m=1,n=1"))  # self-intersection of 4301 digits
+def test_family_exit_codes_on_arbitrary_params(family):
+    """`family` answers 0, 2, 3 or 4 and lets no exception escape; what it
+    prints on 0 is a graph within the vertex budget."""
+    name, params = family
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["family", name, f"--params={params}"])
+    assert code in {0, 2, 3, 4}
+    if code == 0:
+        assert len(parse_graph_json(out.getvalue())) <= kdg.families.FAMILY_VERTEX_BUDGET
+    else:
+        assert err.getvalue().startswith("error: ")
+
+
 def test_sweep_csv():
     res = run("sweep", "IV", "--param", "n", "--range", "0..2")
     assert res.returncode == 0
@@ -168,7 +221,7 @@ _sweep_ranges = st.one_of(
     st.sampled_from(["9" * 4300, "9" * 4301]).map(lambda hi: f"-{hi}..{hi}"),
 )
 _sweep_fixes = st.none() | st.lists(
-    st.tuples(_sweep_params, st.integers(-2, 6)).map(lambda t: f"{t[0]}={t[1]}"), max_size=3
+    st.tuples(_sweep_params, st.integers(-2, 6).map(str) | _huge_values).map("=".join), max_size=3
 ).map(",".join)
 
 
@@ -187,6 +240,7 @@ _sweeps = st.tuples(st.sampled_from(family_names()), _sweep_params, _sweep_fixes
 
 @settings(max_examples=300, deadline=None)
 @given(_sweeps, _sweep_ranges)
+@example(("two_curve", "n", f"k={'8' * 4300},m=1"), "1..1")  # -K^2 too long to print
 def test_sweep_exit_codes_on_arbitrary_ranges(sweep, text):
     """`sweep` answers 0 or 4 and lets no exception escape.  A range over
     the budget exits 4, refused by its row count: no test case may build
@@ -587,6 +641,51 @@ def test_compute_exit_codes_on_arbitrary_input(data):
     assert code in {0, 2, 3, 4, 5}
     if code == 0:
         json.loads(out.getvalue())
+    else:
+        assert err.getvalue().startswith("error: ")
+
+
+@st.composite
+def _small_trees(draw):
+    """Trees of 1-6 vertices, mostly genus-0 (-2)-curves, now and then with
+    a double edge or one more edge: graphs with strings to stretch."""
+    ids = "abcdef"[: draw(st.integers(1, 6))]
+    data = st.tuples(st.sampled_from([0] * 5 + [1]), st.sampled_from([-2] * 5 + [-3, -4, -1]))
+    vertices = [dict(zip(("id", "genus", "self"), (i, *draw(data)))) for i in ids]
+    edges = [
+        {"a": ids[draw(st.integers(0, k - 1))], "b": ids[k], "m": draw(st.sampled_from([1, 1, 1, 2]))}
+        for k in range(1, len(ids))
+    ]
+    pairs = st.fixed_dictionaries({"a": st.sampled_from(ids), "b": st.sampled_from(ids)})
+    return {"vertices": vertices, "edges": edges + draw(st.lists(pairs, max_size=1) | st.just([]))}
+
+
+_limit_tokens = st.sampled_from(["a", "b", "c", "d", "e", "f", "0", "3", "9", "-1", " b", "", "zz"])
+_limit_strings = st.one_of(
+    st.just("auto"),
+    st.sampled_from("abcdef"),
+    st.lists(_limit_tokens, min_size=1, max_size=3).map(",".join),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_trees() | _graph_docs, _limit_strings)
+def test_limit_exit_codes_on_arbitrary_input(doc, strings):
+    """`limit` on a small graph with any `--strings` text answers 0, 2, 3
+    or 4 and lets no exception escape."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["limit", path, f"--strings={strings}"])
+    finally:
+        os.unlink(path)
+    assert code in {0, 2, 3, 4}, err.getvalue()
+    if code == 0:
+        assert "limit of -K^2" in out.getvalue() or "no finite limit" in out.getvalue()
     else:
         assert err.getvalue().startswith("error: ")
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import kdg.families
+from kdg.checks import _family_corpus
 from kdg.errors import PreconditionError, SingularLimitError
 from kdg.families import (
     closed_form_k2,
@@ -12,6 +14,7 @@ from kdg.families import (
     stretch_descriptor,
     stretchable_parameters,
     two_curve_coefficient,
+    vertex_count,
 )
 from kdg.graph import adjunction_degrees, validate
 from kdg.invariants import canonical_cycle, k_squared
@@ -115,6 +118,23 @@ def test_generated_members_match_closed_forms():
         g = generate(spec)
         assert validate(g).admissible, str(spec)
         assert k_squared(g) == closed_form_k2(spec), str(spec)
+
+
+def test_vertex_count_is_the_built_size():
+    for spec in _family_corpus():
+        assert vertex_count(spec) == len(generate(spec)), str(spec)
+
+
+def test_vertex_budget_is_checked_before_building(monkeypatch):
+    """generate refuses a member over FAMILY_VERTEX_BUDGET by its count
+    alone; at the budget it builds."""
+    spec = family_spec("I", n=1, s=2, t=3)
+    monkeypatch.setattr(kdg.families, "FAMILY_VERTEX_BUDGET", 7)
+    assert len(generate(spec)) == 7
+    monkeypatch.setattr(kdg.families, "build_graph", None)  # building would raise
+    monkeypatch.setattr(kdg.families, "FAMILY_VERTEX_BUDGET", 6)
+    with pytest.raises(PreconditionError, match="family I with these parameters has more than 6 vertices"):
+        generate(spec)
 
 
 def test_two_curve_values():

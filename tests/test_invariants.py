@@ -373,6 +373,25 @@ def test_pa_search_budget_guard(monkeypatch):
     assert pa_max_bounded(generate(family_spec("E8"))) == 0
 
 
+@pytest.mark.parametrize(
+    "g, pa, nodes",
+    [
+        (tail_graph(3, -1, 40), 7, 121),
+        (tail_graph(2, -1, 40), 4, 120),
+        (generate(family_spec("tail", r=6, k=1, n=40)), 4, 75),
+    ],
+    ids=["tail_graph(3,-1,40)", "tail_graph(2,-1,40)", "tail(r=6,k=1,n=40)"],
+)
+def test_pa_search_node_counts(monkeypatch, g, pa, nodes):
+    """The pruning's strength, pinned: the search visits exactly `nodes`
+    nodes, so it passes at that budget and gives up one node below."""
+    monkeypatch.setattr(invariants, "PA_SEARCH_BUDGET", nodes)
+    assert pa_max_bounded(g) == pa
+    monkeypatch.setattr(invariants, "PA_SEARCH_BUDGET", nodes - 1)
+    with pytest.raises(PreconditionError, match=f"exceeded its budget of {nodes - 1} nodes"):
+        pa_max_bounded(g)
+
+
 def test_classify_other():
     g = build_graph([("a", 0, -3), ("b", 0, -3)], [("a", "b", 1)])
     # -Z^2 = 4 rules out double and triple

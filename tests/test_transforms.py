@@ -425,6 +425,25 @@ def test_limit_matches_schur_oracle(seed, data):
     assert got == want
 
 
+def check_detected_strings(g):
+    for s in detect_strings(g):
+        transforms._check_string_structure(g, s, allow_empty=False)
+
+
+def test_detected_strings_pass_the_structure_check_on_family_corpus():
+    for spec in _family_corpus():
+        check_detected_strings(generate(spec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_detected_strings_pass_the_structure_check(seed):
+    """`limit_k_squared` and `mobius_limit_crosscheck` splice what
+    `_resolve_designated` matched to `detect_strings` without checking it
+    again, so every detected string must pass `with_string_length`'s check."""
+    check_detected_strings(random_admissible(random.Random(seed), LIMIT_BOUNDS))
+
+
 def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
     sizes = []
     real = transforms.k_squared
