@@ -26,8 +26,11 @@ test therefore runs as each column closes, on the block closed so far, and
 cuts every subtree below a non-minimal block; at the last column it is the
 full test.  The permutations are still listed
 one by one, a product of factorials, which is why max_vertices is capped
-at 8.  Connectivity, when required, is read at the leaves from neighbour
-bitmasks kept as entries are assigned.
+at 8.  Connectivity, when required, is read from neighbour bitmasks kept as
+entries are assigned, when the last entry is set and before that full test:
+both cut only the leaf and connectivity is an isomorphism invariant, so the
+order does not change the output, and connectivity is far the cheaper test
+while many minimal fillings are disconnected.
 
 Work is bounded twice.  The tasks, one per vertex-data multiset, are
 counted with one binomial per vertex count before any is built, and a box
@@ -35,13 +38,15 @@ with more than ENUM_TASK_BUDGET of them is refused; a task that visits
 more than ENUM_NODE_BUDGET search nodes stops the enumeration.  Both raise
 `PreconditionError` (exit code 4).
 
-Each class's spectrum entry is computed straight from integers: the
-encoding is decoded to vertex data and adjacency (`_decode`), and
-`invariants._class_invariants` reads definiteness, -K^2 (cross-checked two
-ways), the numerical index, Z^2 and the class from one sparse Bareiss
-factorization of M, fed straight from the adjacency maps with c riding
-along, and one run of Laufer's sequence, with no graph object and no
-`Fraction` matrix.
+Each class is factored once, by the search.  What a leaf yields is a
+function of the search's state there: `enumerate_encodings` keeps the
+encoding alone, and `enumerate_admissible` the spectrum entry, computed in
+the search (and so in its worker when jobs > 1) by
+`invariants._class_invariants` from the leaf's vertex data, adjacency maps,
+leading minors and Bareiss entries.  It checks definiteness, reads -K^2
+(cross-checked two ways), the numerical index, Z^2 and the class from that
+factorization and one run of Laufer's sequence, with no graph object, no
+`Fraction` matrix and no encoding parsed.
 """
 
 from __future__ import annotations
@@ -51,10 +56,11 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, isqrt
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import PreconditionError
 from .graph import WeightedDualGraph, build_graph, validate
@@ -74,6 +80,13 @@ ENUM_TASK_BUDGET = 100_000
 ENUM_NODE_BUDGET = 1_000_000
 
 VertexDatum = tuple[int, int]
+
+T = TypeVar("T")
+
+#: What the search yields at a leaf, from the vertex data, the (i, j, m)
+#: pairs with m > 0, the leading principal minors piv[0..r] (piv[0] = 1)
+#: and the Bareiss entries lower[j][k] = a^(k)_{j,k}, k < j.
+Leaf = Callable[[Sequence[VertexDatum], list[tuple[int, int, int]], list[int], list[list[int]]], T]
 
 
 @dataclass(frozen=True)
@@ -224,8 +237,9 @@ def _reaches_all(nbr: list[int]) -> bool:
     return seen == (1 << len(nbr)) - 1
 
 
-def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds]) -> list[str]:
-    """All canonical admissible adjacency fillings for one vertex-data multiset.
+def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds], leaf: Leaf[T]) -> list[T]:
+    """`leaf` of every canonical admissible adjacency filling for one
+    vertex-data multiset.
 
     The search keeps the fraction-free factorization of its negative
     definite prefix, one entry deeper at each level, and prunes every entry
@@ -233,14 +247,18 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds]) -> list[str]:
     When entry (j-1, j) closes column j, the leading block on {0..j} must be
     lexicographically minimal, in `_positions` order, among its images
     under the data-preserving permutations of {0..j}, or the subtree is cut.
-    Raises `PreconditionError` past `ENUM_NODE_BUDGET` search nodes.
+    When the last entry closes the last column and `bounds.connected_only`
+    is set, a disconnected filling is cut before that comparison.  A leaf
+    is called with the full factorization of M; a single vertex, which
+    needs no search, with piv = [1, w].  Raises `PreconditionError` past
+    `ENUM_NODE_BUDGET` search nodes.
     """
     data, bounds = task
     max_mult = bounds.max_edge_multiplicity
     r = len(data)
     weights = [w for _, w in data]
     if r == 1:
-        return [_encode(data, [])] if weights[0] <= -2 or data[0][0] > 0 else []
+        return [leaf(data, [], [1, weights[0]], [[0]])] if weights[0] <= -2 or data[0][0] > 0 else []
     positions = _positions(r)
     index = [[0] * r for _ in range(r)]
     for k, (a, b) in enumerate(positions):
@@ -260,7 +278,8 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds]) -> list[str]:
     # vertices joined to v so far
     key = [0] * len(positions)
     nbr = [0] * r
-    found: list[str] = []
+    last = len(positions) - 1
+    found: list[T] = []
     piv = [1, weights[0]] + [0] * (r - 1)
     lower = [[0] * r for _ in range(r)]
     # diag[i]: determinant of the principal block on {0..i-1, j} for the
@@ -276,10 +295,9 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds]) -> list[str]:
                 f"enumeration box {bounds} is over its search budget: the task for"
                 f" vertex data {data} visited more than {ENUM_NODE_BUDGET} nodes"
             )
-        if pos == len(positions):
-            if not bounds.connected_only or _reaches_all(nbr):
-                pairs = [(i, j, key[k]) for k, (i, j) in enumerate(positions) if key[k]]
-                found.append(_encode(data, pairs))
+        if pos > last:
+            pairs = [(i, j, key[k]) for k, (i, j) in enumerate(positions) if key[k]]
+            found.append(leaf(data, pairs, piv, lower))
             return
         i, j = positions[pos]
         if i == 0:
@@ -296,6 +314,8 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds]) -> list[str]:
             diag[i + 1] = d
             if i == j - 1:
                 piv[j + 1] = d
+                if pos == last and bounds.connected_only and not _reaches_all(nbr):
+                    continue
                 block = tuple(key[: pos + 1])
                 if any(image(key) < block for image in rivals[pos]):
                     continue
@@ -335,32 +355,47 @@ def _tasks(bounds: EnumBounds) -> list[tuple[tuple[VertexDatum, ...], EnumBounds
     return tasks
 
 
-def enumerate_encodings(bounds: EnumBounds, jobs: int = 1) -> list[str]:
-    """Sorted canonical encodings of every admissible graph within bounds.
+def _enumerate(bounds: EnumBounds, jobs: int, leaf: Leaf[T]) -> list[T]:
+    """Every leaf value of the search within bounds, sorted.
 
     `jobs` is clamped to the number of CPUs: the pool starts every worker
     at once."""
     tasks = _tasks(bounds)
+    search = partial(_search_data, leaf=leaf)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_search_data, tasks, chunksize=16))
+            chunks = list(pool.map(search, tasks, chunksize=16))
     else:
-        chunks = [_search_data(t) for t in tasks]
+        chunks = [search(t) for t in tasks]
     merged = set()
     for chunk in chunks:
         merged.update(chunk)
     return sorted(merged)
 
 
+def _encoding_leaf(data, pairs, piv, lower) -> str:
+    return _encode(data, pairs)
+
+
+def _entry_leaf(data, pairs, piv, lower) -> SpectrumEntry:
+    adj: list[dict[int, int]] = [{} for _ in data]
+    for i, j, m in pairs:
+        adj[i][j] = adj[j][i] = m
+    return SpectrumEntry(_encode(data, pairs), *_class_invariants(data, adj, piv, lower))
+
+
+def enumerate_encodings(bounds: EnumBounds, jobs: int = 1) -> list[str]:
+    """Sorted canonical encodings of every admissible graph within bounds."""
+    return _enumerate(bounds, jobs, _encoding_leaf)
+
+
 def enumerate_admissible(bounds: EnumBounds, jobs: int = 1) -> list[SpectrumEntry]:
-    """Spectrum entries for every isomorphism class within bounds."""
+    """Spectrum entries for every isomorphism class within bounds, sorted by
+    encoding."""
     if not bounds.connected_only:
         raise PreconditionError("spectrum entries need connected graphs")
-    return [
-        SpectrumEntry(encoding, *_class_invariants(*_decode(encoding)))
-        for encoding in enumerate_encodings(bounds, jobs=jobs)
-    ]
+    return _enumerate(bounds, jobs, _entry_leaf)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .graph import (
 )
 from .rational import (
     RatVector,
-    back_substitute,
     is_negative_definite,
     lcm_denominators,
     negative_pivots,
@@ -422,37 +421,50 @@ def _class_of(k2: Fraction, data: Sequence[tuple[int, int]], z_sq, pa: Optional[
     return NON_RATIONAL
 
 
-def _class_invariants(data: Sequence[tuple[int, int]], adj) -> tuple[Fraction, str, int, int]:
+def _class_invariants(
+    data: Sequence[tuple[int, int]], adj, piv: Sequence[int], lower: Sequence[Sequence[int]]
+) -> tuple[Fraction, str, int, int]:
     """(-K^2, classification, Z^2, numerical index) of a connected graph,
-    given its (genus, self-intersection) pairs and its adjacency maps
-    (neighbour index -> multiplicity), from one `sparse_bareiss` call on
-    the rows of M, each adjacency map plus its diagonal entry, with c
-    riding along.
+    given its (genus, self-intersection) pairs, its adjacency maps
+    (neighbour index -> multiplicity) and the fraction-free (Bareiss)
+    factorization of M in vertex order that the enumerator's search holds
+    at a leaf: `piv[k]` is the k-th leading principal minor (piv[0] = 1)
+    and `lower[j][k]`, for k < j, the Bareiss entry a^(k)_{j,k}.  As M is
+    symmetric, a^(k)_{k,j} = a^(k)_{j,k}, so `lower` is the upper factor too.
 
     The values and checks are those of `k_squared`, `classify`,
     `cycle_degrees` on `fundamental_cycle`, and `numerical_index`, read off
-    that single factorization with no `Fraction` matrix:
+    that factorization with no `Fraction` matrix:
 
     - negative definiteness from the pivot signs, as in
-      `is_negative_definite`; `NotNegativeDefiniteError` otherwise, a zero
-      pivot included;
-    - y = d m by integer back substitution, d = det M and M m = c;
+      `is_negative_definite`; `NotNegativeDefiniteError` otherwise;
+    - c reduced forward, b_j <- (piv[k+1] b_j - a^(k)_{j,k} b_k) / piv[k],
+      then y = d m by back substitution, d = det M and M m = c;
     - -K^2 both as -y.c / d and as -t(y) M y / d^2, which must agree;
     - the numerical index |d| / gcd(d, y_1, ..., y_n);
     - Z by Laufer's sequence, whose final products Z.A_i give Z^2, and
       p_a(Z) from Z^2 + K.Z;
     - the class by `classify`'s rules.
+
+    Every division is exact.
     """
+    n = len(data)
+    if not negative_pivots(piv[1 : n + 1]):
+        raise NotNegativeDefiniteError("intersection matrix is not negative definite")
     weights = [w for _, w in data]
     c = [2 * genus - 2 - w for genus, w in data]
-    rows = [adj[i] | {i: w} for i, w in enumerate(weights)]
-    rhs = c.copy()
-    done = sparse_bareiss(rows, rhs)
-    if done is None or not negative_pivots(done[1]):
-        raise NotNegativeDefiniteError("intersection matrix is not negative definite")
-    order, pivots = done
-    d = pivots[-1]
-    y = back_substitute(rows, rhs, order, pivots)
+    b = c.copy()
+    for k in range(n - 1):
+        p, q, bk = piv[k + 1], piv[k], b[k]
+        for j in range(k + 1, n):
+            b[j] = (p * b[j] - lower[j][k] * bk) // q
+    d = piv[n]
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        acc = d * b[k]
+        for j in range(k + 1, n):
+            acc -= lower[j][k] * y[j]
+        y[k] = acc // piv[k + 1]
     k2 = _checked_k_squared(weights, adj, c, y, d)
     index = abs(d) // gcd(d, *y)
     z, products = _laufer(weights, adj)

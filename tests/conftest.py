@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from kdg.enumeration import EnumBounds, _decode, enumerate_admissible, enumerate_encodings
+from kdg.enumeration import (
+    EnumBounds,
+    _bordered_entries,
+    _decode,
+    _positions,
+    enumerate_admissible,
+    enumerate_encodings,
+)
 from kdg.graph import adjunction_degrees, intersection_matrix
 from kdg.rational import dot, solve
 
@@ -32,6 +39,31 @@ def encoding_vertex_data(encoding: str) -> list[tuple[int, int]]:
         g, w = part.split(",")
         out.append((int(g), int(w)))
     return out
+
+
+def search_factorization(m, extra=0, check=None):
+    """(piv, lower) as `_search_data` holds them at the leaf of the
+    negative definite integer matrix m: walk its entries in search order,
+    offering the values 0..m_ij + extra at each through `_bordered_entries`
+    and keeping m_ij.  `check(i, j, cap, kept)`, if given, sees each offer,
+    kept mapping every value that survives to its (Bareiss entry, minor)."""
+    n = len(m)
+    piv = [1, m[0][0]] + [0] * (n - 1)
+    lower = [[0] * n for _ in range(n)]
+    diag = [0] * n
+    for i, j in _positions(n):
+        if i == 0:
+            diag[0] = m[j][j]
+        cap = m[i][j] + extra
+        kept = {v: (x, d) for v, x, d in _bordered_entries(piv, lower[i], lower[j], diag[i], i, cap)}
+        if check is not None:
+            check(i, j, cap, kept)
+        x, d = kept[m[i][j]]
+        lower[j][i] = x
+        diag[i + 1] = d
+        if i == j - 1:
+            piv[j + 1] = d
+    return piv, lower
 
 
 def quick_k_squared(g) -> Fraction:

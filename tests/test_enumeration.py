@@ -8,13 +8,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import kdg.enumeration
+import kdg.invariants
 from kdg.cli import main
 from kdg.enumeration import (
     ENUM_TASK_BUDGET,
     MAX_ENUM_VERTICES,
     EnumBounds,
-    _bordered_entries,
-    _positions,
     canonical_encoding,
     enumerate_admissible,
     enumerate_encodings,
@@ -25,7 +24,7 @@ from kdg.enumeration import (
 from kdg.errors import PreconditionError
 from kdg.graph import build_graph, validate
 
-from .conftest import quick_k_squared
+from .conftest import quick_k_squared, search_factorization
 from .oracles import brute_force_encodings, cofactor_det, leading_blocks_minimal, negdef_by_charpoly
 
 
@@ -181,15 +180,8 @@ def test_bordered_minor_recurrence(m):
     keeps.  At each entry every value 0..m_ij + 2 is offered: the kept ones
     must be exactly those whose block on {0..i, j} has the sign of a
     negative definite matrix, each with that block's determinant."""
-    n = len(m)
-    piv = [1, m[0][0]] + [0] * (n - 1)
-    lower = [[0] * n for _ in range(n)]
-    diag = [0] * n
-    for i, j in _positions(n):
-        if i == 0:
-            diag[0] = m[j][j]
-        cap = m[i][j] + 2
-        kept = {v: (x, d) for v, x, d in _bordered_entries(piv, lower[i], lower[j], diag[i], i, cap)}
+
+    def check(i, j, cap, kept):
         rows = [*range(i + 1), j]
         for v in range(cap + 1):
             block = [[m[a][b] for b in rows] for a in rows]
@@ -198,12 +190,9 @@ def test_bordered_minor_recurrence(m):
             assert (v in kept) == ((-1) ** i * minor > 0)
             if v in kept:
                 assert kept[v][1] == minor
-        x, d = kept[m[i][j]]
-        lower[j][i] = x
-        diag[i + 1] = d
-        if i == j - 1:
-            piv[j + 1] = d
-    for k in range(1, n + 1):
+
+    piv, _ = search_factorization(m, extra=2, check=check)
+    for k in range(1, len(m) + 1):
         assert piv[k] == cofactor_det([row[:k] for row in m[:k]])
 
 
@@ -211,6 +200,25 @@ def test_jobs_do_not_change_results():
     bounds = EnumBounds(3, min_self=-4, max_genus=1, max_edge_multiplicity=2)
     assert enumerate_encodings(bounds, jobs=1) == enumerate_encodings(bounds, jobs=2)
     assert enumerate_admissible(bounds, jobs=2) == enumerate_admissible(bounds, jobs=1)
+    # the workers compute the invariants too: a benchmark box, 914 classes
+    bounds = EnumBounds(6, min_self=-3)
+    serial = enumerate_admissible(bounds, jobs=1)
+    assert len(serial) == 914
+    assert enumerate_admissible(bounds, jobs=2) == serial
+
+
+def test_spectrum_entries_come_from_the_search(monkeypatch):
+    """Each class is factored once, by the search: no second elimination
+    and no encoding parsed back."""
+
+    def never(*args):
+        raise AssertionError("a class was factored or decoded after the search")
+
+    monkeypatch.setattr(kdg.invariants, "sparse_bareiss", never)
+    monkeypatch.setattr(kdg.enumeration, "_decode", never)
+    bounds = EnumBounds(3, min_self=-4, max_genus=1, max_edge_multiplicity=2)
+    entries = enumerate_admissible(bounds)
+    assert [e.encoding for e in entries] == enumerate_encodings(bounds)
 
 
 def test_task_budget_refuses_huge_box_before_searching(monkeypatch, capsys):
@@ -256,11 +264,19 @@ def test_node_budget_stops_a_task(monkeypatch, capsys):
 
 
 def test_node_budget_boundary(monkeypatch):
-    # data (0,-2),(0,-2): the root and one child per value 0, 1 of the one
-    # entry, 3 nodes; a single vertex needs no search
+    # data (0,-2),(0,-2): the root and the child for value 1 of the one
+    # entry, 2 nodes; value 0 leaves the graph disconnected and is cut
+    # before it becomes a node; a single vertex needs no search
     bounds = EnumBounds(2, min_self=-2)
-    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 3)
+    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 2)
     assert enumerate_encodings(bounds) == ["0,-2;0,-2|0-1:1", "0,-2|"]
+    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 1)
+    with pytest.raises(PreconditionError, match="visited more than 1 nodes"):
+        enumerate_encodings(bounds)
+    # disconnected graphs kept: the value-0 child is a node too, 3 in all
+    bounds = EnumBounds(2, min_self=-2, connected_only=False)
+    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 3)
+    assert enumerate_encodings(bounds) == ["0,-2;0,-2|", "0,-2;0,-2|0-1:1", "0,-2|"]
     monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 2)
     with pytest.raises(PreconditionError, match="visited more than 2 nodes"):
         enumerate_encodings(bounds)

@@ -16,7 +16,7 @@ from kdg.errors import (
     PreconditionError,
 )
 from kdg.families import family_spec, generate
-from kdg.graph import adjunction_degrees, build_graph, intersection_matrix, validate
+from kdg.graph import adjunction_degrees, build_graph, intersection_matrix
 from kdg.invariants import (
     NON_RATIONAL,
     RATIONAL_DOUBLE,
@@ -40,6 +40,7 @@ from kdg.invariants import (
 )
 from kdg.rational import dot, quadratic_form
 
+from .conftest import search_factorization
 from .oracles import ADE_BOX_BOUND, box_min_anti_nef, box_pa_max
 
 import random
@@ -231,7 +232,10 @@ def invariants_by_fractions(g):
 
 
 def integer_invariants(g):
-    return _class_invariants([(v.genus, v.self_int) for v in g.vertices], g.adjacency())
+    """`_class_invariants` on the factorization the enumerator's search
+    holds at the leaf of g, in vertex order."""
+    piv, lower = search_factorization(intersection_matrix(g))
+    return _class_invariants([(v.genus, v.self_int) for v in g.vertices], g.adjacency(), piv, lower)
 
 
 def test_class_invariants_match_fraction_path_on_e5(e5_entries):
@@ -255,15 +259,8 @@ def admissible_graphs_up_to_8(draw):
 
 @given(admissible_graphs_up_to_8())
 @settings(max_examples=150)
-@example(build_graph([("a", 0, -2), ("b", 0, -2)], [("a", "b", 2)]))  # singular
-@example(build_graph([("a", 0, -1), ("b", 1, -1)], [("a", "b", 2)]))  # indefinite
 def test_class_invariants_match_fraction_path(g):
-    if not validate(g).negative_definite:
-        with pytest.raises(NotNegativeDefiniteError):
-            integer_invariants(g)
-        with pytest.raises(NotNegativeDefiniteError):
-            k_squared(g)
-        return
+    """The leaf reader against the public `Fraction` functions."""
     assert integer_invariants(g) == invariants_by_fractions(g)
 
 
@@ -327,14 +324,26 @@ def test_cycle_degrees_of_canonical_cycle_on_family_grid():
 
 def test_class_invariants_cross_check_k_squared(monkeypatch):
     """A wrong solution of M m = c must trip the two-way -K^2 comparison."""
-    real = invariants.back_substitute
+    real = invariants._checked_k_squared
     monkeypatch.setattr(
         invariants,
-        "back_substitute",
-        lambda rows, rhs, order, pivots: [y + 1 for y in real(rows, rhs, order, pivots)],
+        "_checked_k_squared",
+        lambda weights, adj, c, y, d: real(weights, adj, c, [v + 1 for v in y], d),
     )
     with pytest.raises(InternalCheckError, match="-K\\^2 mismatch"):
         integer_invariants(x31())
+
+
+def test_class_invariants_pivot_sign_guard():
+    """A factorization whose leading minors do not alternate in sign from
+    negative, a zero one included, is refused before any division."""
+    g = build_graph([("a", 0, -3), ("b", 0, -2)], [("a", "b", 1)])
+    data = [(v.genus, v.self_int) for v in g.vertices]
+    piv, lower = search_factorization(intersection_matrix(g))
+    assert piv == [1, -3, 5]
+    for wrong in ([1, 3, 5], [1, -3, -5], [1, -3, 0], [1, 0, 5]):
+        with pytest.raises(NotNegativeDefiniteError):
+            _class_invariants(data, g.adjacency(), wrong, lower)
 
 
 def test_k_squared_cross_check_trips(monkeypatch):
