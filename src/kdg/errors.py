@@ -8,7 +8,8 @@ Every error carries the exit code the CLI maps it to:
     4  operation precondition violated (bad insertion site, bad string
        designation, a string limit on a graph that is not negative definite
        or whose stretched family leaves that class, out-of-domain family
-       parameters, p_a search over its work budget, an enumeration box with
+       parameters, p_a search over its work budget, Laufer's sequence for
+       the fundamental cycle over its step budget, an enumeration box with
        more search tasks than its budget or with a task that visits more
        search nodes than its budget, a `sweep` range with more rows than
        its budget, a family member with more vertices than its budget, a

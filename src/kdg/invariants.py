@@ -131,9 +131,16 @@ def _form(weights: Sequence[int], adj, v: Sequence) -> Union[int, Fraction]:
     )
 
 
+#: Steps Laufer's sequence may take before `_laufer` gives up with a
+#: `PreconditionError` (exit code 4) instead of running on.  A valid input
+#: takes sum(Z) - n steps (D(n) takes n - 3), so large graphs reach it.
+LAUFER_STEP_BUDGET = 100_000
+
+
 def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
     """Smallest positive integral cycle Z with Z.A_i <= 0 for every vertex,
-    by Laufer's sequence (`_laufer`)."""
+    by Laufer's sequence (`_laufer`).  Raises `PreconditionError` past
+    `LAUFER_STEP_BUDGET` steps."""
     if not is_connected(g):
         raise InvalidGraphError("fundamental cycle needs a connected graph")
     _checked_matrix(g)
@@ -159,7 +166,7 @@ def _laufer(weights: Sequence[int], adj) -> tuple[list[int], list[int]]:
         weights[i] + sum(mult for mult in adj[i].values()) for i in range(n)
     ]
     positive = [i for i in range(n) if products[i] > 0]
-    guard = 0
+    steps = 0
     while positive:
         i = positive.pop()
         z[i] += 1
@@ -170,9 +177,11 @@ def _laufer(weights: Sequence[int], adj) -> tuple[list[int], list[int]]:
             products[j] += mult
             if 0 < products[j] <= mult:  # just turned positive
                 positive.append(j)
-        guard += 1
-        if guard > 100_000:
-            raise InternalCheckError("fundamental cycle iteration did not terminate")
+        steps += 1
+        if steps > LAUFER_STEP_BUDGET:
+            raise PreconditionError(
+                f"Laufer's sequence on {n} vertices exceeded its budget of {LAUFER_STEP_BUDGET} steps"
+            )
     return z, products
 
 

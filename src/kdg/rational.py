@@ -42,8 +42,10 @@ a row swap, which a symmetric matrix needs only when it is indefinite, so
 `det` and `solve` raise ValueError there, as they do for a nonzero pattern
 that is not symmetric; either way the matrix is not definite.  Every
 negative (semi)definite matrix, the only kind kdg solves, eliminates
-without a swap.  Callers that build integer rows of their own (the p_a
-ellipsoid, string limits) call `sparse_bareiss` directly; the enumerator
+without a swap.  Callers that build rows of their own from adjacency maps
+call `sparse_bareiss` directly: the p_a ellipsoid, and `transforms`,
+which factors each insertion, contraction, limit and cross-check system
+once, its rows made integral by `_sparse_rows`; the enumerator
 keeps a Bareiss factorization in vertex order in its search and reads each
 class's invariants off that.  Only `nullspace`, the kernel of a rectangular matrix, runs its
 own rational elimination.  No floating point enters any computation; a

@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     InternalCheckError,
+    KdgError,
     NotNegativeDefiniteError,
     PreconditionError,
     SingularLimitError,
@@ -32,24 +33,16 @@ from .graph import (
     WeightedDualGraph,
     adjunction_degrees,
     build_graph,
-    intersection_matrix,
-    intersection_rows,
     validate,
 )
-from .invariants import _checked_k_squared, k_squared
+from .invariants import _checked_k_squared
 from .rational import (
-    RatMatrix,
     UNBOUNDED,
     back_substitute,
-    det,
-    dot,
-    is_negative_definite,
     lcm_denominators,
     negative_pivots,
     nullspace,
-    quadratic_form,
     rat_str,
-    solve,
     sparse_bareiss,
 )
 
@@ -227,15 +220,32 @@ def contracted_indices(g: WeightedDualGraph, s: StringDescriptor) -> list[int]:
     return [i for i in range(len(g)) if i not in chain_set]
 
 
-def contract_string(g: WeightedDualGraph, s: StringDescriptor) -> RatMatrix:
+def contract_string(g: WeightedDualGraph, s: StringDescriptor) -> list[dict[int, Fraction]]:
     """Eliminate the chain from the intersection matrix.
 
     The descriptor's left/right vertices act as the props and must be
     genus-0 (-2)-vertices; the chain plays the inserted-string role.  The
-    returned matrix is indexed by `contracted_indices(g, s)` and satisfies
+    returned map rows (column -> entry, as `intersection_rows` gives them)
+    are indexed by `contracted_indices(g, s)` and satisfy
     -t(c) M^{-1} c = -K^2 of the full graph exactly (the chain carries no
     adjunction weight, so this is plain block elimination).
     """
+    weights, adj, _, local = _contracted(g, s)
+    rows = [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
+    k = len(s.chain) + 1
+    for p in (local[s.left], local[s.right]):
+        rows[p] = {j: Fraction(x, k) for j, x in rows[p].items()}
+    return rows
+
+
+def _contracted(
+    g: WeightedDualGraph, s: StringDescriptor
+) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
+    """`contract_string`'s system as `_system_without` gives it, with the
+    rows of the two props times n + 1 for an n-vertex chain, which makes
+    it integral: -(n+2) on their diagonal and 1 between them.  c vanishes
+    at the props, so this system has the same solution m and the same
+    t(m) M m = m.c; its determinant is (n+1)^2 times that of the matrix."""
     _check_string_structure(g, s, allow_empty=True)
     if s.left is None or s.right is None:
         raise PreconditionError("contraction needs prop vertices on both ends")
@@ -245,107 +255,121 @@ def contract_string(g: WeightedDualGraph, s: StringDescriptor) -> RatMatrix:
         raise PreconditionError("props must be (-2)-curves")
     if s.chain and g.edge_mult(s.left, s.right) != 0:
         raise PreconditionError("props of a non-empty string must not be adjacent")
-    keep = contracted_indices(g, s)
-    full = intersection_matrix(g)
-    rows = [[full[i][j] for j in keep] for i in keep]
-    n = len(s.chain)
-    p, q = keep.index(s.left), keep.index(s.right)
-    rows[p][p] = rows[q][q] = Fraction(-(n + 2), n + 1)
-    rows[p][q] = rows[q][p] = Fraction(1, n + 1)
-    return tuple(map(tuple, rows))
+    weights, adj, c, local = _system_without(g, set(s.chain))
+    k = len(s.chain) + 1
+    p, q = local[s.left], local[s.right]
+    for r in (p, q):
+        weights[r] = -(k + 1)
+        adj[r] = {j: k * mult for j, mult in adj[r].items()}
+    adj[p][q] = adj[q][p] = 1
+    return weights, adj, c, local
+
+
+def _graph_system(g: WeightedDualGraph) -> tuple[list[int], Sequence[dict], Sequence[int]]:
+    """M m = c for g: (diagonal of M, its adjacency maps, c)."""
+    return [v.self_int for v in g.vertices], g.adjacency(), adjunction_degrees(g)
+
+
+def _system_without(
+    g: WeightedDualGraph, dropped: set[int]
+) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
+    """M m = c for g without the `dropped` vertices: (diagonal of M, new
+    adjacency maps, c, position of each kept vertex of g), built from
+    `g.adjacency()` in O(n + edges)."""
+    adj = g.adjacency()
+    degrees = adjunction_degrees(g)
+    local = {v: k for k, v in enumerate(i for i in range(len(g)) if i not in dropped)}
+    weights = [g.vertices[v].self_int for v in local]
+    rows = [{local[j]: mult for j, mult in adj[v].items() if j in local} for v in local]
+    return weights, rows, [degrees[v] for v in local], local
+
+
+def _solution(
+    weights: Sequence[int],
+    adj: Sequence[dict[int, int]],
+    c: Sequence[int],
+    not_definite: KdgError,
+    singular: Optional[KdgError] = None,
+) -> tuple[list[int], int]:
+    """(y, d) for M m = c, M given by its integer diagonal and adjacency
+    maps, from one `sparse_bareiss`: d is the last pivot, det M, and
+    y = d m (empty when c is).  Raises `not_definite` unless the pivot
+    signs make M negative semidefinite, and `singular` (`not_definite`
+    when None) when M is singular."""
+    rows = [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
+    rhs = list(c)
+    done = sparse_bareiss(rows, rhs)
+    if done is None or not negative_pivots([d for d in done[1] if d]):
+        raise not_definite
+    order, pivots = done
+    if not all(pivots):
+        raise singular or not_definite
+    return (back_substitute(rows, rhs, order, pivots) if c else []), pivots[-1]
 
 
 def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> InsertionIdentityReport:
     """Insert a chain of n (-2)-vertices at the site and check every exact
     identity relating the old and new canonical data.
 
-    All comparisons are exact rational equalities; the report lists each one
-    with its two sides so a failure is auditable.
+    g, the inserted graph and the inserted graph with its new chain
+    contracted are factored once each (`_solution`), -K^2 checked two ways.
+    All comparisons are exact rational equalities; the report lists each
+    one with its two sides so a failure is auditable.
     """
     _check_site(g, site)
     if n < 1:
         raise PreconditionError(f"insertion length must be >= 1, got {n}")
-    m0 = intersection_rows(g)
-    if not is_negative_definite(m0):
-        raise NotNegativeDefiniteError("base graph must be negative definite")
-    c = adjunction_degrees(g)
-    m_before = solve(m0, c)
-    k2_before = -dot(m_before, c)
-    det_base = det(m0)
 
+    def solved(weights, adj, c, not_definite):
+        y, d = _solution(weights, adj, c, not_definite)
+        k2 = _checked_k_squared(weights, adj, c, y, d)
+        return tuple(Fraction(v, d) for v in y), k2, Fraction(d)
+
+    m_before, k2_before, det_base = solved(
+        *_graph_system(g), NotNegativeDefiniteError("base graph must be negative definite")
+    )
     stretched = insert_minus2(g, site, n)
-    m_stretched = intersection_rows(stretched)
-    if not is_negative_definite(m_stretched):
-        # the notion is only defined between negative definite divisors;
-        # long chains at a trivalent hub can leave that class
-        raise NotNegativeDefiniteError(
+    # the notion is only defined between negative definite divisors;
+    # long chains at a trivalent hub can leave that class
+    m_full, k2_after, _ = solved(
+        *_graph_system(stretched),
+        NotNegativeDefiniteError(
             f"inserting {n} vertices at ({g.vertices[site.a].id}, "
             f"{g.vertices[site.b].id}) leaves the negative definite class"
-        )
-    c_after = adjunction_degrees(stretched)
-    m_full = solve(m_stretched, c_after)
-    k2_after = -dot(m_full, c_after)
-
-    # contracted system: the new chain eliminated, same index set as g
+        ),
+    )
+    # contracted system: the new chain eliminated, same index set as g; as
+    # a Schur complement of a negative definite matrix it is one too
     a, b = site.a, site.b
     chain = StringDescriptor(tuple(range(len(g), len(stretched))), min(a, b), max(a, b))
-    mn = contract_string(stretched, chain)
-    det_contracted = det(mn)
-    m_after = solve(mn, c)
-    k2_contracted = -dot(m_after, c)
+    m_after, k2_contracted, det_scaled = solved(
+        *_contracted(stretched, chain)[:3],
+        InternalCheckError("contracted system is not negative definite"),
+    )
+    det_contracted = det_scaled / (n + 1) ** 2
+
+    def equal(name, lhs, rhs):
+        return IdentityCheck(name, lhs, rhs, lhs == rhs)
 
     ratio = det_base / det_contracted
     step = Fraction(n, n + 1)
     diff_before = m_before[a] - m_before[b]
     diff_after = m_after[a] - m_after[b]
-    form_after = -quadratic_form(mn, m_after)
-    form_from_before = -quadratic_form(m0, m_before) + step * diff_before * diff_after
-
+    top = max(m_before + m_full)
+    # -t(m) M m is -K^2 in each system (`_checked_k_squared`)
     checks = [
-        IdentityCheck(
-            "contraction_matches_direct",
-            k2_contracted,
-            k2_after,
-            k2_contracted == k2_after,
-        ),
-        IdentityCheck(
-            "old_coefficients_survive",
-            None,
-            None,
-            tuple(m_full[: len(g)]) == m_after,
-        ),
-        IdentityCheck(
-            "difference_identity",
-            form_after,
-            form_from_before,
-            form_after == form_from_before,
-        ),
-        IdentityCheck(
-            "determinant_ratio",
-            diff_after,
-            ratio * diff_before,
-            diff_after == ratio * diff_before,
-        ),
-        IdentityCheck(
-            "k2_increment",
-            k2_after,
-            k2_before + step * ratio * diff_before**2,
-            k2_after == k2_before + step * ratio * diff_before**2,
-        ),
-        IdentityCheck(
-            "coefficient_signs",
-            max(list(m_before) + list(m_full)),
-            Fraction(0),
-            max(list(m_before) + list(m_full)) <= 0,
-        ),
+        equal("contraction_matches_direct", k2_contracted, k2_after),
+        IdentityCheck("old_coefficients_survive", None, None, m_full[: len(g)] == m_after),
+        equal("difference_identity", k2_contracted, k2_before + step * diff_before * diff_after),
+        equal("determinant_ratio", diff_after, ratio * diff_before),
+        equal("k2_increment", k2_after, k2_before + step * ratio * diff_before**2),
+        IdentityCheck("coefficient_signs", top, Fraction(0), top <= 0),
         IdentityCheck("k2_monotone", k2_after, k2_before, k2_after >= k2_before),
-        IdentityCheck(
-            "result_admissible", None, None, validate(stretched).admissible
-        ),
+        IdentityCheck("result_admissible", None, None, validate(stretched).admissible),
     ]
     if m_before[a] == m_before[b]:
         inserted = m_full[len(g) :]
-        checks.append(IdentityCheck("k2_preserved", k2_after, k2_before, k2_after == k2_before))
+        checks.append(equal("k2_preserved", k2_after, k2_before))
         checks.append(
             IdentityCheck(
                 "coefficient_multiset_preserved",
@@ -356,10 +380,7 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
             )
         )
         idx_before = Fraction(lcm_denominators(m_before))
-        idx_after = Fraction(lcm_denominators(m_full))
-        checks.append(
-            IdentityCheck("index_preserved", idx_before, idx_after, idx_before == idx_after)
-        )
+        checks.append(equal("index_preserved", idx_before, Fraction(lcm_denominators(m_full))))
     return InsertionIdentityReport(
         n=n,
         site=(g.vertices[a].id, g.vertices[b].id),
@@ -542,14 +563,6 @@ def _resolve_designated(
     return resolved
 
 
-def _check_negative_definite(g: WeightedDualGraph) -> None:
-    """PreconditionError unless g is negative definite, decided by the
-    pivot signs of its adjacency rows."""
-    done = sparse_bareiss(intersection_rows(g), [])
-    if done is None or not negative_pivots(done[1]):
-        raise PreconditionError("limit needs a negative definite graph")
-
-
 def _limit_system(
     g: WeightedDualGraph, stretched: Sequence[StringDescriptor]
 ) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
@@ -561,19 +574,13 @@ def _limit_system(
     -1 and 0, so its ends get -1, no entry between them, and its interior
     is dropped.  c is that of g: the ends are genus-0 (-2)-vertices.
     """
-    adj = g.adjacency()
-    dropped = {i for s in stretched for i in s.chain[1:-1]}
-    keep = [i for i in range(len(g)) if i not in dropped]
-    local = {v: k for k, v in enumerate(keep)}
-    weights = [g.vertices[v].self_int for v in keep]
-    rows = [{local[j]: mult for j, mult in adj[v].items() if j in local} for v in keep]
+    weights, rows, c, local = _system_without(g, {i for s in stretched for i in s.chain[1:-1]})
     for s in stretched:
         p, q = local[s.chain[0]], local[s.chain[-1]]
         weights[p] = weights[q] = -1
         rows[p].pop(q, None)
         rows[q].pop(p, None)
-    degrees = adjunction_degrees(g)
-    return weights, rows, [degrees[v] for v in keep], local
+    return weights, rows, c, local
 
 
 def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -> Fraction:
@@ -583,12 +590,12 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
     coefficients m_p, m_q of the current system are compared: when they
     agree the value is constant in that direction and the string is frozen
     at its current length; otherwise it goes to its limit (`_limit_system`).
-    Every system is factored by `sparse_bareiss`, and its pivots decide:
+    Every system is factored once by `_solution`, and its pivots decide:
     a matrix that is not negative semidefinite means the stretched family
     leaves the negative definite class (PreconditionError); a singular one
     is reported via SingularLimitError, never guessed at.
     """
-    _check_negative_definite(g)
+    _solution(*_graph_system(g)[:2], (), PreconditionError("limit needs a negative definite graph"))
     descs = _resolve_designated(g, strings)
     work = g
     for i in range(len(descs)):
@@ -599,47 +606,27 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
             work, grown = _splice(work, descs[i], 2)
             assert grown is not None
             descs[i] = grown
+    indefinite = PreconditionError(
+        "limit matrix is not negative semidefinite;"
+        " the stretched family leaves the negative definite class"
+    )
+    singular = SingularLimitError("intermediate limit matrix is singular; no finite limit reported")
     stretched: list[StringDescriptor] = []
     y = None
     for s in descs:
         if y is None:
             weights, adj, c, local = _limit_system(work, stretched)
-            y, d = _limit_solution(
-                weights, adj, c, "intermediate limit matrix is singular; no finite limit reported"
-            )
+            y, d = _solution(weights, adj, c, indefinite, singular)
         if y[local[s.chain[0]]] != y[local[s.chain[-1]]]:
             stretched.append(s)
             y = None
     if y is None:
         weights, adj, c, _ = _limit_system(work, stretched)
-        y, d = _limit_solution(
-            weights,
-            adj,
-            c,
-            "limit matrix is singular; the value diverges or needs analysis beyond this procedure",
+        singular = SingularLimitError(
+            "limit matrix is singular; the value diverges or needs analysis beyond this procedure"
         )
+        y, d = _solution(weights, adj, c, indefinite, singular)
     return _checked_k_squared(weights, adj, c, y, d)
-
-
-def _limit_solution(
-    weights: list[int], adj: list[dict[int, int]], c: list[int], singular: str
-) -> tuple[list[int], int]:
-    """(y, d) with y = d m and d = det M for M m = c, M given by its
-    diagonal and adjacency maps.  Raises PreconditionError when M is not
-    negative semidefinite, and SingularLimitError(singular) when M is
-    singular."""
-    rows = [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
-    rhs = c.copy()
-    done = sparse_bareiss(rows, rhs)
-    if done is None or not negative_pivots([d for d in done[1] if d]):
-        raise PreconditionError(
-            "limit matrix is not negative semidefinite;"
-            " the stretched family leaves the negative definite class"
-        )
-    order, pivots = done
-    if not all(pivots):
-        raise SingularLimitError(singular)
-    return back_substitute(rows, rhs, order, pivots), pivots[-1]
 
 
 def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[Fraction, object]:
@@ -650,6 +637,7 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     L in {0, 1, 2}; when length 0 cannot be built (both attachments on one
     vertex) the window shifts to the current length.  g must be negative
     definite, as `limit_k_squared` also checks first (PreconditionError).
+    Each member is factored once by `_solution`, -K^2 checked two ways.
     Shrinking a (-2) string keeps definiteness, so a member that is not
     definite has every longer one fail too, and its
     `NotNegativeDefiniteError` is raised as is.
@@ -659,18 +647,24 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     the determinant of a member is affine in L, so the pole is where it
     vanishes, and the members past it are not negative definite.
     """
-    _check_negative_definite(g)
+    _solution(*_graph_system(g)[:2], (), PreconditionError("limit needs a negative definite graph"))
     (desc,) = _resolve_designated(g, [s])
+
+    def member_k2(length: int) -> Fraction:
+        system = _graph_system(_splice(g, desc, length)[0])
+        y, d = _solution(
+            *system, NotNegativeDefiniteError("intersection matrix is not negative definite")
+        )
+        return _checked_k_squared(*system, y, d)
+
     lengths = [0, 1, 2]
-    values = []
-    for length in lengths:
-        try:
-            values.append(k_squared(_splice(g, desc, length)[0]))
-        except PreconditionError:
-            base = max(2, len(desc.chain))
-            lengths = [base, base + 1, base + 2]
-            values = [k_squared(_splice(g, desc, x)[0]) for x in lengths]
-            break
+    try:
+        values = [member_k2(0)]
+    except PreconditionError:
+        base = max(2, len(desc.chain))
+        lengths = [base, base + 1, base + 2]
+        values = [member_k2(base)]
+    values += [member_k2(length) for length in lengths[1:]]
     if values[0] == values[1] == values[2]:
         return values[0]
     rows = [

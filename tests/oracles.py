@@ -12,9 +12,12 @@ pruned search, and the enumeration by filling every matrix of the box with
 no pruning and minimizing over every vertex permutation instead of the
 pruned search and its stabilizer scan, the orderly prefix lemma by
 trying every permutation of each leading block instead of the search's
-per-column data stabilizers, and string limits by Schur contraction of
+per-column data stabilizers, string limits by Schur contraction of
 each string to its two ends and Gauss-Jordan elimination over `Fraction`s
-instead of integer rows factored without row swaps.
+instead of integer rows factored without row swaps, and the values of a
+chain insertion from the dense inserted matrix, its chain eliminated by a
+Schur complement computed column by column, instead of the closed-form
+contraction.
 """
 
 from __future__ import annotations
@@ -176,6 +179,48 @@ def schur_limit(g: WeightedDualGraph, strings):
     if x is None:
         return "final", semidefinite
     return -sum(xi * ci for xi, ci in zip(x, c)), semidefinite
+
+
+def insertion_values(g: WeightedDualGraph, a: int, b: int, n: int):
+    """Reference for `verify_insertion(g, site(a, b), n)`: (det_base,
+    det_contracted, m_site, m_site_after, k2_before, k2_after), or None
+    when the inserted graph is not negative definite.
+
+    The inserted matrix is written down densely (the edge a-b replaced by
+    a - w1 - ... - wn - b, each w a (-2)-vertex), its chain block D is
+    eliminated by the Schur complement S = A - B D^-1 t(B), one
+    `fraction_solve` per column, and each system is solved by
+    `fraction_solve`, its determinant taken by `cofactor_det`.
+    """
+    size = len(g)
+    big = [[Fraction(x) for x in row] + [Fraction(0)] * n for row in intersection_matrix(g)]
+    big += [[Fraction(0)] * (size + n) for _ in range(n)]
+    big[a][b] = big[b][a] = Fraction(0)
+    path = [a, *range(size, size + n), b]
+    for u, v in zip(path, path[1:]):
+        big[u][v] = big[v][u] = Fraction(1)
+    for w in range(size, size + n):
+        big[w][w] = Fraction(-2)
+    if not negdef_by_charpoly(big):
+        return None
+    c = list(adjunction_degrees(g))
+    chain = [row[size:] for row in big[size:]]
+    reduced = [fraction_solve(chain, row[size:]) for row in big[:size]]  # D^-1 t(B), by columns
+    schur = [
+        [big[i][j] - sum(x * y for x, y in zip(big[i][size:], reduced[j])) for j in range(size)]
+        for i in range(size)
+    ]
+    m_before = fraction_solve(intersection_matrix(g), c)
+    m_full = fraction_solve(big, c + [0] * n)
+    m_after = fraction_solve(schur, c)
+    return (
+        cofactor_det(intersection_matrix(g)),
+        cofactor_det(schur),
+        (m_before[a], m_before[b]),
+        (m_after[a], m_after[b]),
+        -sum(x * y for x, y in zip(m_before, c)),
+        -sum(x * y for x, y in zip(m_full, c)),
+    )
 
 
 def quad_form_counterexample(m, vectors) -> tuple | None:

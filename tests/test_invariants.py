@@ -16,7 +16,7 @@ from kdg.errors import (
     PreconditionError,
 )
 from kdg.families import family_spec, generate
-from kdg.graph import adjunction_degrees, build_graph, intersection_matrix
+from kdg.graph import adjunction_degrees, build_graph, intersection_matrix, parse_graph_json
 from kdg.invariants import (
     NON_RATIONAL,
     RATIONAL_DOUBLE,
@@ -380,6 +380,39 @@ def test_pa_search_budget_guard(monkeypatch):
         pa_max_bounded(g)
     # Artin's shortcut does no search, so a rational graph never trips the guard
     assert pa_max_bounded(generate(family_spec("E8"))) == 0
+
+
+def d_chain_json(n):
+    """D(n) as graph JSON, built without `family` and its vertex budget: the
+    chain c1 .. c(n-2) with the leaves f1 and f2 on c(n-2)."""
+    ids = [f"c{i}" for i in range(1, n - 1)] + ["f1", "f2"]
+    pairs = list(zip(ids[: n - 3], ids[1 : n - 2])) + [(ids[n - 3], "f1"), (ids[n - 3], "f2")]
+    return json.dumps(
+        {
+            "vertices": [{"id": i, "self": -2} for i in ids],
+            "edges": [{"a": a, "b": b} for a, b in pairs],
+        }
+    )
+
+
+def test_laufer_step_budget(monkeypatch):
+    """Laufer's sequence takes sum(Z) - n steps, n - 3 on D(n): a valid
+    input past the budget is refused as a precondition (exit code 4), not
+    reported as an internal failure."""
+    g = parse_graph_json(d_chain_json(100_010))
+    assert invariants.LAUFER_STEP_BUDGET == 100_000
+    with pytest.raises(
+        PreconditionError, match="Laufer's sequence on 100010 vertices exceeded its budget of 100000 steps"
+    ):
+        fundamental_cycle(g)
+    # the boundary on D(10), 7 steps, which is the family's D(10)
+    small = parse_graph_json(d_chain_json(10))
+    assert small == generate(family_spec("D", n=10))
+    monkeypatch.setattr(invariants, "LAUFER_STEP_BUDGET", 7)
+    assert fundamental_cycle(small).as_ints() == (1,) + (2,) * 7 + (1, 1)
+    monkeypatch.setattr(invariants, "LAUFER_STEP_BUDGET", 6)
+    with pytest.raises(PreconditionError, match="exceeded its budget of 6 steps"):
+        fundamental_cycle(small)
 
 
 @pytest.mark.parametrize(

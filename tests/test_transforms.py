@@ -5,12 +5,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kdg import transforms
+from kdg import rational, transforms
 from kdg.checks import _family_corpus
 from kdg.enumeration import EnumBounds, random_admissible
 from kdg.errors import NotNegativeDefiniteError, PreconditionError, SingularLimitError
 from kdg.families import family_spec, generate, stretch_descriptor
-from kdg.graph import Edge, VertexData, WeightedDualGraph, build_graph, intersection_matrix
+from kdg.graph import (
+    Edge,
+    VertexData,
+    WeightedDualGraph,
+    build_graph,
+    intersection_matrix,
+    intersection_rows,
+)
 from kdg.invariants import k_squared, numerical_index
 from kdg.rational import UNBOUNDED, is_negative_definite
 from kdg.transforms import (
@@ -27,7 +34,7 @@ from kdg.transforms import (
     with_string_length,
 )
 
-from .oracles import schur_limit
+from .oracles import insertion_values, schur_limit
 
 ALWAYS_IDENTITIES = {
     "contraction_matches_direct",
@@ -64,17 +71,17 @@ def test_contract_a3_middle():
     g = a_chain(3)
     s = StringDescriptor((1,), 0, 2)
     m = contract_string(g, s)
-    assert m == (
-        (Fraction(-3, 2), Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(-3, 2)),
-    )
+    assert m == [
+        {0: Fraction(-3, 2), 1: Fraction(1, 2)},
+        {0: Fraction(1, 2), 1: Fraction(-3, 2)},
+    ]
     assert contracted_indices(g, s) == [0, 2]
 
 
 def test_contract_empty_chain_is_original_matrix():
     g = a_chain(2)
     s = StringDescriptor((), 0, 1)
-    assert contract_string(g, s) == intersection_matrix(g)
+    assert contract_string(g, s) == intersection_rows(g)
 
 
 def test_contract_rejects_bad_props():
@@ -196,6 +203,77 @@ def test_index_preserved_is_numerical_index_on_family_grid():
                 assert check.rhs == numerical_index(insert_minus2(g, site, n)), str(spec)
                 seen += 1
     assert seen > 0
+
+
+INSERTION_BOUNDS = EnumBounds(6, min_self=-3, max_genus=1, max_edge_multiplicity=2)
+
+
+def test_insertion_values_match_dense_oracle():
+    """Every report value against the dense `Fraction` oracle, at each site
+    of a seeded random corpus and of family members, for n = 1..4."""
+    corpus = [random_admissible(random.Random(seed), INSERTION_BOUNDS) for seed in range(80)]
+    corpus += [
+        generate(spec)
+        for spec in [
+            family_spec("D", n=5),
+            family_spec("E6"),
+            family_spec("II", n=1, s=2),
+            family_spec("I", n=1, s=1, t=2),
+        ]
+    ]
+    checked = refused = 0
+    for g in corpus:
+        for site in find_sites(g):
+            for n in range(1, 5):
+                want = insertion_values(g, site.a, site.b, n)
+                try:
+                    report = verify_insertion(g, site, n)
+                except NotNegativeDefiniteError:
+                    assert want is None
+                    refused += 1
+                    continue
+                got = (report.det_base, report.det_contracted, report.m_site,
+                       report.m_site_after, report.k2_before, report.k2_after)
+                assert got == want
+                assert report.all_hold
+                checked += 1
+    assert checked >= 100 and refused >= 1
+
+
+def test_transforms_factor_each_system_once(monkeypatch):
+    """Each system is factored once, by one `sparse_bareiss` on its
+    adjacency rows: none of the dense or per-invariant kernels is called."""
+
+    def never(*args):
+        raise AssertionError("transforms called a dense or per-invariant kernel")
+
+    for name in ("intersection_matrix", "k_squared", "solve", "det", "is_negative_definite"):
+        monkeypatch.setattr(transforms, name, never, raising=False)
+    sizes = []
+    real = rational.sparse_bareiss
+
+    def counted(rows, rhs):
+        sizes.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(rational, "sparse_bareiss", counted)
+    monkeypatch.setattr(transforms, "sparse_bareiss", counted)
+    spec = family_spec("II", n=2, s=1)
+    g = generate(spec)
+    v = len(g)
+    for site in find_sites(g):
+        for n in (1, 3):
+            sizes.clear()
+            assert verify_insertion(g, site, n).all_hold
+            # g, the inserted graph, its contraction, and `validate` of the
+            # inserted graph (the independent result_admissible check)
+            assert sizes == [v, v + n, v, v + n]
+    sizes.clear()
+    s = stretch_descriptor(spec, g, "s")
+    assert mobius_limit_crosscheck(g, s) == Fraction(3, 4)
+    # g, then the members with the string at length 0, 1 and 2
+    base = v - len(s.chain)
+    assert sizes == [v, base, base + 1, base + 2]
 
 
 def test_detect_strings_star():
@@ -446,13 +524,14 @@ def test_detected_strings_pass_the_structure_check(seed):
 
 def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
     sizes = []
-    real = transforms.k_squared
+    real = transforms._splice
 
-    def spy(member):
-        sizes.append(len(member))
-        return real(member)
+    def spy(g, s, length):
+        member = real(g, s, length)
+        sizes.append(len(member[0]))
+        return member
 
-    monkeypatch.setattr(transforms, "k_squared", spy)
+    monkeypatch.setattr(transforms, "_splice", spy)
     # E8 = T(2,3,5) is definite, and so are its members with the short arm
     # at length 0 and 1; at length 2 it is T(3,3,5), which is not, and its
     # error is raised as is
