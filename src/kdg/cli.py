@@ -24,13 +24,14 @@ from .enumeration import EnumBounds, enumerate_admissible
 from .errors import InternalCheckError, KdgError, PreconditionError, SingularLimitError
 from .families import closed_form_k2, family_names, family_spec, generate
 from .graph import WeightedDualGraph, graph_to_json, load_graph, to_dot
-from .invariants import invariant_report, k_squared, report_to_obj, report_to_text
+from .invariants import _graph_k_squared, invariant_report, report_to_obj, report_to_text
 from .rational import UNBOUNDED, rat_decimal, rat_str
 from .transforms import (
     StringDescriptor,
+    _definite_solution,
+    _fitted_limit,
+    _limit_along,
     detect_strings,
-    limit_k_squared,
-    mobius_limit_crosscheck,
 )
 
 
@@ -138,7 +139,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = [["param", "k2_exact", "k2_decimal", "closed_form", "match"]]
     for value in range(lo, hi + 1):
         spec = family_spec(args.name, **{**fixed, args.param: value})
-        direct = k_squared(generate(spec))
+        direct = _graph_k_squared(generate(spec))
         formula = closed_form_k2(spec)
         rows.append(_printable(lambda: [
             value, rat_str(direct), rat_decimal(direct), rat_str(formula),
@@ -193,15 +194,18 @@ def _cmd_limit(args: argparse.Namespace) -> int:
             if s not in chosen:
                 chosen.append(s)
     print("stretching: " + "; ".join(_describe_string(g, s) for s in chosen))
+    # `chosen` holds distinct stretchable strings of `detected`, as
+    # `limit_k_squared` would resolve them, so g is checked and factored once
+    solved = _definite_solution(g)
     limit_value: Optional[Fraction]
     try:
-        limit_value = limit_k_squared(g, chosen)
+        limit_value = _limit_along(g, chosen, solved)
         print(f"limit of -K^2: {_show(limit_value)}")
     except SingularLimitError as exc:
         limit_value = None
         print(f"no finite limit: {exc}")
     if len(chosen) == 1:
-        cross = mobius_limit_crosscheck(g, chosen[0])
+        cross = _fitted_limit(g, chosen[0])
         print(f"rational-fit cross-check: {_show(cross)}")
         consistent = (cross is UNBOUNDED and limit_value is None) or cross == limit_value
         if not consistent:

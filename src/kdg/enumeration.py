@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -359,11 +358,14 @@ def _enumerate(bounds: EnumBounds, jobs: int, leaf: Leaf[T]) -> list[T]:
     """Every leaf value of the search within bounds, sorted.
 
     `jobs` is clamped to the number of CPUs: the pool starts every worker
-    at once."""
+    at once.  The pool is imported only when it is used, since importing
+    it loads `multiprocessing`."""
     tasks = _tasks(bounds)
     search = partial(_search_data, leaf=leaf)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(search, tasks, chunksize=16))
     else:

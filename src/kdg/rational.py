@@ -43,9 +43,10 @@ a row swap, which a symmetric matrix needs only when it is indefinite, so
 that is not symmetric; either way the matrix is not definite.  Every
 negative (semi)definite matrix, the only kind kdg solves, eliminates
 without a swap.  Callers that build rows of their own from adjacency maps
-call `sparse_bareiss` directly: the p_a ellipsoid, and `transforms`,
-which factors each insertion, contraction, limit and cross-check system
-once, its rows made integral by `_sparse_rows`; the enumerator
+call `sparse_bareiss` directly: the p_a ellipsoid, and
+`invariants._solution`, which factors once each `sweep` member, each
+`limit` graph, limit system and cross-check member, and each insertion
+and contraction system of `transforms`; the enumerator
 keeps a Bareiss factorization in vertex order in its search and reads each
 class's invariants off that.  Only `nullspace`, the kernel of a rectangular matrix, runs its
 own rational elimination.  No floating point enters any computation; a

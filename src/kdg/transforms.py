@@ -23,7 +23,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     InternalCheckError,
-    KdgError,
     NotNegativeDefiniteError,
     PreconditionError,
     SingularLimitError,
@@ -35,16 +34,8 @@ from .graph import (
     build_graph,
     validate,
 )
-from .invariants import _checked_k_squared
-from .rational import (
-    UNBOUNDED,
-    back_substitute,
-    lcm_denominators,
-    negative_pivots,
-    nullspace,
-    rat_str,
-    sparse_bareiss,
-)
+from .invariants import _checked_k_squared, _graph_k_squared, _graph_system, _solution
+from .rational import UNBOUNDED, lcm_denominators, nullspace, rat_str
 
 
 @dataclass(frozen=True)
@@ -265,11 +256,6 @@ def _contracted(
     return weights, adj, c, local
 
 
-def _graph_system(g: WeightedDualGraph) -> tuple[list[int], Sequence[dict], Sequence[int]]:
-    """M m = c for g: (diagonal of M, its adjacency maps, c)."""
-    return [v.self_int for v in g.vertices], g.adjacency(), adjunction_degrees(g)
-
-
 def _system_without(
     g: WeightedDualGraph, dropped: set[int]
 ) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
@@ -282,29 +268,6 @@ def _system_without(
     weights = [g.vertices[v].self_int for v in local]
     rows = [{local[j]: mult for j, mult in adj[v].items() if j in local} for v in local]
     return weights, rows, [degrees[v] for v in local], local
-
-
-def _solution(
-    weights: Sequence[int],
-    adj: Sequence[dict[int, int]],
-    c: Sequence[int],
-    not_definite: KdgError,
-    singular: Optional[KdgError] = None,
-) -> tuple[list[int], int]:
-    """(y, d) for M m = c, M given by its integer diagonal and adjacency
-    maps, from one `sparse_bareiss`: d is the last pivot, det M, and
-    y = d m (empty when c is).  Raises `not_definite` unless the pivot
-    signs make M negative semidefinite, and `singular` (`not_definite`
-    when None) when M is singular."""
-    rows = [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
-    rhs = list(c)
-    done = sparse_bareiss(rows, rhs)
-    if done is None or not negative_pivots([d for d in done[1] if d]):
-        raise not_definite
-    order, pivots = done
-    if not all(pivots):
-        raise singular or not_definite
-    return (back_substitute(rows, rhs, order, pivots) if c else []), pivots[-1]
 
 
 def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> InsertionIdentityReport:
@@ -583,20 +546,40 @@ def _limit_system(
     return weights, rows, c, local
 
 
+def _definite_solution(g: WeightedDualGraph) -> tuple[list[int], int]:
+    """(y, d) of g's own system M m = c (`_solution`); PreconditionError
+    unless g is negative definite, as every limit needs."""
+    return _solution(*_graph_system(g), PreconditionError("limit needs a negative definite graph"))
+
+
 def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -> Fraction:
     """Limit of -K^2 as every designated string length goes to infinity.
 
-    Strings are processed in designation order.  For each one the end
-    coefficients m_p, m_q of the current system are compared: when they
-    agree the value is constant in that direction and the string is frozen
-    at its current length; otherwise it goes to its limit (`_limit_system`).
-    Every system is factored once by `_solution`, and its pivots decide:
-    a matrix that is not negative semidefinite means the stretched family
-    leaves the negative definite class (PreconditionError); a singular one
-    is reported via SingularLimitError, never guessed at.
+    g must be negative definite (PreconditionError), and the strings must
+    be maximal strings of g (`_resolve_designated`).  Strings are processed
+    in designation order.  For each one the end coefficients m_p, m_q of
+    the current system are compared: when they agree the value is constant
+    in that direction and the string is frozen at its current length;
+    otherwise it goes to its limit (`_limit_system`).  Every system is
+    factored once by `_solution`, g included: the factorization that checks
+    g also solves its system, which is the first one whenever no string
+    has to be spliced longer first.  The pivots decide: a matrix that is
+    not negative semidefinite means the stretched family leaves the
+    negative definite class (PreconditionError); a singular one is
+    reported via SingularLimitError, never guessed at.  `kdg limit` checks
+    g and resolves the strings once for this and the cross-check, and
+    calls `_limit_along`.
     """
-    _solution(*_graph_system(g)[:2], (), PreconditionError("limit needs a negative definite graph"))
-    descs = _resolve_designated(g, strings)
+    solved = _definite_solution(g)
+    return _limit_along(g, _resolve_designated(g, strings), solved)
+
+
+def _limit_along(
+    g: WeightedDualGraph, strings: Sequence[StringDescriptor], solved: tuple[list[int], int]
+) -> Fraction:
+    """`limit_k_squared` on strings as `_resolve_designated` gives them, with
+    `solved` g's (y, d) from `_definite_solution`."""
+    descs = list(strings)
     work = g
     for i in range(len(descs)):
         if len(descs[i].chain) < 2:
@@ -613,6 +596,10 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
     singular = SingularLimitError("intermediate limit matrix is singular; no finite limit reported")
     stretched: list[StringDescriptor] = []
     y = None
+    if work is g:
+        weights, adj, c = _graph_system(g)
+        local = range(len(g))  # g's own system drops no vertex
+        y, d = solved
     for s in descs:
         if y is None:
             weights, adj, c, local = _limit_system(work, stretched)
@@ -636,8 +623,10 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     the length L, so three exact samples pin it down.  Samples are taken at
     L in {0, 1, 2}; when length 0 cannot be built (both attachments on one
     vertex) the window shifts to the current length.  g must be negative
-    definite, as `limit_k_squared` also checks first (PreconditionError).
-    Each member is factored once by `_solution`, -K^2 checked two ways.
+    definite, as `limit_k_squared` also checks first (PreconditionError),
+    and s a maximal string of g.  Each member is factored once, -K^2
+    checked two ways (`_graph_k_squared`); `kdg limit` checks g and
+    resolves s once for both procedures and calls `_fitted_limit`.
     Shrinking a (-2) string keeps definiteness, so a member that is not
     definite has every longer one fail too, and its
     `NotNegativeDefiniteError` is raised as is.
@@ -647,15 +636,17 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     the determinant of a member is affine in L, so the pole is where it
     vanishes, and the members past it are not negative definite.
     """
-    _solution(*_graph_system(g)[:2], (), PreconditionError("limit needs a negative definite graph"))
+    _definite_solution(g)
     (desc,) = _resolve_designated(g, [s])
+    return _fitted_limit(g, desc)
+
+
+def _fitted_limit(g: WeightedDualGraph, desc: StringDescriptor) -> Union[Fraction, object]:
+    """`mobius_limit_crosscheck` on a negative definite g and a string as
+    `_resolve_designated` gives it."""
 
     def member_k2(length: int) -> Fraction:
-        system = _graph_system(_splice(g, desc, length)[0])
-        y, d = _solution(
-            *system, NotNegativeDefiniteError("intersection matrix is not negative definite")
-        )
-        return _checked_k_squared(*system, y, d)
+        return _graph_k_squared(_splice(g, desc, length)[0])
 
     lengths = [0, 1, 2]
     try:

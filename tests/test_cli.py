@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import kdg.cli
 import kdg.enumeration
 import kdg.families
-from kdg import invariants
+from kdg import invariants, rational
 from kdg.cli import main
 from kdg.families import family_names, family_spec, generate
 from kdg.graph import build_graph, graph_to_json, parse_graph_json
@@ -336,7 +337,7 @@ def test_enumerate_ignores_kdg_jobs(monkeypatch, capsys):
             raise AssertionError("enumerate started a process pool")
 
     monkeypatch.setenv("KDG_JOBS", "2")
-    monkeypatch.setattr(kdg.enumeration, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(kdg.enumeration.os, "cpu_count", lambda: 4)
     assert main(["enumerate", "--max-vertices", "2", "--min-self", "-3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -701,6 +702,77 @@ def test_limit_scales_to_300_vertices(tmp_path, capsys):
     assert elapsed < 0.3
     assert "limit of -K^2: 1 " in out
     assert "rational-fit cross-check: 1 " in out
+
+
+def patch_everywhere(monkeypatch, original, fn):
+    """Bind fn in place of `original` in every kdg module that binds it."""
+    name = original.__name__
+    for module in [m for key, m in sys.modules.items() if key.startswith("kdg.")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, fn)
+
+
+def count_factorizations(monkeypatch) -> list[int]:
+    """The size of every system `sparse_bareiss` factors from now on."""
+    sizes = []
+    real = rational.sparse_bareiss
+
+    def counted(rows, rhs):
+        sizes.append(len(rows))
+        return real(rows, rhs)
+
+    patch_everywhere(monkeypatch, real, counted)
+    return sizes
+
+
+def test_sweep_row_factors_its_member_once(monkeypatch, capsys):
+    """A sweep row is one `sparse_bareiss` on its member: no definiteness
+    check, solve or `k_squared` of its own."""
+
+    def never(*args):
+        raise AssertionError("sweep called a per-invariant kernel")
+
+    v = len(generate(family_spec("II", n=3, s=1)))
+    for kernel in (invariants.k_squared, rational.solve, rational.is_negative_definite):
+        patch_everywhere(monkeypatch, kernel, never)
+    sizes = count_factorizations(monkeypatch)
+    assert main(["sweep", "II", "--param", "n", "--range", "3..3", "--fix", "s=1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3,4/5,0.8,4/5,true"
+    assert sizes == [v]
+
+
+def test_limit_detects_strings_once_and_factors_g_once(tmp_path, monkeypatch, capsys):
+    """`limit` on one string detects g's strings once and factors g once:
+    its definiteness check also solves the first limit system."""
+    g = generate(family_spec("II", n=4, s=1))
+    v = len(g)
+    path = tmp_path / "ii.json"
+    path.write_text(graph_to_json(g))
+    detected = []
+    real = kdg.transforms.detect_strings
+
+    def detect(graph):
+        detected.append(len(graph))
+        return real(graph)
+
+    patch_everywhere(monkeypatch, real, detect)
+    sizes = count_factorizations(monkeypatch)
+    assert main(["limit", str(path), "--strings", "n2"]) == 0
+    out = capsys.readouterr().out
+    assert "limit of -K^2: 1 " in out and "rational-fit cross-check: 1 " in out
+    assert detected == [v]
+    # g; the limit system without the string's two interior vertices; the
+    # cross-check's members with the string at length 0, 1 and 2
+    assert sizes == [v, v - 2, v - 4, v - 3, v - 2]
+
+
+def test_importing_cli_loads_no_multiprocessing():
+    """The process pool, and with it `multiprocessing`, is imported only
+    when `enumerate --jobs` asks for more than one worker."""
+    code = "import sys, kdg.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_compute_search_budget_exits_4(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -300,7 +301,8 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(kdg.enumeration, "ProcessPoolExecutor", InlinePool)
+    # `_enumerate` imports the pool from concurrent.futures only when jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     bounds = EnumBounds(2, min_self=-3)
     serial = enumerate_encodings(bounds, jobs=1)
     monkeypatch.setattr(kdg.enumeration.os, "cpu_count", lambda: 3)

@@ -25,6 +25,7 @@ from kdg.invariants import (
     Cycle,
     _class_invariants,
     _form,
+    _graph_k_squared,
     bound_checks,
     canonical_cycle,
     classify,
@@ -322,6 +323,33 @@ def test_cycle_degrees_of_canonical_cycle_on_family_grid():
         assert all(type(x) is Fraction for x in (k2, *degrees)), str(spec)
 
 
+def test_graph_k_squared_matches_k_squared_on_family_grid():
+    """One factorization gives what the definiteness check and the solve
+    give, on every member of the family corpus."""
+    for spec in _family_corpus():
+        g = generate(spec)
+        assert _graph_k_squared(g) == k_squared(g), str(spec)
+
+
+@given(admissible_graphs_up_to_8())
+@settings(max_examples=150)
+def test_graph_k_squared_matches_k_squared(g):
+    assert _graph_k_squared(g) == k_squared(g)
+
+
+def test_graph_k_squared_refuses_as_k_squared_does():
+    """An indefinite graph and a singular one (affine D4: a (-2)-centre with
+    four (-2)-arms, negative semidefinite) raise the same error both ways."""
+    indefinite = build_graph([("a", 0, -2), ("b", 0, -2)], [("a", "b", 2)])
+    arms = [(f"a{i}", 0, -2) for i in range(4)]
+    affine_d4 = build_graph([("x", 0, -2)] + arms, [("x", a[0]) for a in arms])
+    for g in (indefinite, affine_d4):
+        for route in (k_squared, _graph_k_squared):
+            with pytest.raises(NotNegativeDefiniteError) as exc:
+                route(g)
+            assert str(exc.value) == "intersection matrix is not negative definite"
+
+
 def test_class_invariants_cross_check_k_squared(monkeypatch):
     """A wrong solution of M m = c must trip the two-way -K^2 comparison."""
     real = invariants._checked_k_squared
@@ -347,11 +375,13 @@ def test_class_invariants_pivot_sign_guard():
 
 
 def test_k_squared_cross_check_trips(monkeypatch):
-    """A form off by one must trip `k_squared`'s integer two-way comparison."""
+    """A form off by one must trip the integer two-way comparison of
+    `k_squared` and of `_graph_k_squared`."""
     real = invariants._form
     monkeypatch.setattr(invariants, "_form", lambda weights, adj, v: real(weights, adj, v) + 1)
-    with pytest.raises(InternalCheckError, match="-K\\^2 mismatch"):
-        k_squared(x31())
+    for route in (k_squared, _graph_k_squared):
+        with pytest.raises(InternalCheckError, match="-K\\^2 mismatch"):
+            route(x31())
 
 
 def tail_graph(genus: int, self_int: int, length: int):

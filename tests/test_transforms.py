@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kdg import rational, transforms
+from kdg import invariants, rational, transforms
 from kdg.checks import _family_corpus
 from kdg.enumeration import EnumBounds, random_admissible
 from kdg.errors import NotNegativeDefiniteError, PreconditionError, SingularLimitError
@@ -257,7 +257,7 @@ def test_transforms_factor_each_system_once(monkeypatch):
         return real(rows, rhs)
 
     monkeypatch.setattr(rational, "sparse_bareiss", counted)
-    monkeypatch.setattr(transforms, "sparse_bareiss", counted)
+    monkeypatch.setattr(invariants, "sparse_bareiss", counted)
     spec = family_spec("II", n=2, s=1)
     g = generate(spec)
     v = len(g)
