@@ -205,7 +205,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
         limit_value = None
         print(f"no finite limit: {exc}")
     if len(chosen) == 1:
-        cross = _fitted_limit(g, chosen[0])
+        cross = _fitted_limit(g, chosen[0], solved)
         print(f"rational-fit cross-check: {_show(cross)}")
         consistent = (cross is UNBOUNDED and limit_value is None) or cross == limit_value
         if not consistent:

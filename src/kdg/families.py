@@ -169,7 +169,7 @@ def _chain_ids(prefix: str, count: int) -> list[str]:
 
 
 def _chain_edges(ids: Sequence[str]) -> list[tuple[str, str]]:
-    return [(a, b) for a, b in zip(ids, ids[1:])]
+    return list(zip(ids, ids[1:]))
 
 
 def generate(spec: FamilySpec) -> WeightedDualGraph:

@@ -5,6 +5,13 @@ irreducible curve carrying its genus and self-intersection, one undirected
 edge per intersecting pair carrying the intersection number.  A graph is
 *admissible* when it is connected, its intersection matrix is negative
 definite, and it is minimal (no genus-0 vertex of self-intersection -1).
+
+Vertices and edges are `VertexData` and `Edge` named tuples: immutable and
+hashable, they unpack and compare equal to plain tuples of their fields.
+Ingestion (`parse_graph_obj` -> `build_graph` -> `WeightedDualGraph`)
+reads each vertex and edge once: the JSON layer checks types and keys,
+`build_graph` resolves ids to indices, and the graph's constructor is the
+one place that checks values.  Error text is built only when one is raised.
 """
 
 from __future__ import annotations
@@ -12,14 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, PreconditionError
 from .rational import is_negative_definite
 
 
-@dataclass(frozen=True)
-class VertexData:
+class VertexData(NamedTuple):
     """One exceptional curve: stable id, genus >= 0, self-intersection <= -1."""
 
     id: str
@@ -27,8 +34,7 @@ class VertexData:
     self_int: int
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Intersection of vertices a < b (indices) with multiplicity >= 1."""
 
     a: int
@@ -57,32 +63,33 @@ class WeightedDualGraph:
         if not self.vertices:
             raise InvalidGraphError("graph needs at least one vertex")
         seen_ids = set()
-        for v in self.vertices:
-            if not isinstance(v.id, str) or not v.id:
-                raise InvalidGraphError(f"vertex id must be a non-empty string, got {v.id!r}")
-            if v.id in seen_ids:
-                raise InvalidGraphError(f"duplicate vertex id {v.id!r}")
-            seen_ids.add(v.id)
-            if v.genus < 0:
-                raise InvalidGraphError(f"vertex {v.id!r}: genus must be >= 0, got {v.genus}")
-            if v.self_int > -1:
+        for vid, genus, self_int in self.vertices:
+            if not isinstance(vid, str) or not vid:
+                raise InvalidGraphError(f"vertex id must be a non-empty string, got {vid!r}")
+            if vid in seen_ids:
+                raise InvalidGraphError(f"duplicate vertex id {vid!r}")
+            seen_ids.add(vid)
+            if genus < 0:
+                raise InvalidGraphError(f"vertex {vid!r}: genus must be >= 0, got {genus}")
+            if self_int > -1:
                 raise InvalidGraphError(
-                    f"vertex {v.id!r}: self-intersection must be <= -1, got {v.self_int}"
+                    f"vertex {vid!r}: self-intersection must be <= -1, got {self_int}"
                 )
         n = len(self.vertices)
         seen_pairs = set()
-        for e in self.edges:
-            if not (0 <= e.a < n and 0 <= e.b < n):
-                raise InvalidGraphError(f"edge ({e.a}, {e.b}) references a missing vertex")
-            if e.a == e.b:
-                raise InvalidGraphError(f"self-loop at vertex index {e.a}")
-            if e.a > e.b:
-                raise InvalidGraphError(f"edge ({e.a}, {e.b}) must be ordered a < b")
-            if e.mult < 1:
-                raise InvalidGraphError(f"edge ({e.a}, {e.b}): multiplicity must be >= 1")
-            if (e.a, e.b) in seen_pairs:
-                raise InvalidGraphError(f"duplicate edge pair ({e.a}, {e.b})")
-            seen_pairs.add((e.a, e.b))
+        for a, b, mult in self.edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise InvalidGraphError(f"edge ({a}, {b}) references a missing vertex")
+            if a == b:
+                raise InvalidGraphError(f"self-loop at vertex index {a}")
+            if a > b:
+                raise InvalidGraphError(f"edge ({a}, {b}) must be ordered a < b")
+            if mult < 1:
+                raise InvalidGraphError(f"edge ({a}, {b}): multiplicity must be >= 1")
+            pair = (a, b)
+            if pair in seen_pairs:
+                raise InvalidGraphError(f"duplicate edge pair ({a}, {b})")
+            seen_pairs.add(pair)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -150,10 +157,11 @@ def build_graph(
     edges: Iterable[tuple] = (),
 ) -> WeightedDualGraph:
     """Construct a graph from (id, genus, self_int) triples and edges given
-    as (id_a, id_b) or (id_a, id_b, mult) tuples."""
-    vts = tuple(VertexData(i, g, w) for i, g, w in vertices)
+    as (id_a, id_b) or (id_a, id_b, mult) tuples.  Resolves each edge's ids
+    to indices, ordered (min, max); `WeightedDualGraph` checks the values."""
+    vts = tuple(map(VertexData._make, vertices))
     index = {v.id: k for k, v in enumerate(vts)}
-    out = []
+    pairs = []
     for spec in edges:
         if len(spec) == 2:
             ida, idb = spec
@@ -164,8 +172,9 @@ def build_graph(
             a, b = index[ida], index[idb]
         except KeyError as exc:
             raise InvalidGraphError(f"edge references unknown vertex id {exc.args[0]!r}") from None
-        out.append(Edge(min(a, b), max(a, b), m))
-    return WeightedDualGraph(vts, tuple(sorted(out, key=lambda e: (e.a, e.b))))
+        pairs.append((a, b, m) if a < b else (b, a, m))
+    pairs.sort(key=itemgetter(0, 1))
+    return WeightedDualGraph(vts, tuple(map(Edge._make, pairs)))
 
 
 def intersection_matrix(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
@@ -246,17 +255,21 @@ def subgraph(g: WeightedDualGraph, keep: Sequence[int]) -> WeightedDualGraph:
 # ---------------------------------------------------------------------------
 # serialization
 
-_VERTEX_KEYS = {"id", "genus", "self"}
-_EDGE_KEYS = {"a", "b", "m"}
+_VERTEX_KEYS = frozenset({"id", "genus", "self"})
+_EDGE_KEYS = frozenset({"a", "b", "m"})
 
 
-def _require_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidGraphError(f"{where}: integer expected, got {value!r}")
-    return value
+def _require_int(value, part: str, k: int, field: str) -> int:
+    """value, when it is an integer and not a bool; otherwise raises with
+    the location `part[k].field`."""
+    if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise InvalidGraphError(f"{part}[{k}].{field}: integer expected, got {value!r}")
 
 
 def parse_graph_obj(doc) -> WeightedDualGraph:
+    """The graph of a parsed JSON document.  Each vertex and edge is checked
+    once, in document order; its error message is built only on failure."""
     if not isinstance(doc, dict):
         raise InvalidGraphError("top level: object with 'vertices' and 'edges' expected")
     unknown = set(doc) - {"vertices", "edges"}
@@ -267,35 +280,32 @@ def parse_graph_obj(doc) -> WeightedDualGraph:
         raise InvalidGraphError("vertices: non-empty array expected")
     vertices = []
     for k, rv in enumerate(raw_vertices):
-        where = f"vertices[{k}]"
         if not isinstance(rv, dict):
-            raise InvalidGraphError(f"{where}: object expected")
-        unknown = set(rv) - _VERTEX_KEYS
-        if unknown:
-            raise InvalidGraphError(f"{where}: unknown keys {sorted(unknown)}")
-        if "id" not in rv or not isinstance(rv["id"], str):
-            raise InvalidGraphError(f"{where}.id: string expected")
-        genus = _require_int(rv.get("genus", 0), f"{where}.genus")
+            raise InvalidGraphError(f"vertices[{k}]: object expected")
+        if not _VERTEX_KEYS.issuperset(rv):
+            raise InvalidGraphError(f"vertices[{k}]: unknown keys {sorted(set(rv) - _VERTEX_KEYS)}")
+        vid = rv.get("id")
+        if not isinstance(vid, str):
+            raise InvalidGraphError(f"vertices[{k}].id: string expected")
+        genus = _require_int(rv.get("genus", 0), "vertices", k, "genus")
         if "self" not in rv:
-            raise InvalidGraphError(f"{where}.self: required")
-        self_int = _require_int(rv["self"], f"{where}.self")
-        vertices.append((rv["id"], genus, self_int))
+            raise InvalidGraphError(f"vertices[{k}].self: required")
+        vertices.append((vid, genus, _require_int(rv["self"], "vertices", k, "self")))
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise InvalidGraphError("edges: array expected")
     edges = []
     for k, re_ in enumerate(raw_edges):
-        where = f"edges[{k}]"
         if not isinstance(re_, dict):
-            raise InvalidGraphError(f"{where}: object expected")
-        unknown = set(re_) - _EDGE_KEYS
-        if unknown:
-            raise InvalidGraphError(f"{where}: unknown keys {sorted(unknown)}")
-        for key in ("a", "b"):
-            if key not in re_ or not isinstance(re_[key], str):
-                raise InvalidGraphError(f"{where}.{key}: vertex id string expected")
-        m = _require_int(re_.get("m", 1), f"{where}.m")
-        edges.append((re_["a"], re_["b"], m))
+            raise InvalidGraphError(f"edges[{k}]: object expected")
+        if not _EDGE_KEYS.issuperset(re_):
+            raise InvalidGraphError(f"edges[{k}]: unknown keys {sorted(set(re_) - _EDGE_KEYS)}")
+        ida, idb = re_.get("a"), re_.get("b")
+        if not isinstance(ida, str):
+            raise InvalidGraphError(f"edges[{k}].a: vertex id string expected")
+        if not isinstance(idb, str):
+            raise InvalidGraphError(f"edges[{k}].b: vertex id string expected")
+        edges.append((ida, idb, _require_int(re_.get("m", 1), "edges", k, "m")))
     return build_graph(vertices, edges)
 
 
@@ -320,7 +330,7 @@ def graph_to_obj(g: WeightedDualGraph) -> dict:
         ],
         "edges": [
             {"a": g.vertices[e.a].id, "b": g.vertices[e.b].id, "m": e.mult}
-            for e in sorted(g.edges, key=lambda e: (e.a, e.b))
+            for e in sorted(g.edges)
         ],
     }
 
@@ -346,7 +356,7 @@ def to_dot(g: WeightedDualGraph) -> str:
     lines = ["graph dual {"]
     for v in g.vertices:
         lines.append(f'  "{v.id}" [label="{v.id} [{v.genus}, {v.self_int}]"];')
-    for e in sorted(g.edges, key=lambda e: (e.a, e.b)):
+    for e in sorted(g.edges):
         ida = g.vertices[e.a].id
         idb = g.vertices[e.b].id
         if e.mult > 1:

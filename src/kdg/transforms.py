@@ -636,16 +636,22 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     the determinant of a member is affine in L, so the pole is where it
     vanishes, and the members past it are not negative definite.
     """
-    _definite_solution(g)
+    solved = _definite_solution(g)
     (desc,) = _resolve_designated(g, [s])
-    return _fitted_limit(g, desc)
+    return _fitted_limit(g, desc, solved)
 
 
-def _fitted_limit(g: WeightedDualGraph, desc: StringDescriptor) -> Union[Fraction, object]:
+def _fitted_limit(
+    g: WeightedDualGraph, desc: StringDescriptor, solved: tuple[list[int], int]
+) -> Union[Fraction, object]:
     """`mobius_limit_crosscheck` on a negative definite g and a string as
-    `_resolve_designated` gives it."""
+    `_resolve_designated` gives it, with `solved` g's (y, d) from
+    `_definite_solution`: the member at the string's own length is g, whose
+    -K^2 is read from that solution."""
 
     def member_k2(length: int) -> Fraction:
+        if length == len(desc.chain):
+            return _checked_k_squared(*_graph_system(g), *solved)
         return _graph_k_squared(_splice(g, desc, length)[0])
 
     lengths = [0, 1, 2]

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from kdg.errors import InvalidGraphError, PreconditionError
 from kdg.graph import (
+    Edge,
+    VertexData,
     WeightedDualGraph,
     adjunction_degrees,
     build_graph,
@@ -23,6 +25,7 @@ from kdg.graph import (
     validate,
 )
 from kdg.rational import det, is_negative_definite, solve
+from kdg.transforms import detect_strings, with_string_length
 
 from .oracles import char_poly
 
@@ -152,6 +155,30 @@ def test_cached_graph_data_stays_private():
     assert g == twin and hash(g) == hash(twin)
 
 
+def test_records_are_immutable_hashable_values():
+    v = VertexData("a", 0, -2)
+    e = Edge(0, 1)
+    assert v == VertexData(id="a", genus=0, self_int=-2) and hash(v) == hash(VertexData("a", 0, -2))
+    assert e == Edge(a=0, b=1, mult=1) == Edge(0, 1, 1) and hash(e) == hash(Edge(0, 1, 1))
+    assert e.mult == 1 and Edge(0, 1, 3).mult == 3
+    assert len({v, VertexData("a", 0, -2), VertexData("a", 1, -2)}) == 2
+    for record, field in ((v, "id"), (v, "genus"), (v, "self_int"), (e, "a"), (e, "mult")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+    # transforms builds VertexData and Edge records by position; the graphs
+    # they make equal those build_graph makes from plain tuples
+    g = build_graph([("x", 0, -3), ("s1", 0, -2)], [("x", "s1")])
+    (s,) = detect_strings(g)
+    grown, _ = with_string_length(g, s, 3)
+    ids = ["x", "s1", "w1", "w2"]
+    built = build_graph([(i, 0, -3 if i == "x" else -2) for i in ids], list(zip(ids, ids[1:])))
+    direct = WeightedDualGraph(
+        (VertexData("x", 0, -3),) + tuple(VertexData(i, 0, -2) for i in ids[1:]),
+        (Edge(0, 1), Edge(1, 2), Edge(2, 3)),
+    )
+    assert grown == built == direct and hash(grown) == hash(built) == hash(direct)
+
+
 def test_build_graph_rejects_bad_input():
     with pytest.raises(InvalidGraphError, match="at least one vertex"):
         build_graph([], [])
@@ -256,6 +283,74 @@ def test_json_defaults_and_strictness():
         parse_graph_json("[1, 2]")
 
 
+def _v(vid="a", **fields):
+    return {"id": vid, "self": -2, **fields}
+
+
+_AB = [_v("a"), _v("b")]
+
+# (document, message) for each ingestion error, pinned to the byte.
+_INGESTION_ERRORS = [
+    ({"vertices": [_v(), 1]}, "vertices[1]: object expected"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "b"}, [1]]}, "edges[1]: object expected"),
+    ({"vertices": [_v(w=3, x=1)]}, "vertices[0]: unknown keys ['w', 'x']"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "b", "x": 1}]}, "edges[0]: unknown keys ['x']"),
+    ({"vertices": [_v(), {"self": -2}]}, "vertices[1].id: string expected"),
+    ({"vertices": [{"id": "a"}]}, "vertices[0].self: required"),
+    ({"vertices": [_v(genus=True)]}, "vertices[0].genus: integer expected, got True"),
+    ({"vertices": [_v(genus=-2.0)]}, "vertices[0].genus: integer expected, got -2.0"),
+    ({"vertices": [_v(genus="a")]}, "vertices[0].genus: integer expected, got 'a'"),
+    ({"vertices": [_v(self=True)]}, "vertices[0].self: integer expected, got True"),
+    ({"vertices": [_v(), _v("b", self=-2.0)]}, "vertices[1].self: integer expected, got -2.0"),
+    ({"vertices": [_v(self="a")]}, "vertices[0].self: integer expected, got 'a'"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "b", "m": True}]}, "edges[0].m: integer expected, got True"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "b", "m": -2.0}]}, "edges[0].m: integer expected, got -2.0"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "b", "m": "a"}]}, "edges[0].m: integer expected, got 'a'"),
+    ({"vertices": _AB, "edges": [{"a": "a"}]}, "edges[0].b: vertex id string expected"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "z"}]}, "edge references unknown vertex id 'z'"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "a"}]}, "self-loop at vertex index 0"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "b"}, {"a": "a", "b": "b"}]}, "duplicate edge pair (0, 1)"),
+    ({"vertices": _AB, "edges": [{"a": "b", "b": "a"}, {"a": "a", "b": "b"}]}, "duplicate edge pair (0, 1)"),
+    ({"vertices": _AB, "edges": [{"a": "b", "b": "a", "m": 0}]}, "edge (0, 1): multiplicity must be >= 1"),
+    ({"vertices": [_v(), _v()]}, "duplicate vertex id 'a'"),
+    ({"vertices": [_v(genus=-1)]}, "vertex 'a': genus must be >= 0, got -1"),
+    ({"vertices": [_v(self=0)]}, "vertex 'a': self-intersection must be <= -1, got 0"),
+]
+
+
+@pytest.mark.parametrize("doc, message", _INGESTION_ERRORS)
+def test_ingestion_error_messages_are_exact(doc, message):
+    with pytest.raises(InvalidGraphError) as info:
+        parse_graph_obj(doc)
+    assert str(info.value) == message and info.value.exit_code == 2
+
+
+def test_constructor_error_messages_are_exact():
+    ab = [("a", 0, -2), ("b", 0, -2)]
+    cases = [
+        (lambda: build_graph(ab, [("a", "z")]), "edge references unknown vertex id 'z'"),
+        (lambda: build_graph(ab, [("z", "a", 1)]), "edge references unknown vertex id 'z'"),
+        (lambda: build_graph(ab, [("b", "b", 1)]), "self-loop at vertex index 1"),
+        (lambda: build_graph(ab, [("b", "a"), ("a", "b", 2)]), "duplicate edge pair (0, 1)"),
+        (lambda: build_graph(ab, [("a", "b", 0)]), "edge (0, 1): multiplicity must be >= 1"),
+        (lambda: build_graph([], []), "graph needs at least one vertex"),
+        (lambda: build_graph([("", 0, -2)]), "vertex id must be a non-empty string, got ''"),
+    ]
+    abc = tuple(VertexData(i, 0, -2) for i in "abc")
+    for edges, message in (
+        ((Edge(2, 1),), "edge (2, 1) must be ordered a < b"),
+        ((Edge(0, 3),), "edge (0, 3) references a missing vertex"),
+        ((Edge(1, 1),), "self-loop at vertex index 1"),
+        ((Edge(0, 1), Edge(0, 1, 2)), "duplicate edge pair (0, 1)"),
+        ((Edge(0, 1, 0),), "edge (0, 1): multiplicity must be >= 1"),
+    ):
+        cases.append((lambda edges=edges: WeightedDualGraph(abc, edges), message))
+    for build, message in cases:
+        with pytest.raises(InvalidGraphError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_load_graph(tmp_path):
     p = tmp_path / "g.json"
     p.write_text(graph_to_json(chain32()))
@@ -299,3 +394,5 @@ def test_parse_graph_obj_raises_only_invalid_graph(doc):
     except InvalidGraphError:
         return
     assert isinstance(g, WeightedDualGraph)
+    back = parse_graph_obj(graph_to_obj(g))
+    assert back == g and hash(back) == hash(g)

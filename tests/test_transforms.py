@@ -271,9 +271,11 @@ def test_transforms_factor_each_system_once(monkeypatch):
     sizes.clear()
     s = stretch_descriptor(spec, g, "s")
     assert mobius_limit_crosscheck(g, s) == Fraction(3, 4)
-    # g, then the members with the string at length 0, 1 and 2
+    # g, then the members with the string at length 0 and 2; the member at
+    # length 1 is g, whose -K^2 is read from g's own factorization
     base = v - len(s.chain)
-    assert sizes == [v, base, base + 1, base + 2]
+    assert len(s.chain) == 1
+    assert sizes == [v, base, base + 2]
 
 
 def test_detect_strings_star():
@@ -534,13 +536,14 @@ def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
     monkeypatch.setattr(transforms, "_splice", spy)
     # E8 = T(2,3,5) is definite, and so are its members with the short arm
     # at length 0 and 1; at length 2 it is T(3,3,5), which is not, and its
-    # error is raised as is
+    # error is raised as is.  The member at length 1 is g itself and is not
+    # spliced.
     spec = family_spec("E8")
     g = generate(spec)
     (arm,) = [s for s in detect_strings(g) if len(s.chain) == 1]
     with pytest.raises(NotNegativeDefiniteError):
         mobius_limit_crosscheck(g, arm)
-    assert sizes == [7, 8, 9]
+    assert sizes == [7, 9]
     # the chain -1, -2, -2, -2, -1 (genus-1 ends) is singular at every
     # string length: g itself is refused before any member is built
     sizes.clear()
