@@ -24,13 +24,18 @@ sorted data and maps the block, which comes first in the reading order,
 onto itself, so a smaller image of the block makes a smaller filling.  The
 test therefore runs as each column closes, on the block closed so far, and
 cuts every subtree below a non-minimal block; at the last column it is the
-full test.  The permutations are still listed
-one by one, a product of factorials, which is why max_vertices is capped
-at 8.  Connectivity, when required, is read from neighbour bitmasks kept as
-entries are assigned, when the last entry is set and before that full test:
-both cut only the leaf and connectivity is an isomorphism invariant, so the
-order does not change the output, and connectivity is far the cheaper test
-while many minimal fillings are disconnected.
+full test.  The permutations are still listed one by one, a product of
+factorials, which is why max_vertices is capped at 8.  Their block images
+depend only on the run pattern of the data prefix, so one enumeration (one
+worker, under jobs > 1) builds each pattern's list once and every task
+with that pattern reads it.
+
+Connectivity, when required, is a cut in the last column.  As that column
+starts, the components of the graph on the other vertices are read from
+neighbour bitmasks kept as entries are assigned.  A component that is not
+joined to the last vertex by the time its largest vertex's entry comes
+must be joined there, so value 0 is not offered; every filling that
+reaches the leaf is connected, and no disconnected one is followed.
 
 Work is bounded twice.  The tasks, one per vertex-data multiset, are
 counted with one binomial per vertex count before any is built, and a box
@@ -192,12 +197,35 @@ def canonical_encoding(g: WeightedDualGraph) -> str:
     return _encode(data, pairs)
 
 
+def _block_rivals(data: Sequence[VertexDatum]) -> list[itemgetter]:
+    """One getter per permutation of {0..j}, j = len(data) - 1, that
+    preserves `data` and moves some entry of the leading block on {0..j},
+    reading that block's image in `_positions` order.
+
+    Entry (a, b), a < b, comes at b(b-1)/2 + a in `_positions` order for
+    every vertex count, so the getters read the key of a filling with any
+    number of vertices, and they depend only on the run pattern of `data`.
+    """
+    r = len(data)
+    positions = _positions(r)
+    index = [[0] * r for _ in range(r)]
+    for k, (a, b) in enumerate(positions):
+        index[a][b] = index[b][a] = k
+    identity = tuple(range(len(positions)))
+    getters = []
+    for perm in _data_stabilizer(data):
+        image = tuple([index[perm[a]][perm[b]] for a, b in positions])
+        if image != identity:
+            getters.append(itemgetter(*image))
+    return getters
+
+
 def _bordered_entries(
-    piv: list[int], low_i: list[int], low_j: list[int], det_i: int, i: int, cap: int
+    piv: list[int], low_i: list[int], low_j: list[int], det_i: int, i: int, cap: int, least: int = 0
 ) -> list[tuple[int, int, int]]:
-    """The values m in 0..cap for entry (i, j), i < j, that some negative
-    definite completion may hold, each with its Bareiss entry x and its
-    bordered minor d.
+    """The values m in least..cap for entry (i, j), i < j, that some
+    negative definite completion may hold, each with its Bareiss entry x
+    and its bordered minor d.
 
     `piv[k]` is the k-th leading principal minor (piv[0] = 1), low_i[k] and
     low_j[k] for k < i are the Bareiss entries a^(k)_{i,k} and a^(k)_{j,k},
@@ -216,27 +244,39 @@ def _bordered_entries(
     p = piv[i]
     q = piv[i + 1] * det_i
     out = []
-    for m in range(cap + 1):
+    for m in range(least, cap + 1):
         x = x0 + p * m
         if x * x < q:
             out.append((m, x, (q - x * x) // p))
     return out
 
 
-def _reaches_all(nbr: list[int]) -> bool:
-    """Whether vertex 0 reaches every vertex, given each vertex's neighbours
-    as a bitmask."""
-    seen = frontier = 1
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = nbr[low.bit_length() - 1] & ~seen
-        seen |= new
-        frontier |= new
-    return seen == (1 << len(nbr)) - 1
+def _component_ends(nbr: list[int], n: int) -> list[int]:
+    """For each vertex v < n, the bitmask of its component in the graph on
+    {0..n-1} if v is the largest vertex of that component, else 0; nbr[v]
+    is the bitmask of v's neighbours, none of them n or more."""
+    ends = [0] * n
+    seen = 0
+    for v in range(n):
+        if seen >> v & 1:
+            continue
+        comp = frontier = 1 << v
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        seen |= comp
+        ends[comp.bit_length() - 1] = comp
+    return ends
 
 
-def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds], leaf: Leaf[T]) -> list[T]:
+def _search_data(
+    task: tuple[tuple[VertexDatum, ...], EnumBounds],
+    leaf: Leaf[T],
+    shared: dict[tuple[bool, ...], list[itemgetter]],
+) -> list[T]:
     """`leaf` of every canonical admissible adjacency filling for one
     vertex-data multiset.
 
@@ -246,11 +286,20 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds], leaf: Leaf[T]
     When entry (j-1, j) closes column j, the leading block on {0..j} must be
     lexicographically minimal, in `_positions` order, among its images
     under the data-preserving permutations of {0..j}, or the subtree is cut.
-    When the last entry closes the last column and `bounds.connected_only`
-    is set, a disconnected filling is cut before that comparison.  A leaf
-    is called with the full factorization of M; a single vertex, which
-    needs no search, with piv = [1, w].  Raises `PreconditionError` past
-    `ENUM_NODE_BUDGET` search nodes.
+    The getters of those images (`_block_rivals`) are looked up in `shared`
+    by the run pattern of data[:j+1] (which neighbours are equal), and
+    built there on first use, so the tasks that share a dict and a run
+    pattern read one list.
+
+    When `bounds.connected_only` is set, the last column is filled knowing
+    the components of the graph on the other vertices: at the entry of a
+    component's largest vertex, with none of the component joined to the
+    last vertex yet, value 0 is not offered, since it would leave that
+    component apart.  Every filling that reaches the leaf is then connected.
+
+    A leaf is called with the full factorization of M; a single vertex,
+    which needs no search, with piv = [1, w].  Raises `PreconditionError`
+    past `ENUM_NODE_BUDGET` search nodes.
     """
     data, bounds = task
     max_mult = bounds.max_edge_multiplicity
@@ -259,24 +308,29 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds], leaf: Leaf[T]
     if r == 1:
         return [leaf(data, [], [1, weights[0]], [[0]])] if weights[0] <= -2 or data[0][0] > 0 else []
     positions = _positions(r)
-    index = [[0] * r for _ in range(r)]
-    for k, (a, b) in enumerate(positions):
-        index[a][b] = index[b][a] = k
-    # rivals[k]: when entry k closes column j, one getter per permutation of
-    # {0..j} that preserves data[:j+1] (extended by the identity, it
-    # preserves all the data, as the data is sorted) and moves some entry
-    # of the leading block, reading that block's image in `_positions` order
-    rivals: list[list[itemgetter]] = [[] for _ in positions]
-    for j in range(1, r):
-        n = j * (j + 1) // 2
-        for perm in _data_stabilizer(data[:j + 1]):
-            image = tuple(index[perm[a]][perm[b]] for a, b in positions[:n])
-            if image != tuple(range(n)):
-                rivals[n - 1].append(itemgetter(*image))
+    # plan[k]: for entry k = (i, j), i, j, the largest multiplicity that
+    # keeps the 2x2 block on {i, j} negative definite (capped by the box),
+    # and when the entry closes column j, the rival getters of the block
+    # it closes, else None
+    same = [data[k] == data[k - 1] for k in range(1, r)]
+    plan = []
+    for i, j in positions:
+        rivals = None
+        if i == j - 1:
+            pattern = tuple(same[:j])
+            rivals = shared.get(pattern)
+            if rivals is None:
+                rivals = shared[pattern] = _block_rivals(data[: j + 1])
+        plan.append((i, j, min(max_mult, isqrt(weights[i] * weights[j] - 1)), rivals))
+    # the column whose entries see the connectivity cut (none when
+    # disconnected graphs are kept)
+    top = r - 1 if bounds.connected_only else r
     # key[k]: the multiplicity at positions[k]; nbr[v]: bitmask of the
-    # vertices joined to v so far
+    # vertices joined to v so far; ends: `_component_ends` of the graph on
+    # {0..r-2}, taken as the last column starts
     key = [0] * len(positions)
     nbr = [0] * r
+    ends: list[int] = []
     last = len(positions) - 1
     found: list[T] = []
     piv = [1, weights[0]] + [0] * (r - 1)
@@ -284,41 +338,48 @@ def _search_data(task: tuple[tuple[VertexDatum, ...], EnumBounds], leaf: Leaf[T]
     # diag[i]: determinant of the principal block on {0..i-1, j} for the
     # column j being filled.
     diag = [0] * r
+    budget = ENUM_NODE_BUDGET
     nodes = 0
 
     def rec(pos: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, ends
         nodes += 1
-        if nodes > ENUM_NODE_BUDGET:
+        if nodes > budget:
             raise PreconditionError(
                 f"enumeration box {bounds} is over its search budget: the task for"
-                f" vertex data {data} visited more than {ENUM_NODE_BUDGET} nodes"
+                f" vertex data {data} visited more than {budget} nodes"
             )
         if pos > last:
             pairs = [(i, j, key[k]) for k, (i, j) in enumerate(positions) if key[k]]
             found.append(leaf(data, pairs, piv, lower))
             return
-        i, j = positions[pos]
+        i, j, cap, rivals = plan[pos]
+        least = 0
         if i == 0:
             diag[0] = weights[j]
-        cap = min(max_mult, isqrt(weights[i] * weights[j] - 1))
+            if j == top:
+                ends = _component_ends(nbr, j)
+        if j == top and ends[i] and not nbr[j] & ends[i]:
+            least = 1
         low_j = lower[j]
         bit_i, bit_j = 1 << i, 1 << j
-        for m, x, d in _bordered_entries(piv, lower[i], low_j, diag[i], i, cap):
+        for m, x, d in _bordered_entries(piv, lower[i], low_j, diag[i], i, cap, least):
             key[pos] = m
             if m:
                 nbr[i] |= bit_j
                 nbr[j] |= bit_i
             low_j[i] = x
             diag[i + 1] = d
-            if i == j - 1:
-                piv[j + 1] = d
-                if pos == last and bounds.connected_only and not _reaches_all(nbr):
-                    continue
-                block = tuple(key[: pos + 1])
-                if any(image(key) < block for image in rivals[pos]):
-                    continue
-            rec(pos + 1)
+            if rivals is None:
+                rec(pos + 1)
+                continue
+            piv[j + 1] = d
+            block = tuple(key[: pos + 1])
+            for image in rivals:
+                if image(key) < block:
+                    break
+            else:
+                rec(pos + 1)
         nbr[i] &= ~bit_j
         nbr[j] &= ~bit_i
 
@@ -354,26 +415,35 @@ def _tasks(bounds: EnumBounds) -> list[tuple[tuple[VertexDatum, ...], EnumBounds
     return tasks
 
 
+def _search_tasks(tasks: list[tuple[tuple[VertexDatum, ...], EnumBounds]], leaf: Leaf[T]) -> list[T]:
+    """The leaf values of several tasks, which read one dict of rival
+    getters, built as they need it and dropped on return."""
+    shared: dict[tuple[bool, ...], list[itemgetter]] = {}
+    return [value for task in tasks for value in _search_data(task, leaf, shared)]
+
+
 def _enumerate(bounds: EnumBounds, jobs: int, leaf: Leaf[T]) -> list[T]:
     """Every leaf value of the search within bounds, sorted.
 
-    `jobs` is clamped to the number of CPUs: the pool starts every worker
-    at once.  The pool is imported only when it is used, since importing
-    it loads `multiprocessing`."""
+    Raises `PreconditionError` when jobs < 1.  `jobs` is clamped to the
+    number of CPUs: the pool starts every worker at once.  Each worker
+    gets one share of the tasks, every jobs-th from its own start, so that
+    it builds each rival list once and the shares, whose neighbouring
+    tasks cost alike, take about as long.  The pool is imported only when
+    it is used, since importing it loads `multiprocessing`."""
+    if jobs < 1:
+        raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     tasks = _tasks(bounds)
-    search = partial(_search_data, leaf=leaf)
+    search = partial(_search_tasks, leaf=leaf)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(search, tasks, chunksize=16))
+            shares = list(pool.map(search, [tasks[k::jobs] for k in range(jobs)]))
     else:
-        chunks = [search(t) for t in tasks]
-    merged = set()
-    for chunk in chunks:
-        merged.update(chunk)
-    return sorted(merged)
+        shares = [search(tasks)]
+    return sorted(set().union(*shares))
 
 
 def _encoding_leaf(data, pairs, piv, lower) -> str:

@@ -354,19 +354,26 @@ def brute_force_encodings(bounds) -> list[str]:
     return sorted(found)
 
 
-def leading_blocks_minimal(encoding: str) -> bool:
-    """Whether every leading block of an encoded graph, on vertices {0..k},
-    read column by column, is lexicographically minimal among its images
-    under the permutations of {0..k} that keep every vertex's (genus, self).
-    The encoding is parsed here and every permutation of {0..k} is tried."""
+def encoded_matrix(encoding: str) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The (genus, self) pairs of an encoded graph and its symmetric matrix
+    of edge multiplicities (zero diagonal), parsed here."""
     head, _, tail = encoding.partition("|")
     data = [tuple(int(x) for x in part.split(",")) for part in head.split(";")]
-    r = len(data)
-    m = [[0] * r for _ in range(r)]
+    m = [[0] * len(data) for _ in data]
     for part in filter(None, tail.split(";")):
         pair, x = part.split(":")
         i, j = (int(v) for v in pair.split("-"))
         m[i][j] = m[j][i] = int(x)
+    return data, m
+
+
+def leading_blocks_minimal(encoding: str) -> bool:
+    """Whether every leading block of an encoded graph, on vertices {0..k},
+    read column by column, is lexicographically minimal among its images
+    under the permutations of {0..k} that keep every vertex's (genus, self).
+    Every permutation of {0..k} is tried."""
+    data, m = encoded_matrix(encoding)
+    r = len(data)
     for k in range(r):
         pairs = [(i, j) for j in range(k + 1) for i in range(j)]
         block = [m[i][j] for i, j in pairs]

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -26,7 +27,14 @@ from kdg.errors import PreconditionError
 from kdg.graph import build_graph, validate
 
 from .conftest import quick_k_squared, search_factorization
-from .oracles import brute_force_encodings, cofactor_det, leading_blocks_minimal, negdef_by_charpoly
+from .oracles import (
+    _is_connected,
+    brute_force_encodings,
+    cofactor_det,
+    encoded_matrix,
+    leading_blocks_minimal,
+    negdef_by_charpoly,
+)
 
 
 def test_bounds_validation():
@@ -148,6 +156,25 @@ def test_enumeration_is_complete(bounds):
     """Pruning drops no class: the pruned search finds exactly what filling
     every matrix of the box finds."""
     assert enumerate_encodings(bounds) == brute_force_encodings(bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        EnumBounds(6, min_self=-3),
+        EnumBounds(4, min_self=-3, max_genus=1, max_edge_multiplicity=2),
+        EnumBounds(6, min_self=-2, max_genus=1),
+    ],
+    ids=str,
+)
+def test_connected_search_keeps_every_connected_class(bounds):
+    """On boxes past the brute-force oracle's sizes, the search that cuts
+    disconnected last columns entry by entry finds exactly the connected
+    classes of the search that keeps every filling."""
+    every = enumerate_encodings(dataclasses.replace(bounds, connected_only=False))
+    connected = [enc for enc in every if _is_connected(encoded_matrix(enc)[1])]
+    assert len(connected) < len(every)
+    assert enumerate_encodings(bounds) == connected
 
 
 def test_leading_blocks_are_minimal(e5_entries):
@@ -281,6 +308,35 @@ def test_node_budget_boundary(monkeypatch):
     monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 2)
     with pytest.raises(PreconditionError, match="visited more than 2 nodes"):
         enumerate_encodings(bounds)
+    # three (0,-2)-vertices: the task visits the root (0,1); below value 0
+    # there, (0,2) and (1,2), where value 0 would leave a vertex apart and
+    # is not offered, and the path's leaf; below value 1, (0,2) and, under
+    # each of its two values, (1,2), whose fillings are all non-minimal or
+    # not negative definite: 7 nodes
+    bounds = EnumBounds(3, min_self=-2)
+    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 7)
+    assert enumerate_encodings(bounds) == ["0,-2;0,-2;0,-2|0-2:1;1-2:1", "0,-2;0,-2|0-1:1", "0,-2|"]
+    monkeypatch.setattr(kdg.enumeration, "ENUM_NODE_BUDGET", 6)
+    with pytest.raises(PreconditionError, match="visited more than 6 nodes"):
+        enumerate_encodings(bounds)
+
+
+def test_jobs_below_one_refused(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("searched with jobs < 1")
+
+    monkeypatch.setattr(kdg.enumeration, "_search_data", never)
+    bounds = EnumBounds(2, min_self=-3)
+    for jobs in (0, -3):
+        with pytest.raises(PreconditionError, match=f"jobs must be >= 1, got {jobs}"):
+            enumerate_encodings(bounds, jobs=jobs)
+        with pytest.raises(PreconditionError, match=f"jobs must be >= 1, got {jobs}"):
+            enumerate_admissible(bounds, jobs=jobs)
+    code = main(["enumerate", "--max-vertices", "2", "--min-self", "-3", "--jobs", "-3"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "jobs must be >= 1, got -3" in captured.err
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
