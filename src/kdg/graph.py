@@ -114,6 +114,14 @@ class WeightedDualGraph:
         return adj
 
     @cached_property
+    def _intersection_rows(self) -> tuple[dict[int, int], ...]:
+        return tuple(a | {i: v.self_int} for i, (a, v) in enumerate(zip(self._adjacency, self.vertices)))
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(2 * v.genus - 2 - v.self_int for v in self.vertices)
+
+    @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
         adj = self._adjacency
         seen: set[int] = set()
@@ -143,9 +151,9 @@ class WeightedDualGraph:
     def adjacency(self) -> tuple[dict[int, int], ...]:
         """Per-vertex map neighbor index -> intersection multiplicity.
 
-        The maps are built once per graph and every call hands out the same
-        ones, so they are read-only: a caller that needs to change a row
-        copies it first (`intersection_rows` returns new maps)."""
+        Like g's intersection rows and c, the maps are built once per graph
+        and every call hands out the same ones, so they are read-only: a
+        caller that changes a row copies it first, as `intersection_rows` does."""
         return self._adjacency
 
     def edge_mult(self, i: int, j: int) -> int:
@@ -192,17 +200,19 @@ def intersection_matrix(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
 def intersection_rows(g: WeightedDualGraph) -> list[dict[int, int]]:
     """The intersection matrix as map rows for the `rational` kernels: row
     i maps each neighbour of vertex i to the intersection number and i to
-    its self-intersection.  Built in O(n + edges); new maps on every call."""
-    return [row | {i: v.self_int} for i, (row, v) in enumerate(zip(g.adjacency(), g.vertices))]
+    its self-intersection.  New maps on every call, copied from the rows g
+    builds once in O(n + edges); `validate` and `kdg.invariants` hand those
+    read-only rows to the kernels, which copy what they eliminate."""
+    return list(map(dict.copy, g._intersection_rows))
 
 
 def adjunction_degrees(g: WeightedDualGraph) -> tuple[int, ...]:
-    """The vector c with c_i = 2*genus_i - 2 - self_int_i.
+    """The vector c with c_i = 2*genus_i - 2 - self_int_i, one tuple per graph.
 
     c_i is the intersection number of the canonical cycle with the i-th
     curve; it vanishes exactly on genus-0 (-2)-vertices.
     """
-    return tuple(2 * v.genus - 2 - v.self_int for v in g.vertices)
+    return g._degrees
 
 
 def connected_components(g: WeightedDualGraph) -> list[list[int]]:
@@ -220,7 +230,7 @@ def validate(g: WeightedDualGraph) -> ValidationReport:
     connected = is_connected(g)
     if not connected:
         messages.append(f"not connected: {len(g._components)} components")
-    negdef = is_negative_definite(intersection_rows(g))
+    negdef = is_negative_definite(g._intersection_rows)
     if not negdef:
         messages.append("not negative definite")
     minimal = True

@@ -28,7 +28,6 @@ from .errors import (
 from .graph import (
     WeightedDualGraph,
     adjunction_degrees,
-    intersection_rows,
     is_connected,
     validate,
 )
@@ -91,9 +90,9 @@ class InvariantReport:
 
 
 def _checked_matrix(g: WeightedDualGraph):
-    """M as map rows (`intersection_rows`); NotNegativeDefiniteError
-    unless it is negative definite."""
-    m = intersection_rows(g)
+    """M as g's own read-only map rows (`intersection_rows` copies them);
+    NotNegativeDefiniteError unless it is negative definite."""
+    m = g._intersection_rows
     if not is_negative_definite(m):
         raise NotNegativeDefiniteError("intersection matrix is not negative definite")
     return m

@@ -12,14 +12,17 @@ A square matrix of n rows comes in one of two forms, and `dim`,
 * dense rows, each a sequence of n entries;
 * map rows, each a dict column -> entry over some of the columns
   0..n-1, the entries it leaves out being 0.  A graph's intersection
-  matrix in this form is its adjacency maps plus the diagonal
-  (`graph.intersection_rows`), and callers that hold a graph pass that.
+  matrix in this form is its adjacency maps plus the diagonal, built once
+  per graph (`graph.intersection_rows` copies it), and callers that hold
+  a graph pass that.
 
-Map rows are read in O(n + stored entries), dense rows in O(n^2); both
-follow the same rules (every stored entry is read, so a float raises
-wherever it stands) and go into the same elimination.  A map row naming a
-column outside 0..n-1 raises ValueError.  Kernels copy what they
-eliminate, so the caller's rows are never changed.
+`det`, `solve` and `is_negative_definite` read m once, through
+`_sparse_rows`, in O(n + stored entries) for map rows and O(n^2) for
+dense ones.  Mixed forms, a dense row of other than n entries and a map
+column outside 0..n-1 raise ValueError; an entry with no denominator (a
+float, even a stored 0) raises wherever it stands.  Kernels copy what
+they eliminate, so the caller's rows are never changed and read-only rows
+may be passed.
 
 `det`, `solve` and `is_negative_definite` eliminate sparse integer rows:
 one map column -> entry per row, over its nonzeros, each row multiplied by
@@ -56,7 +59,7 @@ float entry raises, and decimal strings are produced for display only.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import attrgetter
@@ -134,16 +137,15 @@ def dim(m: Matrix) -> int:
     return _shape(m)[0]
 
 
-def is_symmetric(m: Matrix) -> bool:
-    if _shape(m)[1]:
-        # every stored entry against its mirror, a missing one read as 0
-        for i, row in enumerate(m):
-            for j, x in row.items():
-                if m[j].get(i, 0) != x:
-                    return False
-        return True
+def _symmetric(m: Matrix, maps: bool) -> bool:
+    if maps:  # every stored entry against its mirror, a missing one read as 0
+        return all(m[j].get(i, 0) == x for i, row in enumerate(m) for j, x in row.items())
     # Whole rows against whole columns: tuple comparison runs in C.
     return all(tuple(row) == col for row, col in zip(m, zip(*m)))
+
+
+def is_symmetric(m: Matrix) -> bool:
+    return _symmetric(m, _shape(m)[1])
 
 
 def dot(u: Sequence[RatLike], v: Sequence[RatLike]) -> Fraction:
@@ -152,31 +154,43 @@ def dot(u: Sequence[RatLike], v: Sequence[RatLike]) -> Fraction:
     return sum((rat(a) * rat(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def _sparse_rows(m: Matrix, c: Sequence[RatLike] = ()) -> tuple[list[dict[int, int]], list[int], int]:
+def _sparse_rows(
+    m: Matrix, c: Optional[Sequence[RatLike]] = None, symmetric: bool = False
+) -> tuple[list[dict[int, int]], list[int], int]:
     """Each row of m, dense or a map, as a new map column -> entry over its
     nonzeros, times the lcm of its denominators (c[i] included when c is
     given); c scaled alike; and the product of those positive multipliers.
-    Every entry a row holds, zeros included, is read, so a float raises
-    wherever it stands; rows of plain ints, the common case, need no
-    denominators."""
-    rows = []
-    rhs = []
+
+    Checks the form (`_shape`), then len(c), then when `symmetric` the
+    values, before it reads a denominator: every entry a row holds, zeros
+    included, so a float raises wherever it stands.  A matrix of plain
+    ints, the common case, is copied in one pass with no denominators."""
+    n, maps = _shape(m)
+    if maps:
+        entries = list(chain.from_iterable(map(dict.values, m)))
+        if 0 in entries:
+            rows = [dict(compress(row.items(), row.values())) for row in m]
+        else:
+            rows = list(map(dict.copy, m))
+    else:
+        entries = list(chain.from_iterable(m))
+        rows = [dict(compress(enumerate(row), row)) for row in m]
+    rhs = [] if c is None else list(c)
+    if c is not None and len(rhs) != n:
+        raise ValueError("dimension mismatch")
+    if symmetric and not _symmetric(rows if maps else m, maps):
+        raise ValueError("symmetric matrix expected")
     scale = 1
-    for i, row in enumerate(m):
-        extra = (c[i],) if c else ()
-        if isinstance(row, dict):
-            entries, values = row.items(), row.values()
-        else:
-            entries, values = enumerate(row), row
-        if set(map(type, chain(values, extra))) == {int}:
-            r = 1
-            rows.append(dict(compress(entries, values)))
-        else:
-            r = math.lcm(*set(map(attrgetter("denominator"), chain(values, extra))))
-            rows.append({j: x.numerator * (r // x.denominator) for j, x in compress(entries, values)})
-        if c:
-            rhs.append(c[i].numerator * (r // c[i].denominator))
-        scale *= r
+    if set(map(type, chain(entries, rhs))) - {int}:
+        for i, row in enumerate(m):
+            extra = rhs[i : i + 1]
+            row_values = row.values() if maps else row
+            if set(map(type, chain(row_values, extra))) != {int}:
+                r = math.lcm(*set(map(attrgetter("denominator"), chain(row_values, extra))))
+                rows[i] = {j: x.numerator * (r // x.denominator) for j, x in rows[i].items()}
+                if extra:
+                    rhs[i] = extra[0].numerator * (r // extra[0].denominator)
+                scale *= r
     return rows, rhs, scale
 
 
@@ -276,7 +290,7 @@ def sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple
 
 
 def _factor(
-    m: Matrix, c: Sequence[RatLike] = ()
+    m: Matrix, c: Optional[Sequence[RatLike]] = None
 ) -> tuple[list[dict[int, int]], list[int], list[int], list[int], int]:
     """Factor the rows [m | c] of a square m for `det` and `solve`.
 
@@ -299,7 +313,7 @@ def _factor(
 
 def det(m: Matrix) -> Fraction:
     """Exact determinant.  Raises ValueError as `_factor` does."""
-    if dim(m) == 0:
+    if not len(m):
         return Fraction(1)
     _, _, _, pivots, scale = _factor(m)
     return Fraction(pivots[-1], scale) if all(pivots) else Fraction(0)
@@ -309,12 +323,9 @@ def solve(m: Matrix, c: Sequence[RatLike]) -> tuple[Fraction, ...]:
     """Solve m x = c exactly.  Raises SingularMatrixError(stage) when m is
     singular, stage counted in elimination order, and ValueError as
     `_factor` does."""
-    n = dim(m)
-    if len(c) != n:
-        raise ValueError("dimension mismatch")
-    if n == 0:
-        return ()
     rows, rhs, order, pivots, _ = _factor(m, c)
+    if not pivots:
+        return ()
     if not all(pivots):
         raise SingularMatrixError(pivots.index(0))
     d = pivots[-1]
@@ -355,9 +366,7 @@ def is_negative_definite(m: Matrix) -> bool:
     order must satisfy (-1)^k D_k > 0 for every k.  A zero D_k means m is
     not definite.  Non-symmetric input is rejected.
     """
-    if not is_symmetric(m):
-        raise ValueError("symmetric matrix expected")
-    rows, _, _ = _sparse_rows(m)
+    rows, _, _ = _sparse_rows(m, symmetric=True)
     done = sparse_bareiss(rows, [])
     return done is not None and negative_pivots(done[1])
 
@@ -434,11 +443,12 @@ def parse_rat(s: str) -> Fraction:
         raise ValueError(f"not a rational: {s!r}") from exc
 
 
+_DECIMAL_12 = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
+
 def rat_decimal(q: RatLike, digits: int = 12) -> str:
     """Display-only decimal string: `digits` significant digits, banker's
     rounding.  The exact value is always the "p/q" string next to it."""
     q = rat(q)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+    ctx = _DECIMAL_12 if digits == 12 else Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    return str(ctx.divide(q.numerator, q.denominator))

@@ -24,6 +24,7 @@ from kdg.graph import (
     to_dot,
     validate,
 )
+from kdg.invariants import invariant_report
 from kdg.rational import det, is_negative_definite, solve
 from kdg.transforms import detect_strings, with_string_length
 
@@ -128,8 +129,10 @@ def test_lookups_leave_equality_and_hash_alone():
 def test_cached_graph_data_stays_private():
     """Callers get new maps from `intersection_rows` and new lists from
     `connected_components`, so changing them leaves the graph's cached
-    adjacency and components alone; equal graphs stay equal and hash alike
-    whether or not their caches are filled."""
+    adjacency, intersection rows and components alone, and the report
+    computed from those caches stays the same; `adjunction_degrees` hands
+    out one tuple; equal graphs stay equal and hash alike whether or not
+    their caches are filled."""
     vertices = [("a", 0, -2), ("b", 0, -3), ("c", 0, -2), ("d", 1, -4)]
     g = build_graph(vertices, [("a", "b", 2), ("b", "c", 1)])
     twin = build_graph(vertices, [("c", "b"), ("b", "a", 2)])
@@ -153,6 +156,26 @@ def test_cached_graph_data_stays_private():
         validate(graph)
         intersection_rows(graph)
     assert g == twin and hash(g) == hash(twin)
+    # the same on a connected graph, through the report that reads the caches
+    chain = build_graph(vertices, [("a", "b"), ("b", "c"), ("c", "d")])
+    chain_twin = build_graph(vertices, [("d", "c"), ("c", "b"), ("b", "a")])
+    first = invariant_report(chain)
+    rows = intersection_rows(chain)
+    for row in rows:
+        row[0] = 7
+        row.pop(1, None)
+    rows[3].clear()
+    assert invariant_report(chain) == first
+    expected = [{0: -2, 1: 1}, {0: 1, 1: -3, 2: 1}, {1: 1, 2: -2, 3: 1}, {2: 1, 3: -4}]
+    assert intersection_rows(chain) == expected
+    assert adjunction_degrees(chain) is adjunction_degrees(chain)
+    assert adjunction_degrees(chain) == (0, 1, 0, 4)
+    for graph in (chain, chain_twin):
+        invariant_report(graph)
+        connected_components(graph)
+        graph.edge_mult(0, 1)
+        graph.index_of("a")
+    assert chain == chain_twin and hash(chain) == hash(chain_twin)
 
 
 def test_records_are_immutable_hashable_values():

@@ -10,6 +10,7 @@ from kdg.rational import (
     UNBOUNDED,
     SingularMatrixError,
     det,
+    dim,
     dot,
     is_negative_definite,
     is_symmetric,
@@ -486,6 +487,19 @@ def test_rat_decimal_is_display_only():
     assert rat_decimal(Fraction(-13, 11)).startswith("-1.1818")
     # 12 significant digits
     assert rat_decimal(Fraction(1, 3)) == "0.333333333333"
+    # ties round to even, at 12 digits and at other counts
+    assert rat_decimal(Fraction(10**12 + 5, 10)) == "100000000000"
+    assert rat_decimal(Fraction(10**12 + 15, 10)) == "100000000002"
+    assert rat_decimal(Fraction(-(10**12 + 5), 10)) == "-100000000000"
+    assert rat_decimal(Fraction(5, 8), digits=2) == "0.62"
+    assert rat_decimal(Fraction(7, 8), digits=2) == "0.88"
+    assert rat_decimal(Fraction(-5, 8), digits=2) == "-0.62"
+    # negative values, and numerators longer than 12 digits
+    assert rat_decimal(Fraction(-1, 7)) == "-0.142857142857"
+    assert rat_decimal(Fraction(123456789012345, 7)) == "1.76366841446E+13"
+    assert rat_decimal(Fraction(-(10**30) - 1, 3)) == "-3.33333333333E+29"
+    assert rat_decimal(-(10**15)) == "-1.00000000000E+15"
+    assert rat_decimal(Fraction(2, 3), digits=20) == "0.66666666666666666667"
 
 
 def test_unbounded_sentinel():
@@ -593,3 +607,85 @@ def test_mixed_row_forms_rejected():
     for m in ([{0: -2}, [0, -2]], [[-2, 0], {1: -2}]):
         with pytest.raises(ValueError, match="square"):
             det(m)
+
+
+# ---------------------------------------------------------------------------
+# the input contract of the kernels: which error wins, or which value comes out
+
+SQUARE = (ValueError, "square matrix expected")
+RANGE = (ValueError, "map row with a column outside 0..1")
+FLOAT = (AttributeError, "'float' object has no attribute 'denominator'")
+ASYMMETRIC = (ValueError, "symmetric matrix expected")
+MISMATCH = (ValueError, "dimension mismatch")
+SWAP = (ValueError, "a pivot vanishes over a nonzero row")
+STR_KEY = (TypeError, "'<' not supported between instances of 'str' and 'int'")
+F = Fraction
+NAN = float("nan")
+FRACS = [[F(-1, 2), F(1, 3)], [F(1, 3), F(-3, 4)]]
+
+#: (m, c, det(m), solve(m, c), is_negative_definite(m), is_symmetric(m), dim(m))
+KERNEL_CONTRACT = [
+    # mixed row forms and a ragged dense row: the form is checked first
+    ([{0: -2}, [0, -2]], [1, 1], SQUARE, SQUARE, SQUARE, SQUARE, SQUARE),
+    ([[-2, 0.5], {1: -2}], [1], SQUARE, SQUARE, SQUARE, SQUARE, SQUARE),
+    ([[-2, 1.0], [1]], [1], SQUARE, SQUARE, SQUARE, SQUARE, SQUARE),
+    ([{-1: 1, 0: -2}, {1: -2}], [1, 1], RANGE, RANGE, RANGE, RANGE, RANGE),
+    ([{0: -2, 2: 1}, {1: -2}], [1], RANGE, RANGE, RANGE, RANGE, RANGE),
+    # a float on the diagonal, as a stored 0, and in c
+    ([[-2.0, 1], [1, -2]], [1, 1], FLOAT, FLOAT, FLOAT, True, 2),
+    ([{0: -2.0, 1: 1}, {0: 1, 1: -2}], [1, 1], FLOAT, FLOAT, FLOAT, True, 2),
+    ([[-2, 0.0], [0.0, -2]], [1, 1], FLOAT, FLOAT, FLOAT, True, 2),
+    ([{0: -2, 1: 0.0}, {0: 0.0, 1: -2}], [1, 1], FLOAT, FLOAT, FLOAT, True, 2),
+    ([[-2.0, 1], [1, -2]], [1], FLOAT, MISMATCH, FLOAT, True, 2),
+    ([[-2, 1], [1, -2]], [0, 1.5], F(3), FLOAT, True, True, 2),
+    ([{0: -2, 1: 1}, {0: 1, 1: -2}], [0.0, 1], F(3), FLOAT, True, True, 2),
+    # a float beside an out-of-range column: the range wins
+    ([{0: -2.0}, {1: -2, 2: 1}], [1, 1], RANGE, RANGE, RANGE, RANGE, RANGE),
+    ([{0: -2, 1: 0.5}, {-1: 1, 1: -2}], [0.5, 1], RANGE, RANGE, RANGE, RANGE, RANGE),
+    # a non-symmetric matrix holding a float
+    ([[-2, 1.0], [0, -2]], [1, 1], FLOAT, FLOAT, ASYMMETRIC, False, 2),
+    ([{0: -2, 1: 1.0}, {1: -2}], [1, 1], FLOAT, FLOAT, ASYMMETRIC, False, 2),
+    ([[-2, 1], [0.0, -2]], [1, 1], FLOAT, FLOAT, ASYMMETRIC, False, 2),
+    # a NaN on the diagonal equals itself in a dense row, not in a map row
+    ([[NAN, 1], [1, -2]], [1, 1], FLOAT, FLOAT, FLOAT, True, 2),
+    ([{0: NAN, 1: 1}, {0: 1, 1: -2}], [1, 1], FLOAT, FLOAT, ASYMMETRIC, False, 2),
+    # symmetric nonzero pattern, non-symmetric values
+    ([[-2, 1], [2, -2]], [1, 0], F(2), (F(-1), F(-1)), ASYMMETRIC, False, 2),
+    # bools count as 0 and 1
+    ([[-2, True], [True, -2]], [True, False], F(3), (F(-2, 3), F(-1, 3)), True, True, 2),
+    ([{0: -2, 1: True}, {0: True, 1: -2, 2: False}, {2: -1}], [1, 1, False], F(-3),
+     (F(-1), F(-1), F(0)), True, True, 3),
+    ([{0: -2, 1: True}, {0: True, 1: False}], [1, 1], SWAP, SWAP, False, True, 2),
+    # a string column key
+    ([{0: -2, "1": 1}, {1: -2}], [1, 1], STR_KEY, STR_KEY, STR_KEY, STR_KEY, STR_KEY),
+    # Fraction rows with different denominators, and a Fraction in c
+    (FRACS, [F(1, 5), 1], F(19, 72), (F(-174, 95), F(-204, 95)), True, True, 2),
+    ([dict(enumerate(row)) for row in FRACS], [F(1, 5), 1], F(19, 72),
+     (F(-174, 95), F(-204, 95)), True, True, 2),
+    ([[F(-1, 2), 1], [1, -3]], [1, 1], F(1, 2), (F(-8), F(-3)), True, True, 2),
+]
+
+
+def snapshot(m):
+    return [list(row.items()) if isinstance(row, dict) else list(row) for row in m]
+
+
+@pytest.mark.parametrize("case", KERNEL_CONTRACT)
+def test_kernel_input_contract(case):
+    """Every kernel gives the same answer, or raises the same error, on
+    malformed and mixed-type input, and leaves the caller's rows alone."""
+    m, c, *expected = case
+    before, c_before = snapshot(m), list(c)
+    kernels = (det, lambda a: solve(a, c), is_negative_definite, is_symmetric, dim)
+    for kernel, want in zip(kernels, expected):
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            error, message = want
+            with pytest.raises(error) as info:
+                kernel(m)
+            assert type(info.value) is error and str(info.value).startswith(message)
+        else:
+            got = kernel(m)
+            assert got == want and type(got) is type(want)
+            if isinstance(got, tuple):
+                assert all(type(x) is Fraction for x in got)
+        assert snapshot(m) == before and list(c) == c_before
