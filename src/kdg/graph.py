@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, PreconditionError
-from .rational import is_negative_definite
+from .rational import SymmetricIntRows, is_negative_definite
 
 
 class VertexData(NamedTuple):
@@ -115,7 +115,11 @@ class WeightedDualGraph:
 
     @cached_property
     def _intersection_rows(self) -> tuple[dict[int, int], ...]:
-        return tuple(a | {i: v.self_int} for i, (a, v) in enumerate(zip(self._adjacency, self.vertices)))
+        rows = tuple(a | {i: v.self_int} for i, (a, v) in enumerate(zip(self._adjacency, self.vertices)))
+        try:
+            return SymmetricIntRows(rows)
+        except ValueError:  # a float or bool record: the kernels check these rows on every call
+            return rows
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:

@@ -90,8 +90,10 @@ class InvariantReport:
 
 
 def _checked_matrix(g: WeightedDualGraph):
-    """M as g's own read-only map rows (`intersection_rows` copies them);
-    NotNegativeDefiniteError unless it is negative definite."""
+    """M as g's own read-only map rows, built and checked once per graph
+    (`rational.SymmetricIntRows`; `intersection_rows` copies them), so the
+    kernels only copy them; NotNegativeDefiniteError unless M is negative
+    definite, decided by one elimination on every call."""
     m = g._intersection_rows
     if not is_negative_definite(m):
         raise NotNegativeDefiniteError("intersection matrix is not negative definite")
@@ -184,13 +186,36 @@ LAUFER_STEP_BUDGET = 100_000
 
 def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
     """Smallest positive integral cycle Z with Z.A_i <= 0 for every vertex,
-    by Laufer's sequence (`_laufer`).  Raises `PreconditionError` past
+    by Laufer's sequence (`_laufer`), run once per graph (`_fundamental`).
+    Every call checks that g is connected, then that it is negative
+    definite, before Z is read.  Raises `PreconditionError` past
     `LAUFER_STEP_BUDGET` steps."""
     if not is_connected(g):
         raise InvalidGraphError("fundamental cycle needs a connected graph")
     _checked_matrix(g)
-    z, _ = _laufer([v.self_int for v in g.vertices], g.adjacency())
-    return Cycle.from_coefficients(z)
+    return _fundamental(g)[0]
+
+
+def _fundamental(g: WeightedDualGraph) -> tuple[Cycle, int, int]:
+    """(Z, Z^2, K.Z) from one run of Laufer's sequence per graph, Z^2 read
+    off its final products Z.A_i.  g must be connected and negative
+    definite (`fundamental_cycle` checks).  Kept in g's instance dict
+    beside its cached adjacency, so equality and hashing never see it; an
+    error is not kept, so the next call raises it again."""
+    data = g.__dict__.get("_fundamental")
+    if data is None:
+        z, products = _laufer([v.self_int for v in g.vertices], g.adjacency())
+        data = (Cycle.from_coefficients(z), sum(map(mul, z, products)), sum(map(mul, z, adjunction_degrees(g))))
+        g.__dict__["_fundamental"] = data
+    return data
+
+
+def _z_data(g: WeightedDualGraph) -> tuple[Cycle, int, int, int]:
+    """(Z, Z^2, K.Z, p_a(Z)) for Z = `fundamental_cycle(g)`, with its
+    checks, the first three kept per graph (`_fundamental`)."""
+    fundamental_cycle(g)
+    z, z_sq, k_dot_z = _fundamental(g)
+    return z, z_sq, k_dot_z, _pa_from_twice(z_sq + k_dot_z)
 
 
 def _laufer(weights: Sequence[int], adj) -> tuple[list[int], list[int]]:
@@ -321,14 +346,16 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     if bound < 1:
         raise PreconditionError(f"bound must be >= 1, got {bound}")
     z = fundamental_cycle(g).as_ints()
+    _, z_sq, k_dot_z = _fundamental(g)
+    # p_a(t Z) = 1 + (t^2 Z^2 + t K.Z)/2
+    pa_tz = [1 + (t * t * z_sq + t * k_dot_z) // 2 for t in range(1, bound + 1)]
+    if pa_tz[0] == 0:
+        return 0
+    best = max(pa_tz)
     n = len(g)
     adj = g.adjacency()
     weights = [v.self_int for v in g.vertices]
     c = adjunction_degrees(g)
-    best = _pa_of(weights, adj, c, z)
-    if best == 0:
-        return 0
-    best = max(_pa_of(weights, adj, c, [t * zi for zi in z]) for t in range(1, bound + 1))
     # Level k holds the vertex that `sparse_bareiss` eliminates k-th from
     # last in the rows of -M, c riding along; piv[k] is its pivot D_k and
     # piv[k + 1] the one before it, D_(k-1) (1 for the first).  Times unit,
@@ -453,14 +480,8 @@ def classify(g: WeightedDualGraph) -> str:
     k2 = k_squared(g)
     z_sq = pa = None
     if k2 != 0:
-        z_sq, _, pa = _z_data(g, fundamental_cycle(g))
+        _, z_sq, _, pa = _z_data(g)
     return _class_of(k2, [(v.genus, v.self_int) for v in g.vertices], z_sq, pa)
-
-
-def _z_data(g: WeightedDualGraph, z: Cycle) -> tuple[int, int, int]:
-    """(Z^2, K.Z, p_a(Z)) of the fundamental cycle Z, in integers."""
-    z_sq, k_dot_z = _degrees(g, z.coefficients)
-    return z_sq, k_dot_z, _pa_from_twice(z_sq + k_dot_z)
 
 
 def _class_of(k2: Fraction, data: Sequence[tuple[int, int]], z_sq, pa: Optional[int]) -> str:
@@ -547,7 +568,7 @@ def bound_checks(g: WeightedDualGraph, pa_bound: int = 3) -> tuple[BoundCheck, .
     checks.append(BoundCheck("component_sum", k2, csum, k2 >= csum))
     if k2 != 0:
         checks.append(BoundCheck("nonzero_minimum", k2, Fraction(1, 3), k2 >= Fraction(1, 3)))
-    z_sq, _, pa = _z_data(g, fundamental_cycle(g))
+    _, z_sq, _, pa = _z_data(g)
     if pa == 0:
         mult = -z_sq
         rhs = Fraction(mult - 4)
@@ -570,8 +591,7 @@ def invariant_report(g: WeightedDualGraph, pa_bound: int = 3) -> InvariantReport
         raise InvalidGraphError("; ".join(report.messages))
     canonical = canonical_cycle(g)
     k2 = k_squared(g)
-    z = fundamental_cycle(g)
-    z_sq, k_dot_z, pa_z = _z_data(g, z)
+    z, z_sq, k_dot_z, pa_z = _z_data(g)
     return InvariantReport(
         canonical=canonical,
         k_squared=k2,

@@ -20,9 +20,11 @@ A square matrix of n rows comes in one of two forms, and `dim`,
 `_sparse_rows`, in O(n + stored entries) for map rows and O(n^2) for
 dense ones.  Mixed forms, a dense row of other than n entries and a map
 column outside 0..n-1 raise ValueError; an entry with no denominator (a
-float, even a stored 0) raises wherever it stands.  Kernels copy what
-they eliminate, so the caller's rows are never changed and read-only rows
-may be passed.
+float, even a stored 0) raises TypeError wherever it stands, as `rat`
+does.  Map rows checked once when built, `SymmetricIntRows` (a graph's
+intersection rows), are only copied; c is checked on every call.
+Kernels copy what they eliminate, so the caller's rows are never changed
+and read-only rows may be passed.
 
 `det`, `solve` and `is_negative_definite` eliminate sparse integer rows:
 one map column -> entry per row, over its nonzeros, each row multiplied by
@@ -137,6 +139,32 @@ def dim(m: Matrix) -> int:
     return _shape(m)[0]
 
 
+class SymmetricIntRows(tuple):
+    """Map rows of a symmetric matrix of nonzero plain ints, checked once,
+    when built: every row a dict, every column a plain int in 0..n-1, every
+    stored entry a nonzero plain int and each entry equal to its mirror.
+    Raises ValueError otherwise.  `det`, `solve` and `is_negative_definite`
+    only copy such rows; they still check c on every call.  The rows are
+    read-only by convention: changing one after the check voids it."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Iterable[dict[int, int]]) -> "SymmetricIntRows":
+        self = super().__new__(cls, rows)
+        n = len(self)
+        if not all(type(row) is dict for row in self):
+            raise ValueError("map rows expected")
+        entries = list(chain.from_iterable(map(dict.values, self)))
+        if set(map(type, chain(chain.from_iterable(self), entries))) - {int} or not all(entries):
+            raise ValueError("nonzero plain int entries expected")
+        columns = set().union(*self)
+        if columns and (min(columns) < 0 or max(columns) >= n):
+            raise ValueError(f"map row with a column outside 0..{n - 1}")
+        if not _symmetric(self, True):
+            raise ValueError("symmetric matrix expected")
+        return self
+
+
 def _symmetric(m: Matrix, maps: bool) -> bool:
     if maps:  # every stored entry against its mirror, a missing one read as 0
         return all(m[j].get(i, 0) == x for i, row in enumerate(m) for j, x in row.items())
@@ -154,6 +182,17 @@ def dot(u: Sequence[RatLike], v: Sequence[RatLike]) -> Fraction:
     return sum((rat(a) * rat(b) for a, b in zip(u, v)), Fraction(0))
 
 
+def _denominators(values: Iterable[RatLike]) -> set[int]:
+    """The denominators of values; TypeError, as `rat` raises it, for an
+    entry that has none, such as a float."""
+    values = list(values)
+    try:
+        return set(map(attrgetter("denominator"), values))
+    except AttributeError:
+        bad = next(x for x in values if not hasattr(x, "denominator"))
+        raise TypeError(f"exact rational expected, got {type(bad).__name__}") from None
+
+
 def _sparse_rows(
     m: Matrix, c: Optional[Sequence[RatLike]] = None, symmetric: bool = False
 ) -> tuple[list[dict[int, int]], list[int], int]:
@@ -163,22 +202,30 @@ def _sparse_rows(
 
     Checks the form (`_shape`), then len(c), then when `symmetric` the
     values, before it reads a denominator: every entry a row holds, zeros
-    included, so a float raises wherever it stands.  A matrix of plain
-    ints, the common case, is copied in one pass with no denominators."""
-    n, maps = _shape(m)
-    if maps:
-        entries = list(chain.from_iterable(map(dict.values, m)))
-        if 0 in entries:
-            rows = [dict(compress(row.items(), row.values())) for row in m]
-        else:
-            rows = list(map(dict.copy, m))
+    included, so a float raises TypeError wherever it stands.  A matrix of
+    plain ints, the common case, is copied in one pass with no
+    denominators, and `SymmetricIntRows`, checked when built, are only
+    copied: of them only c is checked."""
+    checked = type(m) is SymmetricIntRows
+    if checked:
+        n, maps = len(m), True
+        rows = list(map(dict.copy, m))
+        entries = []
     else:
-        entries = list(chain.from_iterable(m))
-        rows = [dict(compress(enumerate(row), row)) for row in m]
+        n, maps = _shape(m)
+        if maps:
+            entries = list(chain.from_iterable(map(dict.values, m)))
+            if 0 in entries:
+                rows = [dict(compress(row.items(), row.values())) for row in m]
+            else:
+                rows = list(map(dict.copy, m))
+        else:
+            entries = list(chain.from_iterable(m))
+            rows = [dict(compress(enumerate(row), row)) for row in m]
     rhs = [] if c is None else list(c)
     if c is not None and len(rhs) != n:
         raise ValueError("dimension mismatch")
-    if symmetric and not _symmetric(rows if maps else m, maps):
+    if symmetric and not checked and not _symmetric(rows if maps else m, maps):
         raise ValueError("symmetric matrix expected")
     scale = 1
     if set(map(type, chain(entries, rhs))) - {int}:
@@ -186,7 +233,7 @@ def _sparse_rows(
             extra = rhs[i : i + 1]
             row_values = row.values() if maps else row
             if set(map(type, chain(row_values, extra))) != {int}:
-                r = math.lcm(*set(map(attrgetter("denominator"), chain(row_values, extra))))
+                r = math.lcm(*_denominators(chain(row_values, extra)))
                 rows[i] = {j: x.numerator * (r // x.denominator) for j, x in rows[i].items()}
                 if extra:
                     rhs[i] = extra[0].numerator * (r // extra[0].denominator)
@@ -300,7 +347,7 @@ def _factor(
     a row swap, which on a symmetric m means it is indefinite.
     """
     rows, rhs, scale = _sparse_rows(m, c)
-    if not _symmetric_pattern(rows):
+    if type(m) is not SymmetricIntRows and not _symmetric_pattern(rows):
         raise ValueError("matrix with a symmetric nonzero pattern expected")
     done = sparse_bareiss(rows, rhs)
     if done is None:

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdg.checks import _family_corpus
+from kdg.enumeration import EnumBounds, random_admissible
 from kdg.errors import InvalidGraphError, PreconditionError
+from kdg.families import family_spec, generate
 from kdg.graph import (
     Edge,
     VertexData,
@@ -25,7 +29,7 @@ from kdg.graph import (
     validate,
 )
 from kdg.invariants import invariant_report
-from kdg.rational import det, is_negative_definite, solve
+from kdg.rational import SingularMatrixError, SymmetricIntRows, det, is_negative_definite, is_symmetric, solve
 from kdg.transforms import detect_strings, with_string_length
 
 from .oracles import char_poly
@@ -106,10 +110,91 @@ def test_float_entries_raise_in_kernels():
         m = [list(row) for row in intersection_matrix(g)]
         m[i][j] = m[j][i] = x
         for kernel in (det, is_negative_definite, lambda m: solve(m, c)):
-            with pytest.raises(AttributeError, match="float"):
+            with pytest.raises(TypeError, match="exact rational expected, got float"):
                 kernel(m)
-    with pytest.raises(AttributeError, match="float"):
+    with pytest.raises(TypeError, match="exact rational expected, got float"):
         solve(intersection_matrix(g), [1.0, 0, 0])
+
+
+def kernel_outcomes(m, c):
+    """What det, solve(., c), is_negative_definite and is_symmetric give
+    on m: a value, or the type and text of the error."""
+    out = []
+    for kernel in (det, lambda a: solve(a, c), is_negative_definite, is_symmetric):
+        try:
+            out.append(kernel(m))
+        except (ValueError, TypeError, SingularMatrixError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def bad_rhs(c):
+    """c one entry short, one entry long, with a float and with a Fraction."""
+    return [c[:-1], (*c, 0), (1.0, *c[1:]), (*c[:-1], Fraction(1, 2))]
+
+
+def test_graph_rows_are_checked_once():
+    """A graph of plain ints builds its rows as `SymmetricIntRows`, which
+    the kernels only copy; on them every kernel gives the value or error
+    it gives on the plain copies `intersection_rows` returns, for c and
+    for a c of the wrong length or holding a float or a Fraction."""
+    bounds = EnumBounds(7, min_self=-5, max_genus=2, max_edge_multiplicity=2)
+    graphs = [generate(spec) for spec in _family_corpus()]
+    graphs += [random_admissible(random.Random(seed), bounds) for seed in range(60)]
+    # not negative definite (indefinite, semidefinite), not connected, not minimal
+    graphs += [
+        build_graph([("a", 0, -1), ("b", 0, -1)], [("a", "b")]),
+        build_graph([("a", 0, -2), ("b", 0, -2)], [("a", "b", 2)]),
+        build_graph([("a", 0, -2), ("b", 0, -2), ("c", 0, -2)], [("a", "b"), ("b", "c"), ("a", "c")]),
+        build_graph([("a", 0, -2), ("b", 0, -3)]),
+        build_graph([("a", 0, -1), ("b", 1, -3)], [("a", "b", 3)]),
+    ]
+    for g in graphs:
+        rows = g._intersection_rows
+        assert type(rows) is SymmetricIntRows
+        for c in [adjunction_degrees(g)] + bad_rhs(adjunction_degrees(g)):
+            assert kernel_outcomes(rows, c) == kernel_outcomes(intersection_rows(g), c)
+        assert intersection_rows(g) == list(rows)
+    rows = generate(family_spec("II", n=1, s=2))._intersection_rows
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve(rows, [1] * (len(rows) - 1))
+    with pytest.raises(TypeError, match="exact rational expected, got float"):
+        solve(rows, [1.0] * len(rows))
+
+
+def test_float_or_bool_records_keep_plain_rows():
+    """A graph built through the constructor with a float self-intersection
+    or a bool multiplicity keeps plain rows, which the kernels check on
+    every call: a float raises TypeError, a bool counts as 1."""
+    floats = WeightedDualGraph((VertexData("a", 0, -2.0), VertexData("b", 0, -3)), (Edge(0, 1),))
+    bools = WeightedDualGraph((VertexData("a", 0, -3), VertexData("b", 0, -2)), (Edge(0, 1, True),))
+    ints = build_graph([("a", 0, -3), ("b", 0, -2)], [("a", "b")])
+    for g in (floats, bools):
+        rows = g._intersection_rows
+        assert type(rows) is tuple
+        for c in [adjunction_degrees(g)] + bad_rhs(adjunction_degrees(g)):
+            assert kernel_outcomes(rows, c) == kernel_outcomes(intersection_rows(g), c)
+    float_error = (TypeError, "exact rational expected, got float")
+    assert kernel_outcomes(floats._intersection_rows, (0, 1)) == [float_error, float_error, float_error, True]
+    c = adjunction_degrees(ints)
+    assert kernel_outcomes(bools._intersection_rows, c) == kernel_outcomes(ints._intersection_rows, c)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: -2, 1: 1}, [1, -2]],  # a dense row
+        [{0: -2.0, 1: 1}, {0: 1, 1: -2}],  # a float
+        [{0: -2, 1: True}, {0: True, 1: -2}],  # a bool
+        [{0: -2, 1: 0}, {1: -2}],  # a stored zero
+        [{0: -2, 2: 1}, {1: -2}],  # a column out of range
+        [{0: -2, 1: 1}, {0: 2, 1: -2}],  # values not symmetric
+        [{0: -2, 1: 1}, {1: -2}],  # pattern not symmetric
+    ],
+)
+def test_symmetric_int_rows_refuse_other_rows(rows):
+    with pytest.raises(ValueError):
+        SymmetricIntRows(rows)
 
 
 def test_lookups_leave_equality_and_hash_alone():
@@ -132,7 +217,7 @@ def test_cached_graph_data_stays_private():
     adjacency, intersection rows and components alone, and the report
     computed from those caches stays the same; `adjunction_degrees` hands
     out one tuple; equal graphs stay equal and hash alike whether or not
-    their caches are filled."""
+    their caches, the fundamental cycle's included, are filled."""
     vertices = [("a", 0, -2), ("b", 0, -3), ("c", 0, -2), ("d", 1, -4)]
     g = build_graph(vertices, [("a", "b", 2), ("b", "c", 1)])
     twin = build_graph(vertices, [("c", "b"), ("b", "a", 2)])
@@ -175,7 +260,10 @@ def test_cached_graph_data_stays_private():
         connected_components(graph)
         graph.edge_mult(0, 1)
         graph.index_of("a")
+    # the fundamental cycle and its degrees are kept per graph too
+    assert "_fundamental" in chain.__dict__ and "_fundamental" in chain_twin.__dict__
     assert chain == chain_twin and hash(chain) == hash(chain_twin)
+    assert chain != build_graph(vertices, [("a", "b"), ("b", "c")])
 
 
 def test_records_are_immutable_hashable_values():

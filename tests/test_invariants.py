@@ -16,7 +16,16 @@ from kdg.errors import (
     PreconditionError,
 )
 from kdg.families import family_spec, generate
-from kdg.graph import adjunction_degrees, build_graph, intersection_matrix, parse_graph_json
+from kdg.graph import (
+    Edge,
+    VertexData,
+    WeightedDualGraph,
+    adjunction_degrees,
+    build_graph,
+    graph_to_json,
+    intersection_matrix,
+    parse_graph_json,
+)
 from kdg.invariants import (
     NON_RATIONAL,
     RATIONAL_DOUBLE,
@@ -441,8 +450,56 @@ def test_laufer_step_budget(monkeypatch):
     monkeypatch.setattr(invariants, "LAUFER_STEP_BUDGET", 7)
     assert fundamental_cycle(small).as_ints() == (1,) + (2,) * 7 + (1, 1)
     monkeypatch.setattr(invariants, "LAUFER_STEP_BUDGET", 6)
+    # Z is kept per graph once found, so the smaller budget meets a new D(10)
     with pytest.raises(PreconditionError, match="exceeded its budget of 6 steps"):
-        fundamental_cycle(small)
+        fundamental_cycle(parse_graph_json(d_chain_json(10)))
+
+
+def test_laufer_runs_once_per_graph(monkeypatch):
+    """`invariant_report` runs Laufer's sequence once per graph, and
+    `fundamental_cycle` returns equal cycles on every call; its checks run
+    on every call, so an error comes back the same each time."""
+    runs = []
+
+    def counted(weights, adj):
+        runs.append(len(weights))
+        return laufer(weights, adj)
+
+    laufer = invariants._laufer
+    monkeypatch.setattr(invariants, "_laufer", counted)
+    specs = [family_spec("II", n=1, s=2), family_spec("E8"), family_spec("A", n=5), family_spec("tail", r=2, k=1, n=2)]
+    graphs = [generate(spec) for spec in specs] + [
+        random_admissible(random.Random(seed), EnumBounds(6, min_self=-6, max_genus=2, max_edge_multiplicity=2))
+        for seed in range(10)
+    ]
+    for g in graphs:
+        before = len(runs)
+        first = invariant_report(g)
+        assert len(runs) == before + 1
+        z = fundamental_cycle(g)
+        assert z == fundamental_cycle(g) == first.fundamental == invariant_report(g).fundamental
+        assert len(runs) == before + 1
+        fresh = parse_graph_json(graph_to_json(g))
+        assert fundamental_cycle(fresh) == z and invariant_report(fresh) == first
+    disconnected = build_graph([("a", 0, -2), ("b", 0, -3)])
+    indefinite = build_graph([("a", 0, -1), ("b", 0, -1)], [("a", "b")])
+    over_budget = generate(family_spec("D", n=10))
+    monkeypatch.setattr(invariants, "LAUFER_STEP_BUDGET", 6)
+    for g, error in (
+        (disconnected, InvalidGraphError),
+        (indefinite, NotNegativeDefiniteError),
+        (over_budget, PreconditionError),
+    ):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                fundamental_cycle(g)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+        assert "_fundamental" not in g.__dict__
+    # Z depends on M alone, so a float genus (through the constructor) leaves it alone
+    float_genus = WeightedDualGraph((VertexData("a", 1.0, -3), VertexData("b", 0, -2)), (Edge(0, 1),))
+    assert fundamental_cycle(float_genus).as_ints() == (1, 1)
 
 
 @pytest.mark.parametrize(
