@@ -61,12 +61,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, compress, islice, permutations, product
 from math import comb, isqrt
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .graph import WeightedDualGraph, build_graph, validate
 from .invariants import _class_invariants
 from .rational import rat_str
@@ -425,12 +425,16 @@ def _search_tasks(tasks: list[tuple[tuple[VertexDatum, ...], EnumBounds]], leaf:
 def _enumerate(bounds: EnumBounds, jobs: int, leaf: Leaf[T]) -> list[T]:
     """Every leaf value of the search within bounds, sorted.
 
-    Raises `PreconditionError` when jobs < 1.  `jobs` is clamped to the
-    number of CPUs: the pool starts every worker at once.  Each worker
-    gets one share of the tasks, every jobs-th from its own start, so that
-    it builds each rival list once and the shares, whose neighbouring
-    tasks cost alike, take about as long.  The pool is imported only when
-    it is used, since importing it loads `multiprocessing`."""
+    Orderly generation reaches each class once, so the values are sorted
+    as they come, and two that share an encoding raise
+    `InternalCheckError`: a canonicity failure, which dropping equal
+    values would hide.  Raises `PreconditionError` when jobs < 1.  `jobs`
+    is clamped to the number of CPUs: the pool starts every worker at
+    once.  Each worker gets one share of the tasks, every jobs-th from its
+    own start, so that it builds each rival list once and the shares,
+    whose neighbouring tasks cost alike, take about as long.  The pool is
+    imported only when it is used, since importing it loads
+    `multiprocessing`."""
     if jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     tasks = _tasks(bounds)
@@ -443,7 +447,12 @@ def _enumerate(bounds: EnumBounds, jobs: int, leaf: Leaf[T]) -> list[T]:
             shares = list(pool.map(search, [tasks[k::jobs] for k in range(jobs)]))
     else:
         shares = [search(tasks)]
-    return sorted(set().union(*shares))
+    values = sorted(chain.from_iterable(shares))
+    encodings = [value if type(value) is str else value.encoding for value in values]
+    twice = next(compress(encodings, map(eq, encodings, islice(encodings, 1, None))), None)
+    if twice is not None:
+        raise InternalCheckError(f"enumeration reached the class {twice} more than once")
+    return values
 
 
 def _encoding_leaf(data, pairs, piv, lower) -> str:

@@ -93,7 +93,8 @@ def _checked_matrix(g: WeightedDualGraph):
     """M as g's own read-only map rows, built and checked once per graph
     (`rational.SymmetricIntRows`; `intersection_rows` copies them), so the
     kernels only copy them; NotNegativeDefiniteError unless M is negative
-    definite, decided by one elimination on every call."""
+    definite, checked on every call and decided by one elimination per
+    rows object (`rational.is_negative_definite` keeps the answer)."""
     m = g._intersection_rows
     if not is_negative_definite(m):
         raise NotNegativeDefiniteError("intersection matrix is not negative definite")

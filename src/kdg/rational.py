@@ -22,9 +22,12 @@ dense ones.  Mixed forms, a dense row of other than n entries and a map
 column outside 0..n-1 raise ValueError; an entry with no denominator (a
 float, even a stored 0) raises TypeError wherever it stands, as `rat`
 does.  Map rows checked once when built, `SymmetricIntRows` (a graph's
-intersection rows), are only copied; c is checked on every call.
-Kernels copy what they eliminate, so the caller's rows are never changed
-and read-only rows may be passed.
+intersection rows), are only copied; c is checked on every call.  Their
+definiteness is decided once per rows object: `is_negative_definite`
+keeps its answer on them, so a graph's rows are eliminated for it once,
+however many invariants ask.  Kernels copy what they eliminate, so the
+caller's rows are never changed and read-only rows may be passed; the
+read-only convention of `SymmetricIntRows` covers the kept answer too.
 
 `det`, `solve` and `is_negative_definite` eliminate sparse integer rows:
 one map column -> entry per row, over its nonzeros, each row multiplied by
@@ -144,10 +147,10 @@ class SymmetricIntRows(tuple):
     when built: every row a dict, every column a plain int in 0..n-1, every
     stored entry a nonzero plain int and each entry equal to its mirror.
     Raises ValueError otherwise.  `det`, `solve` and `is_negative_definite`
-    only copy such rows; they still check c on every call.  The rows are
-    read-only by convention: changing one after the check voids it."""
-
-    __slots__ = ()
+    only copy such rows; they still check c on every call, and
+    `is_negative_definite` decides such rows once and keeps the answer in
+    their instance dict.  The rows are read-only by convention: changing
+    one after the check voids it and that answer."""
 
     def __new__(cls, rows: Iterable[dict[int, int]]) -> "SymmetricIntRows":
         self = super().__new__(cls, rows)
@@ -411,11 +414,21 @@ def is_negative_definite(m: Matrix) -> bool:
 
     Decided exactly: the leading principal minors D_k of m in leaf-first
     order must satisfy (-1)^k D_k > 0 for every k.  A zero D_k means m is
-    not definite.  Non-symmetric input is rejected.
+    not definite.  Non-symmetric input is rejected.  `SymmetricIntRows`
+    are decided once, on the first call, which keeps the answer on them;
+    every other m is decided on every call.
     """
+    checked = type(m) is SymmetricIntRows
+    if checked:
+        known = m.__dict__.get("_negative_definite")
+        if known is not None:
+            return known
     rows, _, _ = _sparse_rows(m, symmetric=True)
     done = sparse_bareiss(rows, [])
-    return done is not None and negative_pivots(done[1])
+    answer = done is not None and negative_pivots(done[1])
+    if checked:
+        m._negative_definite = answer
+    return answer
 
 
 def quadratic_form(m: Matrix, v: Sequence[RatLike]) -> Fraction:

@@ -766,6 +766,34 @@ def test_limit_detects_strings_once_and_factors_g_once(tmp_path, monkeypatch, ca
     assert sizes == [v, v - 2, v - 4, v - 3, v - 2]
 
 
+def test_compute_decides_definiteness_once(tmp_path, monkeypatch, capsys):
+    """`compute` on II(n=1,s=2) factors 6 systems of the graph's size: one
+    elimination decides definiteness, whose answer its graph's rows keep
+    for every later check, and each of the 5 solves factors its own.  The
+    kernel calls stay 5 `solve` and 10 `is_negative_definite`."""
+    g = generate(family_spec("II", n=1, s=2))
+    path = tmp_path / "ii.json"
+    path.write_text(graph_to_json(g))
+    code, _, expected = compute_in_process(capsys, path)
+    assert code == 0
+    calls = {"solve": 0, "is_negative_definite": 0}
+
+    def counting(kernel):
+        def counted(*args):
+            calls[kernel.__name__] += 1
+            return kernel(*args)
+
+        return counted
+
+    for kernel in (rational.solve, rational.is_negative_definite):
+        patch_everywhere(monkeypatch, kernel, counting(kernel))
+    sizes = count_factorizations(monkeypatch)
+    code, _, report = compute_in_process(capsys, path)
+    assert code == 0 and report == expected
+    assert calls == {"solve": 5, "is_negative_definite": 10}
+    assert sizes == [len(g)] * 6
+
+
 def test_importing_cli_loads_no_multiprocessing():
     """The process pool, and with it `multiprocessing`, is imported only
     when `enumerate --jobs` asks for more than one worker."""

@@ -23,7 +23,7 @@ from kdg.enumeration import (
     random_admissible,
     spectrum_report,
 )
-from kdg.errors import PreconditionError
+from kdg.errors import InternalCheckError, PreconditionError
 from kdg.graph import build_graph, validate
 
 from .conftest import quick_k_squared, search_factorization
@@ -337,6 +337,35 @@ def test_jobs_below_one_refused(monkeypatch, capsys):
     assert code == 4
     assert captured.out == ""
     assert "jobs must be >= 1, got -3" in captured.err
+
+
+def test_a_class_reached_twice_is_an_internal_error(monkeypatch, capsys):
+    """The search must reach each class once; values are not deduplicated,
+    so a class yielded twice (a canonicity failure) raises
+    `InternalCheckError`, exit code 5 from the CLI, instead of being
+    hidden."""
+    bounds = EnumBounds(2, min_self=-3)
+    twice = "0,-3;0,-2|0-1:1"
+    assert twice in enumerate_encodings(bounds)
+    search = kdg.enumeration._search_data
+
+    def repeating(task, leaf, shared):
+        for value in search(task, leaf, shared):
+            yield value
+            if (value if isinstance(value, str) else value.encoding) == twice:
+                yield value
+
+    monkeypatch.setattr(kdg.enumeration, "_search_data", repeating)
+    message = f"enumeration reached the class {twice} more than once"
+    for enumerate_values in (enumerate_encodings, enumerate_admissible):
+        with pytest.raises(InternalCheckError) as info:
+            enumerate_values(bounds)
+        assert str(info.value) == message
+    code = main(["enumerate", "--max-vertices", "2", "--min-self", "-3", "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 from math import prod
@@ -25,6 +26,7 @@ from kdg.graph import (
     graph_to_json,
     intersection_matrix,
     parse_graph_json,
+    validate,
 )
 from kdg.invariants import (
     NON_RATIONAL,
@@ -500,6 +502,55 @@ def test_laufer_runs_once_per_graph(monkeypatch):
     # Z depends on M alone, so a float genus (through the constructor) leaves it alone
     float_genus = WeightedDualGraph((VertexData("a", 1.0, -3), VertexData("b", 0, -2)), (Edge(0, 1),))
     assert fundamental_cycle(float_genus).as_ints() == (1, 1)
+
+
+@pytest.mark.parametrize("mult", [3, 2], ids=["indefinite", "semidefinite"])
+def test_not_definite_graph_fails_alike_on_every_call(mult):
+    """Definiteness is decided once per graph's rows and kept, yet every
+    check still runs: on a graph that is not negative definite, `validate`
+    reports it and each invariant raises the same text on every call, in
+    any order, as on a fresh graph."""
+    vertices, edges = [("a", 0, -2), ("b", 0, -2)], [("a", "b", mult)]
+    checks = (canonical_cycle, fundamental_cycle, k_squared, invariant_report)
+    expected = ["intersection matrix is not negative definite"] * 3 + ["not negative definite"]
+
+    def outcomes(g, order):
+        out = {}
+        for check in order:
+            with pytest.raises(NotNegativeDefiniteError) as info:
+                check(g)
+            out[check.__name__] = str(info.value)
+        return [out[check.__name__] for check in checks]
+
+    for order in (checks, checks[::-1]):
+        g = build_graph(vertices, edges)
+        for _ in range(2):
+            report = validate(g)
+            assert not report.negative_definite and report.messages == ("not negative definite",)
+            assert outcomes(g, order) == expected
+    for check in checks:
+        assert outcomes(build_graph(vertices, edges), (check,) + checks) == expected
+
+
+def test_graph_copies_report_alike():
+    """A graph's JSON round trip and its deep copies, taken before or after
+    its definiteness is kept on its rows, give the same report, or raise
+    the same error."""
+    graphs = [generate(family_spec("II", n=1, s=2)), generate(family_spec("E8")), generate(family_spec("A", n=5))]
+    graphs += [
+        random_admissible(random.Random(seed), EnumBounds(6, min_self=-6, max_genus=2, max_edge_multiplicity=2))
+        for seed in range(10)
+    ]
+    for g in graphs:
+        early = copy.deepcopy(g)
+        first = invariant_report(g)
+        for twin in (parse_graph_json(graph_to_json(g)), copy.deepcopy(g), early):
+            assert twin == g and invariant_report(twin) == first
+    g = build_graph([("a", 0, -2), ("b", 0, -2)], [("a", "b", 3)])
+    assert not validate(g).negative_definite
+    for twin in (parse_graph_json(graph_to_json(g)), copy.deepcopy(g)):
+        with pytest.raises(NotNegativeDefiniteError, match="^intersection matrix is not negative definite$"):
+            canonical_cycle(twin)
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kdg.rational
 from kdg.rational import (
     UNBOUNDED,
     SingularMatrixError,
+    SymmetricIntRows,
     det,
     dim,
     dot,
@@ -591,6 +593,46 @@ def test_float_in_map_row_raises():
                 kernel(bad)
     with pytest.raises(TypeError, match="exact rational expected, got float"):
         solve(rows, [1.0, 0, 0])
+
+
+def test_only_checked_rows_keep_their_definiteness(monkeypatch):
+    """`is_negative_definite` decides `SymmetricIntRows` once per rows
+    object and keeps the answer on it; dense rows, plain map rows and rows
+    holding `Fraction`s are eliminated on every call, so changing them
+    between two calls gives the new answer."""
+    runs = []
+    real = kdg.rational.sparse_bareiss
+
+    def counted(rows, rhs):
+        runs.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(kdg.rational, "sparse_bareiss", counted)
+    maps = [{0: -2, 1: 1}, {0: 1, 1: -2}]
+    dense = [[-2, 1], [1, -2]]
+    fractions = [[Fraction(-1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1)]]
+    for m in (maps, dense, fractions):
+        before = len(runs)
+        assert is_negative_definite(m)
+        m[0][0] = m[1][1] = -m[0][0]
+        assert not is_negative_definite(m)
+        m[0][0] = m[1][1] = -m[0][0]
+        assert is_negative_definite(m) and is_negative_definite(m)
+        assert len(runs) == before + 4
+    for m, definite in (([{0: -2, 1: 1}, {0: 1, 1: -2}], True), ([{0: -1, 1: 1}, {0: 1, 1: -1}], False)):
+        rows = SymmetricIntRows(m)
+        before = len(runs)
+        assert [is_negative_definite(rows) for _ in range(3)] == [definite] * 3
+        assert len(runs) == before + 1
+        # the answer belongs to the rows object: equal rows are decided anew
+        twin = SymmetricIntRows(m)
+        assert twin == rows and is_negative_definite(twin) == definite
+        assert len(runs) == before + 2
+    # `det` still eliminates checked rows on every call
+    semidefinite = SymmetricIntRows([{0: -1, 1: 1}, {0: 1, 1: -1}])
+    before = len(runs)
+    assert det(semidefinite) == 0 and det(semidefinite) == 0
+    assert len(runs) == before + 2
 
 
 @pytest.mark.parametrize("row", [{0: -2, 2: 1}, {-1: 1, 0: -2}])
