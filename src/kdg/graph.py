@@ -114,12 +114,9 @@ class WeightedDualGraph:
         return adj
 
     @cached_property
-    def _intersection_rows(self) -> tuple[dict[int, int], ...]:
-        rows = tuple(a | {i: v.self_int} for i, (a, v) in enumerate(zip(self._adjacency, self.vertices)))
-        try:
-            return SymmetricIntRows(rows)
-        except ValueError:  # a float or bool record: the kernels check these rows on every call
-            return rows
+    def _intersection_rows(self) -> SymmetricIntRows:
+        # a float or bool record raises ValueError here, when the rows are first built
+        return SymmetricIntRows(a | {i: v.self_int} for i, (a, v) in enumerate(zip(self._adjacency, self.vertices)))
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:

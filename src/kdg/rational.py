@@ -1,64 +1,51 @@
 """Exact rational scalars, vectors and matrices.
 
 Scalars are `int` or `fractions.Fraction` (arbitrary precision, always in
-lowest terms with positive denominator); vectors are immutable tuples.
-Intersection matrices are all integers, contracted systems carry
-`Fraction`s, and every rational result is a `Fraction` either way.
+lowest terms with positive denominator); vectors are immutable tuples, and
+every rational result is a `Fraction`.
 
-A square matrix of n rows comes in one of two forms, and `dim`,
-`is_symmetric`, `det`, `solve`, `is_negative_definite` and
-`quadratic_form` accept both:
+`det`, `solve`, `is_negative_definite` and `quadratic_form` take one
+matrix form, `SymmetricIntRows`: the map rows of a symmetric matrix of
+plain ints, row i a dict column -> entry over the nonzeros of row i.  A
+graph builds its intersection matrix in this form once
+(`graph.intersection_rows` copies it), and callers that hold a graph pass
+that.  Rows of that type are used as they are; any other rows go through
+`SymmetricIntRows(...)`, which raises ValueError for dense rows, an entry
+that is not a nonzero plain int, a column outside 0..n-1 and values that
+are not symmetric.  The right-hand side c of `solve` holds n plain ints:
+other lengths raise ValueError, other entries TypeError.  Kernels copy
+what they eliminate, so the caller's rows are never changed.  The
+definiteness of a rows object is decided once: `is_negative_definite`
+keeps its answer on the rows, so a graph's rows are eliminated for it
+once, however many invariants ask; the read-only convention of
+`SymmetricIntRows` covers the kept answer too.
 
-* dense rows, each a sequence of n entries;
-* map rows, each a dict column -> entry over some of the columns
-  0..n-1, the entries it leaves out being 0.  A graph's intersection
-  matrix in this form is its adjacency maps plus the diagonal, built once
-  per graph (`graph.intersection_rows` copies it), and callers that hold
-  a graph pass that.
-
-`det`, `solve` and `is_negative_definite` read m once, through
-`_sparse_rows`, in O(n + stored entries) for map rows and O(n^2) for
-dense ones.  Mixed forms, a dense row of other than n entries and a map
-column outside 0..n-1 raise ValueError; an entry with no denominator (a
-float, even a stored 0) raises TypeError wherever it stands, as `rat`
-does.  Map rows checked once when built, `SymmetricIntRows` (a graph's
-intersection rows), are only copied; c is checked on every call.  Their
-definiteness is decided once per rows object: `is_negative_definite`
-keeps its answer on them, so a graph's rows are eliminated for it once,
-however many invariants ask.  Kernels copy what they eliminate, so the
-caller's rows are never changed and read-only rows may be passed; the
-read-only convention of `SymmetricIntRows` covers the kept answer too.
-
-`det`, `solve` and `is_negative_definite` eliminate sparse integer rows:
-one map column -> entry per row, over its nonzeros, each row multiplied by
-the lcm of its denominators, which leaves the signs of the leading
-principal minors unchanged.  `sparse_bareiss` runs fraction-free
-elimination (Bareiss, Math. Comp. 22, 1968) on them in leaf-first order,
-reverse breadth-first over the nonzero pattern, without row swaps.  Step k
-touches only the rows that meet the pivot, and on a tree nothing fills in
-(Parter, SIAM Review 3, 1961), whatever the vertex order, so a tree given
-by map rows costs time linear in its size, up to the growth of the
-integers.  Rows are scaled lazily: a step whose pivot column is zero in a
-row only multiplies that row by a factor, and those factors telescope, so
-the row is skipped and brought up to date when it is next used.
-Determinants are the last pivot, solves back substitute in integers
-(`back_substitute`), and negative definiteness is read off the signs of
-the pivots (`negative_pivots`).  A pivot that vanishes over a zero row
-makes the matrix singular: `det` gives 0 and `solve` raises
-`SingularMatrixError`.  One that vanishes over a nonzero entry would need
-a row swap, which a symmetric matrix needs only when it is indefinite, so
-`det` and `solve` raise ValueError there, as they do for a nonzero pattern
-that is not symmetric; either way the matrix is not definite.  Every
-negative (semi)definite matrix, the only kind kdg solves, eliminates
-without a swap.  Callers that build rows of their own from adjacency maps
-call `sparse_bareiss` directly: the p_a ellipsoid, and
-`invariants._solution`, which factors once each `sweep` member, each
-`limit` graph, limit system and cross-check member, and each insertion
-and contraction system of `transforms`; the enumerator
-keeps a Bareiss factorization in vertex order in its search and reads each
-class's invariants off that.  Only `nullspace`, the kernel of a rectangular matrix, runs its
-own rational elimination.  No floating point enters any computation; a
-float entry raises, and decimal strings are produced for display only.
+`sparse_bareiss` runs fraction-free elimination (Bareiss, Math. Comp. 22,
+1968) on a copy of the rows in leaf-first order, reverse breadth-first
+over the nonzero pattern, without row swaps.  Step k touches only the
+rows that meet the pivot, and on a tree nothing fills in (Parter, SIAM
+Review 3, 1961), whatever the vertex order, so a tree costs time linear in
+its size, up to the growth of the integers.  Rows are scaled lazily: a
+step whose pivot column is zero in a row only multiplies that row by a
+factor, and those factors telescope, so the row is skipped and brought up
+to date when it is next used.  Determinants are the last pivot, solves
+back substitute in integers (`back_substitute`), and negative
+definiteness is read off the signs of the pivots (`negative_pivots`).  A
+pivot that vanishes over a zero row makes the matrix singular: `det` gives
+0 and `solve` raises `SingularMatrixError`.  One that vanishes over a
+nonzero entry would need a row swap, which a symmetric matrix needs only
+when it is indefinite, so `det` and `solve` raise ValueError there; the
+matrix is not definite.  Every negative (semi)definite matrix, the only
+kind kdg solves, eliminates without a swap.  Callers that build rows of
+their own from adjacency maps call `sparse_bareiss` directly: the p_a
+ellipsoid, and `invariants._solution`, which factors once each `sweep`
+member, each `limit` graph, limit system and cross-check member, and each
+insertion and contraction system of `transforms`; the enumerator keeps a
+Bareiss factorization in vertex order in its search and reads each
+class's invariants off that.  Only `nullspace`, the kernel of a
+rectangular matrix, runs its own rational elimination.  No floating point
+enters any computation; a float entry raises, and decimal strings are
+produced for display only.
 """
 
 from __future__ import annotations
@@ -66,18 +53,13 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import attrgetter
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import KdgError
 
-Rat = Fraction
 RatLike = Union[int, Fraction]
 RatVector = tuple[Fraction, ...]
-RatMatrix = tuple[tuple[Fraction, ...], ...]
-#: A square matrix as dense rows or as map rows (column -> entry).
-Matrix = Sequence[Union[Sequence[RatLike], dict[int, RatLike]]]
 
 
 class SingularMatrixError(KdgError):
@@ -121,36 +103,15 @@ def vec(entries: Iterable[RatLike]) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in entries)
 
 
-def _shape(m: Matrix) -> tuple[int, bool]:
-    """(n, whether the rows are maps) for a square matrix m of n rows.
-
-    Raises ValueError unless every row is a dense sequence of n entries or
-    every row is a dict whose columns lie in 0..n-1."""
-    n = len(m)
-    maps = sum(map(isinstance, m, repeat(dict)))
-    if maps and maps == n:
-        columns = set().union(*m)
-        if columns and (min(columns) < 0 or max(columns) >= n):
-            raise ValueError(f"map row with a column outside 0..{n - 1}")
-        return n, True
-    if maps or set(map(len, m)) - {n}:
-        raise ValueError("square matrix expected")
-    return n, False
-
-
-def dim(m: Matrix) -> int:
-    return _shape(m)[0]
-
-
 class SymmetricIntRows(tuple):
     """Map rows of a symmetric matrix of nonzero plain ints, checked once,
     when built: every row a dict, every column a plain int in 0..n-1, every
     stored entry a nonzero plain int and each entry equal to its mirror.
-    Raises ValueError otherwise.  `det`, `solve` and `is_negative_definite`
-    only copy such rows; they still check c on every call, and
-    `is_negative_definite` decides such rows once and keeps the answer in
-    their instance dict.  The rows are read-only by convention: changing
-    one after the check voids it and that answer."""
+    Raises ValueError otherwise.  The one matrix form of `det`, `solve`,
+    `is_negative_definite` and `quadratic_form`, which use such rows as
+    they are; `is_negative_definite` decides them once and keeps the
+    answer in their instance dict.  The rows are read-only by convention:
+    changing one after the check voids it and that answer."""
 
     def __new__(cls, rows: Iterable[dict[int, int]]) -> "SymmetricIntRows":
         self = super().__new__(cls, rows)
@@ -163,90 +124,31 @@ class SymmetricIntRows(tuple):
         columns = set().union(*self)
         if columns and (min(columns) < 0 or max(columns) >= n):
             raise ValueError(f"map row with a column outside 0..{n - 1}")
-        if not _symmetric(self, True):
+        # every stored entry against its mirror, a missing one read as 0
+        if not all(self[j].get(i, 0) == x for i, row in enumerate(self) for j, x in row.items()):
             raise ValueError("symmetric matrix expected")
         return self
 
 
-def _symmetric(m: Matrix, maps: bool) -> bool:
-    if maps:  # every stored entry against its mirror, a missing one read as 0
-        return all(m[j].get(i, 0) == x for i, row in enumerate(m) for j, x in row.items())
-    # Whole rows against whole columns: tuple comparison runs in C.
-    return all(tuple(row) == col for row, col in zip(m, zip(*m)))
-
-
-def is_symmetric(m: Matrix) -> bool:
-    return _symmetric(m, _shape(m)[1])
-
-
-def dot(u: Sequence[RatLike], v: Sequence[RatLike]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum((rat(a) * rat(b) for a, b in zip(u, v)), Fraction(0))
-
-
-def _denominators(values: Iterable[RatLike]) -> set[int]:
-    """The denominators of values; TypeError, as `rat` raises it, for an
-    entry that has none, such as a float."""
-    values = list(values)
-    try:
-        return set(map(attrgetter("denominator"), values))
-    except AttributeError:
-        bad = next(x for x in values if not hasattr(x, "denominator"))
-        raise TypeError(f"exact rational expected, got {type(bad).__name__}") from None
+def _checked(m: Sequence[dict[int, int]]) -> SymmetricIntRows:
+    """m itself when it is `SymmetricIntRows`, else m checked as such."""
+    return m if type(m) is SymmetricIntRows else SymmetricIntRows(m)
 
 
 def _sparse_rows(
-    m: Matrix, c: Optional[Sequence[RatLike]] = None, symmetric: bool = False
-) -> tuple[list[dict[int, int]], list[int], int]:
-    """Each row of m, dense or a map, as a new map column -> entry over its
-    nonzeros, times the lcm of its denominators (c[i] included when c is
-    given); c scaled alike; and the product of those positive multipliers.
-
-    Checks the form (`_shape`), then len(c), then when `symmetric` the
-    values, before it reads a denominator: every entry a row holds, zeros
-    included, so a float raises TypeError wherever it stands.  A matrix of
-    plain ints, the common case, is copied in one pass with no
-    denominators, and `SymmetricIntRows`, checked when built, are only
-    copied: of them only c is checked."""
-    checked = type(m) is SymmetricIntRows
-    if checked:
-        n, maps = len(m), True
-        rows = list(map(dict.copy, m))
-        entries = []
-    else:
-        n, maps = _shape(m)
-        if maps:
-            entries = list(chain.from_iterable(map(dict.values, m)))
-            if 0 in entries:
-                rows = [dict(compress(row.items(), row.values())) for row in m]
-            else:
-                rows = list(map(dict.copy, m))
-        else:
-            entries = list(chain.from_iterable(m))
-            rows = [dict(compress(enumerate(row), row)) for row in m]
+    m: Sequence[dict[int, int]], c: Optional[Sequence[int]] = None
+) -> tuple[list[dict[int, int]], list[int]]:
+    """New copies of the rows of m (`_checked`) and of c, to eliminate.
+    Raises ValueError unless c has one entry per row, and TypeError for an
+    entry of c that is not a plain int."""
+    rows = list(map(dict.copy, _checked(m)))
     rhs = [] if c is None else list(c)
-    if c is not None and len(rhs) != n:
+    if c is not None and len(rhs) != len(rows):
         raise ValueError("dimension mismatch")
-    if symmetric and not checked and not _symmetric(rows if maps else m, maps):
-        raise ValueError("symmetric matrix expected")
-    scale = 1
-    if set(map(type, chain(entries, rhs))) - {int}:
-        for i, row in enumerate(m):
-            extra = rhs[i : i + 1]
-            row_values = row.values() if maps else row
-            if set(map(type, chain(row_values, extra))) != {int}:
-                r = math.lcm(*_denominators(chain(row_values, extra)))
-                rows[i] = {j: x.numerator * (r // x.denominator) for j, x in rows[i].items()}
-                if extra:
-                    rhs[i] = extra[0].numerator * (r // extra[0].denominator)
-                scale *= r
-    return rows, rhs, scale
-
-
-def _symmetric_pattern(rows: list[dict[int, int]]) -> bool:
-    """Whether row i stores column j exactly when row j stores column i."""
-    return all(i in rows[j] for i, row in enumerate(rows) for j in row)
+    for x in rhs:
+        if type(x) is not int:
+            raise TypeError(f"plain int expected, got {type(x).__name__}")
+    return rows, rhs
 
 
 def _leaf_order(rows: list[dict[int, int]]) -> list[int]:
@@ -340,40 +242,36 @@ def sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple
 
 
 def _factor(
-    m: Matrix, c: Optional[Sequence[RatLike]] = None
-) -> tuple[list[dict[int, int]], list[int], list[int], list[int], int]:
-    """Factor the rows [m | c] of a square m for `det` and `solve`.
-
-    Returns (rows, rhs, order, pivots) as `sparse_bareiss` leaves them and
-    the product of the row multipliers.  Raises ValueError when the
-    nonzero pattern of m is not symmetric, or when elimination would need
-    a row swap, which on a symmetric m means it is indefinite.
+    m: Sequence[dict[int, int]], c: Optional[Sequence[int]] = None
+) -> tuple[list[dict[int, int]], list[int], list[int], list[int]]:
+    """Factor the rows [m | c] for `det` and `solve`: (rows, rhs, order,
+    pivots) as `sparse_bareiss` leaves them.  Raises ValueError as
+    `_sparse_rows` does, and when elimination would need a row swap, which
+    on a symmetric m means it is indefinite.
     """
-    rows, rhs, scale = _sparse_rows(m, c)
-    if type(m) is not SymmetricIntRows and not _symmetric_pattern(rows):
-        raise ValueError("matrix with a symmetric nonzero pattern expected")
+    rows, rhs = _sparse_rows(m, c)
     done = sparse_bareiss(rows, rhs)
     if done is None:
         raise ValueError(
             "a pivot vanishes over a nonzero row: elimination needs a row swap,"
             " which a symmetric matrix needs only when it is indefinite"
         )
-    return (rows, rhs, *done, scale)
+    return (rows, rhs, *done)
 
 
-def det(m: Matrix) -> Fraction:
+def det(m: Sequence[dict[int, int]]) -> Fraction:
     """Exact determinant.  Raises ValueError as `_factor` does."""
     if not len(m):
         return Fraction(1)
-    _, _, _, pivots, scale = _factor(m)
-    return Fraction(pivots[-1], scale) if all(pivots) else Fraction(0)
+    pivots = _factor(m)[3]
+    return Fraction(pivots[-1]) if all(pivots) else Fraction(0)
 
 
-def solve(m: Matrix, c: Sequence[RatLike]) -> tuple[Fraction, ...]:
+def solve(m: Sequence[dict[int, int]], c: Sequence[int]) -> tuple[Fraction, ...]:
     """Solve m x = c exactly.  Raises SingularMatrixError(stage) when m is
-    singular, stage counted in elimination order, and ValueError as
-    `_factor` does."""
-    rows, rhs, order, pivots, _ = _factor(m, c)
+    singular, stage counted in elimination order, and ValueError or
+    TypeError as `_factor` does."""
+    rows, rhs, order, pivots = _factor(m, c)
     if not pivots:
         return ()
     if not all(pivots):
@@ -409,41 +307,30 @@ def negative_pivots(pivots: Sequence[int]) -> bool:
     return all(d < 0 if k % 2 == 0 else d > 0 for k, d in enumerate(pivots))
 
 
-def is_negative_definite(m: Matrix) -> bool:
+def is_negative_definite(m: Sequence[dict[int, int]]) -> bool:
     """True iff the symmetric matrix m is negative definite.
 
     Decided exactly: the leading principal minors D_k of m in leaf-first
     order must satisfy (-1)^k D_k > 0 for every k.  A zero D_k means m is
-    not definite.  Non-symmetric input is rejected.  `SymmetricIntRows`
-    are decided once, on the first call, which keeps the answer on them;
-    every other m is decided on every call.
+    not definite.  Raises ValueError as `SymmetricIntRows` does.  The
+    rows object (`_checked`) is decided on the first call, which keeps the
+    answer on it.
     """
-    checked = type(m) is SymmetricIntRows
-    if checked:
-        known = m.__dict__.get("_negative_definite")
-        if known is not None:
-            return known
-    rows, _, _ = _sparse_rows(m, symmetric=True)
-    done = sparse_bareiss(rows, [])
-    answer = done is not None and negative_pivots(done[1])
-    if checked:
-        m._negative_definite = answer
-    return answer
+    m = _checked(m)
+    known = m.__dict__.get("_negative_definite")
+    if known is None:
+        done = sparse_bareiss(_sparse_rows(m)[0], [])
+        known = m._negative_definite = done is not None and negative_pivots(done[1])
+    return known
 
 
-def quadratic_form(m: Matrix, v: Sequence[RatLike]) -> Fraction:
-    """The value t(v) m v, exactly."""
-    n = dim(m)
-    if len(v) != n:
+def quadratic_form(m: Sequence[dict[int, int]], v: Sequence[RatLike]) -> Fraction:
+    """The value t(v) m v, exactly, for v of ints or `Fraction`s."""
+    m = _checked(m)
+    if len(v) != len(m):
         raise ValueError("dimension mismatch")
     w = vec(v)
-    total = Fraction(0)
-    for i, wi in enumerate(w):
-        if wi:
-            row = m[i]
-            entries = row.items() if isinstance(row, dict) else enumerate(row)
-            total += wi * sum((rat(x) * w[j] for j, x in entries if x and w[j]), Fraction(0))
-    return total
+    return sum((wi * sum(x * w[j] for j, x in row.items()) for row, wi in zip(m, w) if wi), Fraction(0))
 
 
 def nullspace(m: Sequence[Sequence[RatLike]]) -> list[tuple[Fraction, ...]]:
@@ -494,13 +381,6 @@ def rat_str(q: RatLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rat(s: str) -> Fraction:
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc
 
 
 _DECIMAL_12 = Context(prec=12, rounding=ROUND_HALF_EVEN)

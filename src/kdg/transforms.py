@@ -219,7 +219,10 @@ def contract_string(g: WeightedDualGraph, s: StringDescriptor) -> list[dict[int,
     returned map rows (column -> entry, as `intersection_rows` gives them)
     are indexed by `contracted_indices(g, s)` and satisfy
     -t(c) M^{-1} c = -K^2 of the full graph exactly (the chain carries no
-    adjunction weight, so this is plain block elimination).
+    adjunction weight, so this is plain block elimination).  Their
+    `Fraction` entries are for inspection only: the `rational` kernels
+    take nonzero plain ints and raise ValueError on them, so every system
+    kdg solves comes from `_contracted`, scaled to integers.
     """
     weights, adj, _, local = _contracted(g, s)
     rows = [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]

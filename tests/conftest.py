@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,8 +14,8 @@ from kdg.enumeration import (
     enumerate_admissible,
     enumerate_encodings,
 )
-from kdg.graph import adjunction_degrees, intersection_matrix
-from kdg.rational import dot, solve
+from kdg.graph import adjunction_degrees, intersection_rows
+from kdg.rational import solve
 
 settings.register_profile(
     "suite",
@@ -69,8 +70,7 @@ def search_factorization(m, extra=0, check=None):
 def quick_k_squared(g) -> Fraction:
     """-K^2 by direct solve, for graphs already known negative definite."""
     c = adjunction_degrees(g)
-    coeffs = solve(intersection_matrix(g), list(c))
-    return -dot(coeffs, c)
+    return -sum(map(mul, solve(intersection_rows(g), c), c))
 
 
 @pytest.fixture(scope="session")
@@ -79,14 +79,12 @@ def e5_entries():
 
 
 def encoding_k_squared(encoding: str) -> Fraction:
-    """-K^2 by direct solve on the integer matrix of an encoding already
+    """-K^2 by direct solve on the integer map rows of an encoding already
     known negative definite, with no graph built."""
     data, adj = _decode(encoding)
-    m = [[adj[i].get(j, 0) for j in range(len(data))] for i in range(len(data))]
-    for i, (_, w) in enumerate(data):
-        m[i][i] = w
+    rows = [a | {i: w} for i, (a, (_, w)) in enumerate(zip(adj, data))]
     c = [2 * g - 2 - w for g, w in data]
-    return -dot(solve(m, c), c)
+    return -sum(map(mul, solve(rows, c), c))
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ library code it checks: determinants by cofactor expansion instead of
 fraction-free elimination, elimination by the textbook dense Bareiss update
 of every row at every step instead of the lazily scaled sparse one,
 definiteness through the characteristic
-polynomial instead of pivots/minors, fundamental cycles by brute
+polynomial instead of pivots/minors, t(v) M v as the double sum over
+every entry of the dense matrix instead of the sparse form over the
+adjacency maps, fundamental cycles by brute
 enumeration of a coefficient box instead of Laufer's algorithm, and the
 maximal arithmetic genus by visiting every cycle of the box instead of the
 pruned search, and the enumeration by filling every matrix of the box with
@@ -110,6 +112,13 @@ def negdef_by_charpoly(m) -> bool:
     monic polynomial being strictly positive.
     """
     return all(c > 0 for c in char_poly(m)[1:])
+
+
+def dense_form(m, v) -> Fraction:
+    """t(v) M v as the double sum of v_i M_ij v_j over every entry of the
+    dense matrix M."""
+    n = len(m)
+    return sum((Fraction(v[i]) * m[i][j] * v[j] for i in range(n) for j in range(n)), Fraction(0))
 
 
 def fraction_solve(m, c):

@@ -16,6 +16,7 @@ rather than assuming it.
 import functools
 import random
 from fractions import Fraction
+from operator import mul
 
 from kdg.enumeration import EnumBounds, graph_from_encoding, random_admissible
 from kdg.errors import NotNegativeDefiniteError
@@ -27,7 +28,7 @@ from kdg.families import (
     stretch_descriptor,
     two_curve_coefficient,
 )
-from kdg.graph import adjunction_degrees, intersection_matrix
+from kdg.graph import adjunction_degrees, intersection_rows
 from kdg.invariants import (
     RATIONAL_TRIPLE,
     bound_checks,
@@ -37,7 +38,7 @@ from kdg.invariants import (
     k_squared,
     pa_max_bounded,
 )
-from kdg.rational import dot, solve
+from kdg.rational import solve
 from kdg.transforms import (
     find_sites,
     limit_k_squared,
@@ -252,7 +253,7 @@ def test_criterion_08_subgraph_monotonicity(e5_entries):
         r = len(g)
         if r == 1:
             continue
-        m = intersection_matrix(g)
+        rows = intersection_rows(g)
         c = adjunction_degrees(g)
         adj = g.adjacency()
         neighbor_mask = [0] * r
@@ -275,9 +276,10 @@ def test_criterion_08_subgraph_monotonicity(e5_entries):
             if seen != mask:
                 continue
             keep = [i for i in range(r) if mask >> i & 1]
-            sub_m = [[m[i][j] for j in keep] for i in keep]
+            at = {v: k for k, v in enumerate(keep)}
+            sub_rows = [{at[j]: x for j, x in rows[i].items() if j in at} for i in keep]
             sub_c = [c[i] for i in keep]
-            part = -dot(solve(sub_m, sub_c), sub_c)
+            part = -sum(map(mul, solve(sub_rows, sub_c), sub_c))
             assert part <= full, (entry.encoding, keep)
 
 

@@ -794,6 +794,33 @@ def test_compute_decides_definiteness_once(tmp_path, monkeypatch, capsys):
     assert sizes == [len(g)] * 6
 
 
+def test_graph_rows_are_built_once(tmp_path, monkeypatch, capsys):
+    """`invariant_report` on II(n=1,s=2) builds one `SymmetricIntRows`, its
+    graph's own, and so does `kdg compute` on it, which still runs 6
+    eliminations.  A call site that passed plain rows would build and check
+    them anew on every call, and eliminate them again for definiteness,
+    whose kept answer lives on the rows object."""
+    built = []
+    real = rational.SymmetricIntRows.__new__
+
+    def counted(cls, rows):
+        built.append(cls)
+        return real(cls, rows)
+
+    monkeypatch.setattr(rational.SymmetricIntRows, "__new__", staticmethod(counted))
+    g = generate(family_spec("II", n=1, s=2))
+    invariant_report(g)
+    assert built == [rational.SymmetricIntRows]
+    path = tmp_path / "ii.json"
+    path.write_text(graph_to_json(g))
+    built.clear()
+    sizes = count_factorizations(monkeypatch)
+    code, _, _ = compute_in_process(capsys, path)
+    assert code == 0
+    assert built == [rational.SymmetricIntRows]
+    assert sizes == [len(g)] * 6
+
+
 def test_importing_cli_loads_no_multiprocessing():
     """The process pool, and with it `multiprocessing`, is imported only
     when `enumerate --jobs` asks for more than one worker."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from kdg.graph import (
     validate,
 )
 from kdg.invariants import invariant_report
-from kdg.rational import SingularMatrixError, SymmetricIntRows, det, is_negative_definite, is_symmetric, solve
+from kdg.rational import SingularMatrixError, SymmetricIntRows, det, is_negative_definite, solve
 from kdg.transforms import detect_strings, with_string_length
 
 from .oracles import char_poly
@@ -79,48 +80,55 @@ def test_intersection_data_is_integer(g):
 
 @given(small_graphs())
 @settings(max_examples=200)
-def test_kernels_agree_on_integer_and_fraction_matrices(g):
+def test_kernels_agree_on_checked_and_plain_rows(g):
+    """The kernels give the same value, or refuse alike, on a graph's own
+    `SymmetricIntRows` and on the plain map rows `intersection_rows`
+    copies, and refuse its dense matrix."""
     m = intersection_matrix(g)
-    q = tuple(tuple(Fraction(x) for x in row) for row in m)
+    checked = g._intersection_rows
     rows = intersection_rows(g)
     c = adjunction_degrees(g)
-    assert is_negative_definite(m) == is_negative_definite(q) == is_negative_definite(rows)
+    for kernel in (det, is_negative_definite, lambda a: solve(a, c)):
+        with pytest.raises(ValueError, match="map rows expected"):
+            kernel(m)
+    poly = char_poly(m)
+    assert is_negative_definite(rows) == is_negative_definite(checked) == all(x > 0 for x in poly[1:])
     try:
-        d = det(m)
+        d = det(rows)
     except ValueError:
-        # only a matrix that is not negative semidefinite needs a row swap,
-        # and both forms factor the same integer rows
-        assert not all(x >= 0 for x in char_poly(m)[1:])
-        for kernel in (det, lambda m: solve(m, c)):
-            for form in (q, rows):
-                with pytest.raises(ValueError):
-                    kernel(form)
+        # only a matrix that is not negative semidefinite needs a row swap
+        assert not all(x >= 0 for x in poly[1:])
+        for kernel in (det, lambda a: solve(a, c)):
+            with pytest.raises(ValueError):
+                kernel(checked)
         return
-    assert type(d) is Fraction and d == det(q) == det(rows)
+    assert type(d) is Fraction and d == det(checked)
     if d:
-        x = solve(m, c)
+        x = solve(rows, c)
         assert all(type(xi) is Fraction for xi in x)
-        assert x == solve(q, [Fraction(ci) for ci in c]) == solve(rows, c)
+        assert x == solve(checked, c)
 
 
 def test_float_entries_raise_in_kernels():
+    """A float in the rows raises ValueError, as every entry that is not a
+    nonzero plain int does, and a float in c raises TypeError."""
     g = build_graph([("a", 0, -3), ("b", 0, -2), ("c", 0, -2)], [("a", "b"), ("b", "c")])
     c = adjunction_degrees(g)
     for i, j, x in ((0, 0, -3.0), (0, 2, 0.0)):
-        m = [list(row) for row in intersection_matrix(g)]
-        m[i][j] = m[j][i] = x
+        rows = intersection_rows(g)
+        rows[i][j] = rows[j][i] = x
         for kernel in (det, is_negative_definite, lambda m: solve(m, c)):
-            with pytest.raises(TypeError, match="exact rational expected, got float"):
-                kernel(m)
-    with pytest.raises(TypeError, match="exact rational expected, got float"):
-        solve(intersection_matrix(g), [1.0, 0, 0])
+            with pytest.raises(ValueError, match="nonzero plain int entries expected"):
+                kernel(rows)
+    with pytest.raises(TypeError, match="plain int expected, got float"):
+        solve(intersection_rows(g), [1.0, 0, 0])
 
 
 def kernel_outcomes(m, c):
-    """What det, solve(., c), is_negative_definite and is_symmetric give
-    on m: a value, or the type and text of the error."""
+    """What det, solve(., c) and is_negative_definite give on m: a value,
+    or the type and text of the error."""
     out = []
-    for kernel in (det, lambda a: solve(a, c), is_negative_definite, is_symmetric):
+    for kernel in (det, lambda a: solve(a, c), is_negative_definite):
         try:
             out.append(kernel(m))
         except (ValueError, TypeError, SingularMatrixError) as exc:
@@ -158,26 +166,20 @@ def test_graph_rows_are_checked_once():
     rows = generate(family_spec("II", n=1, s=2))._intersection_rows
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve(rows, [1] * (len(rows) - 1))
-    with pytest.raises(TypeError, match="exact rational expected, got float"):
+    with pytest.raises(TypeError, match="plain int expected, got float"):
         solve(rows, [1.0] * len(rows))
 
 
-def test_float_or_bool_records_keep_plain_rows():
-    """A graph built through the constructor with a float self-intersection
-    or a bool multiplicity keeps plain rows, which the kernels check on
-    every call: a float raises TypeError, a bool counts as 1."""
+def test_float_or_bool_records_raise_when_rows_are_built():
+    """The constructor takes a float self-intersection or a bool
+    multiplicity, but building the graph's rows, as `validate` and the
+    invariants do, raises ValueError."""
     floats = WeightedDualGraph((VertexData("a", 0, -2.0), VertexData("b", 0, -3)), (Edge(0, 1),))
     bools = WeightedDualGraph((VertexData("a", 0, -3), VertexData("b", 0, -2)), (Edge(0, 1, True),))
-    ints = build_graph([("a", 0, -3), ("b", 0, -2)], [("a", "b")])
     for g in (floats, bools):
-        rows = g._intersection_rows
-        assert type(rows) is tuple
-        for c in [adjunction_degrees(g)] + bad_rhs(adjunction_degrees(g)):
-            assert kernel_outcomes(rows, c) == kernel_outcomes(intersection_rows(g), c)
-    float_error = (TypeError, "exact rational expected, got float")
-    assert kernel_outcomes(floats._intersection_rows, (0, 1)) == [float_error, float_error, float_error, True]
-    c = adjunction_degrees(ints)
-    assert kernel_outcomes(bools._intersection_rows, c) == kernel_outcomes(ints._intersection_rows, c)
+        for reader in (validate, invariant_report, attrgetter("_intersection_rows")):
+            with pytest.raises(ValueError, match="nonzero plain int entries expected"):
+                reader(g)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import copy
 import json
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,10 +51,9 @@ from kdg.invariants import (
     report_to_obj,
     report_to_text,
 )
-from kdg.rational import dot, quadratic_form
 
 from .conftest import search_factorization
-from .oracles import ADE_BOX_BOUND, box_min_anti_nef, box_pa_max
+from .oracles import ADE_BOX_BOUND, box_min_anti_nef, box_pa_max, dense_form
 
 import random
 
@@ -90,7 +90,7 @@ def test_canonical_cycle_solves_adjunction():
     mat = intersection_matrix(g)
     c = adjunction_degrees(g)
     for i in range(len(g)):
-        assert dot(mat[i], m) == c[i]
+        assert sum(map(mul, mat[i], m)) == c[i]
 
 
 def test_ade_vanishing():
@@ -279,7 +279,7 @@ def test_class_invariants_match_fraction_path(g):
 @given(admissible_graphs_up_to_8(), st.data())
 @settings(max_examples=150)
 def test_form_matches_dense_quadratic_form(g, data):
-    """The sparse t(v) M v against the dense `rational.quadratic_form`."""
+    """The sparse t(v) M v against the dense double sum of `oracles.dense_form`."""
     n = len(g)
     weights = [v.self_int for v in g.vertices]
     m = intersection_matrix(g)
@@ -288,15 +288,16 @@ def test_form_matches_dense_quadratic_form(g, data):
         st.lists(st.fractions(-5, 5, max_denominator=7), min_size=n, max_size=n)
     )
     form = _form(weights, g.adjacency(), v_int)
-    assert type(form) is int and form == quadratic_form(m, v_int)
-    assert _form(weights, g.adjacency(), v_rat) == quadratic_form(m, v_rat)
+    assert type(form) is int and form == dense_form(m, v_int)
+    assert _form(weights, g.adjacency(), v_rat) == dense_form(m, v_rat)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.booleans(), st.booleans(), st.data())
 @settings(max_examples=150)
 def test_cycle_degrees_match_dense_form(seed, integral, as_cycle, data):
-    """`cycle_degrees` and `cycle_pa` against the dense `quadratic_form` and
-    `dot`, on integral cycles (their integer path) and on rational ones."""
+    """`cycle_degrees` and `cycle_pa` against the dense `oracles.dense_form`
+    and a plain sum of products, on integral cycles (their integer path)
+    and on rational ones."""
     rng = random.Random(seed)
     g = random_admissible(rng, EnumBounds(6, min_self=-6, max_genus=2, max_edge_multiplicity=2))
     n = len(g)
@@ -305,8 +306,8 @@ def test_cycle_degrees_match_dense_form(seed, integral, as_cycle, data):
         entries = entries | st.fractions(-5, 5, max_denominator=7)
     d = data.draw(st.lists(entries, min_size=n, max_size=n))
     arg = Cycle.from_coefficients(d) if as_cycle else d
-    d_sq = quadratic_form(intersection_matrix(g), d)
-    k_dot = dot(d, adjunction_degrees(g))
+    d_sq = dense_form(intersection_matrix(g), d)
+    k_dot = sum(map(mul, d, adjunction_degrees(g)))
     degrees = cycle_degrees(g, arg)
     assert degrees == (d_sq, k_dot)
     assert all(type(x) is Fraction for x in degrees)

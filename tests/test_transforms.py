@@ -15,7 +15,6 @@ from kdg.graph import (
     VertexData,
     WeightedDualGraph,
     build_graph,
-    intersection_matrix,
     intersection_rows,
 )
 from kdg.invariants import k_squared, numerical_index
@@ -369,7 +368,7 @@ def test_with_string_length_zero_rejected_on_cycle():
         with_string_length(g, s, 0)
     grown, desc = with_string_length(g, s, 5)
     assert len(grown) == 6
-    assert is_negative_definite(intersection_matrix(grown))
+    assert is_negative_definite(intersection_rows(grown))
     assert desc is not None and desc.left == desc.right
 
 
@@ -453,7 +452,7 @@ def test_mobius_refuses_graph_not_negative_definite():
     e8 = generate(spec)
     (long_arm,) = [s for s in detect_strings(e8) if len(s.chain) == 4]
     g, arm = with_string_length(e8, long_arm, 6)
-    assert not is_negative_definite(intersection_matrix(g))
+    assert not is_negative_definite(intersection_rows(g))
     with pytest.raises(PreconditionError, match="negative definite graph"):
         mobius_limit_crosscheck(g, arm)
     with pytest.raises(PreconditionError, match="negative definite graph"):
@@ -470,7 +469,7 @@ def test_mobius_refuses_pole_beyond_window():
         Fraction(4, 9 - L) for L in (0, 1, 2)
     ]
     member, _ = with_string_length(g, f1, 9)
-    assert not is_negative_definite(intersection_matrix(member))
+    assert not is_negative_definite(intersection_rows(member))
     with pytest.raises(PreconditionError, match="pole at string length 9"):
         mobius_limit_crosscheck(g, f1)
 
