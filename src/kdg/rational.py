@@ -14,11 +14,16 @@ that.  Rows of that type are used as they are; any other rows go through
 that is not a nonzero plain int, a column outside 0..n-1 and values that
 are not symmetric.  The right-hand side c of `solve` holds n plain ints:
 other lengths raise ValueError, other entries TypeError.  Kernels copy
-what they eliminate, so the caller's rows are never changed.  The
-definiteness of a rows object is decided once: `is_negative_definite`
-keeps its answer on the rows, so a graph's rows are eliminated for it
-once, however many invariants ask; the read-only convention of
-`SymmetricIntRows` covers the kept answer too.
+what they eliminate, so the caller's rows are never changed.  A rows
+object keeps two answers in its instance dict: `is_negative_definite`
+its definiteness, and `solve` one pair, a copy of the last c it was
+given (after c's checks) and the solution.  So a graph's rows are
+eliminated once for definiteness and once for M m = c, however many
+invariants ask; a different c is eliminated and replaces the kept pair.
+Errors are never kept: a singular or indefinite system raises on every
+call, and rows of any other type are checked and eliminated anew on
+every call.  The read-only convention of `SymmetricIntRows` covers the
+kept answers too.
 
 `sparse_bareiss` runs fraction-free elimination (Bareiss, Math. Comp. 22,
 1968) on a copy of the rows in leaf-first order, reverse breadth-first
@@ -109,9 +114,10 @@ class SymmetricIntRows(tuple):
     stored entry a nonzero plain int and each entry equal to its mirror.
     Raises ValueError otherwise.  The one matrix form of `det`, `solve`,
     `is_negative_definite` and `quadratic_form`, which use such rows as
-    they are; `is_negative_definite` decides them once and keeps the
-    answer in their instance dict.  The rows are read-only by convention:
-    changing one after the check voids it and that answer."""
+    they are; `is_negative_definite` decides them once and `solve` keeps
+    its last c with the solution, both in their instance dict.  The rows
+    are read-only by convention: changing one after the check voids it
+    and those answers."""
 
     def __new__(cls, rows: Iterable[dict[int, int]]) -> "SymmetricIntRows":
         self = super().__new__(cls, rows)
@@ -135,20 +141,9 @@ def _checked(m: Sequence[dict[int, int]]) -> SymmetricIntRows:
     return m if type(m) is SymmetricIntRows else SymmetricIntRows(m)
 
 
-def _sparse_rows(
-    m: Sequence[dict[int, int]], c: Optional[Sequence[int]] = None
-) -> tuple[list[dict[int, int]], list[int]]:
-    """New copies of the rows of m (`_checked`) and of c, to eliminate.
-    Raises ValueError unless c has one entry per row, and TypeError for an
-    entry of c that is not a plain int."""
-    rows = list(map(dict.copy, _checked(m)))
-    rhs = [] if c is None else list(c)
-    if c is not None and len(rhs) != len(rows):
-        raise ValueError("dimension mismatch")
-    for x in rhs:
-        if type(x) is not int:
-            raise TypeError(f"plain int expected, got {type(x).__name__}")
-    return rows, rhs
+def _sparse_rows(m: Sequence[dict[int, int]], c: Sequence[int] = ()) -> tuple[list[dict[int, int]], list[int]]:
+    """New copies of the rows of m (`_checked`) and of c, to eliminate."""
+    return list(map(dict.copy, _checked(m))), list(c)
 
 
 def _leaf_order(rows: list[dict[int, int]]) -> list[int]:
@@ -242,12 +237,12 @@ def sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple
 
 
 def _factor(
-    m: Sequence[dict[int, int]], c: Optional[Sequence[int]] = None
+    m: Sequence[dict[int, int]], c: Sequence[int] = ()
 ) -> tuple[list[dict[int, int]], list[int], list[int], list[int]]:
     """Factor the rows [m | c] for `det` and `solve`: (rows, rhs, order,
     pivots) as `sparse_bareiss` leaves them.  Raises ValueError as
-    `_sparse_rows` does, and when elimination would need a row swap, which
-    on a symmetric m means it is indefinite.
+    `_checked` does, and when elimination would need a row swap, which on
+    a symmetric m means it is indefinite.
     """
     rows, rhs = _sparse_rows(m, c)
     done = sparse_bareiss(rows, rhs)
@@ -269,15 +264,31 @@ def det(m: Sequence[dict[int, int]]) -> Fraction:
 
 def solve(m: Sequence[dict[int, int]], c: Sequence[int]) -> tuple[Fraction, ...]:
     """Solve m x = c exactly.  Raises SingularMatrixError(stage) when m is
-    singular, stage counted in elimination order, and ValueError or
-    TypeError as `_factor` does."""
-    rows, rhs, order, pivots = _factor(m, c)
+    singular, stage counted in elimination order, ValueError as `_factor`
+    does and unless c has one entry per row, and TypeError for an entry of
+    c that is not a plain int.  The rows object (`_checked`) keeps its
+    last c, once c is checked, with the answer: the same c again is
+    answered without an elimination, another c replaces the pair.  An
+    error is not kept, so it is raised on every call."""
+    m = _checked(m)
+    key = tuple(c)
+    if len(key) != len(m):
+        raise ValueError("dimension mismatch")
+    for x in key:
+        if type(x) is not int:
+            raise TypeError(f"plain int expected, got {type(x).__name__}")
+    kept = m.__dict__.get("_solved")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    rows, rhs, order, pivots = _factor(m, key)
     if not pivots:
         return ()
     if not all(pivots):
         raise SingularMatrixError(pivots.index(0))
     d = pivots[-1]
-    return tuple(Fraction(yi, d) for yi in back_substitute(rows, rhs, order, pivots))
+    x = tuple(Fraction(yi, d) for yi in back_substitute(rows, rhs, order, pivots))
+    m._solved = (key, x)
+    return x
 
 
 def back_substitute(

@@ -53,7 +53,7 @@ class StringDescriptor:
     `chain` lists the vertex indices along the path; `left`/`right` are the
     indices of the vertices the two chain ends attach to, or None when a
     chain end touches nothing else.  detect_strings produces maximal such
-    chains; contract_string accepts any insertion-shaped one.
+    chains; `_contracted` accepts any insertion-shaped one.
     """
 
     chain: tuple[int, ...]
@@ -206,40 +206,26 @@ def _check_string_structure(g: WeightedDualGraph, s: StringDescriptor, allow_emp
 
 
 def contracted_indices(g: WeightedDualGraph, s: StringDescriptor) -> list[int]:
-    """Vertex indices that survive contract_string, in original order."""
+    """Vertex indices that survive `_contracted`, in original order: its
+    system's row k belongs to vertex `contracted_indices(g, s)[k]`."""
     chain_set = set(s.chain)
     return [i for i in range(len(g)) if i not in chain_set]
-
-
-def contract_string(g: WeightedDualGraph, s: StringDescriptor) -> list[dict[int, Fraction]]:
-    """Eliminate the chain from the intersection matrix.
-
-    The descriptor's left/right vertices act as the props and must be
-    genus-0 (-2)-vertices; the chain plays the inserted-string role.  The
-    returned map rows (column -> entry, as `intersection_rows` gives them)
-    are indexed by `contracted_indices(g, s)` and satisfy
-    -t(c) M^{-1} c = -K^2 of the full graph exactly (the chain carries no
-    adjunction weight, so this is plain block elimination).  Their
-    `Fraction` entries are for inspection only: the `rational` kernels
-    take nonzero plain ints and raise ValueError on them, so every system
-    kdg solves comes from `_contracted`, scaled to integers.
-    """
-    weights, adj, _, local = _contracted(g, s)
-    rows = [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
-    k = len(s.chain) + 1
-    for p in (local[s.left], local[s.right]):
-        rows[p] = {j: Fraction(x, k) for j, x in rows[p].items()}
-    return rows
 
 
 def _contracted(
     g: WeightedDualGraph, s: StringDescriptor
 ) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
-    """`contract_string`'s system as `_system_without` gives it, with the
-    rows of the two props times n + 1 for an n-vertex chain, which makes
-    it integral: -(n+2) on their diagonal and 1 between them.  c vanishes
-    at the props, so this system has the same solution m and the same
-    t(m) M m = m.c; its determinant is (n+1)^2 times that of the matrix."""
+    """The system of g with the chain of s eliminated from the
+    intersection matrix, the descriptor's left and right vertices acting
+    as props: genus-0 (-2)-vertices, as in an insertion.  The chain
+    carries no adjunction weight, so this is plain block elimination, and
+    it leaves the props' rows with -(n+2)/(n+1) on their diagonal and
+    1/(n+1) between them for an n-vertex chain.  Those rows come as
+    `_system_without` gives them times n + 1, which makes them integral.
+    c vanishes at the props, so this system has the same solution m and
+    the same t(m) M m = m.c as the block-eliminated one; its determinant
+    is (n+1)^2 times that one's.  The last item maps each kept vertex to
+    its row (`contracted_indices`)."""
     _check_string_structure(g, s, allow_empty=True)
     if s.left is None or s.right is None:
         raise PreconditionError("contraction needs prop vertices on both ends")

@@ -767,9 +767,9 @@ def test_limit_detects_strings_once_and_factors_g_once(tmp_path, monkeypatch, ca
 
 
 def test_compute_decides_definiteness_once(tmp_path, monkeypatch, capsys):
-    """`compute` on II(n=1,s=2) factors 6 systems of the graph's size: one
-    elimination decides definiteness, whose answer its graph's rows keep
-    for every later check, and each of the 5 solves factors its own.  The
+    """`compute` on II(n=1,s=2) factors 2 systems of the graph's size: one
+    elimination decides definiteness and one solves M m = c, and its
+    graph's rows keep both answers for every later check and solve.  The
     kernel calls stay 5 `solve` and 10 `is_negative_definite`."""
     g = generate(family_spec("II", n=1, s=2))
     path = tmp_path / "ii.json"
@@ -791,15 +791,26 @@ def test_compute_decides_definiteness_once(tmp_path, monkeypatch, capsys):
     code, _, report = compute_in_process(capsys, path)
     assert code == 0 and report == expected
     assert calls == {"solve": 5, "is_negative_definite": 10}
-    assert sizes == [len(g)] * 6
+    assert sizes == [len(g)] * 2
+
+
+def test_pa_search_adds_one_factorization(monkeypatch):
+    """`invariant_report` on simple_elliptic(w=1), where p_a(Z) = 1 and the
+    p_a search runs, makes 3 eliminations: definiteness, M m = c, and the
+    search's own factorization of -M."""
+    g = generate(family_spec("simple_elliptic", w=1))
+    sizes = count_factorizations(monkeypatch)
+    report = invariant_report(g)
+    assert report.pa_z == 1
+    assert sizes == [len(g)] * 3
 
 
 def test_graph_rows_are_built_once(tmp_path, monkeypatch, capsys):
     """`invariant_report` on II(n=1,s=2) builds one `SymmetricIntRows`, its
-    graph's own, and so does `kdg compute` on it, which still runs 6
+    graph's own, and so does `kdg compute` on it, which runs 2
     eliminations.  A call site that passed plain rows would build and check
-    them anew on every call, and eliminate them again for definiteness,
-    whose kept answer lives on the rows object."""
+    them anew on every call, and eliminate them again for definiteness and
+    for every solve, whose kept answers live on the rows object."""
     built = []
     real = rational.SymmetricIntRows.__new__
 
@@ -818,7 +829,7 @@ def test_graph_rows_are_built_once(tmp_path, monkeypatch, capsys):
     code, _, _ = compute_in_process(capsys, path)
     assert code == 0
     assert built == [rational.SymmetricIntRows]
-    assert sizes == [len(g)] * 6
+    assert sizes == [len(g)] * 2
 
 
 def test_importing_cli_loads_no_multiprocessing():

@@ -574,6 +574,49 @@ def test_only_checked_rows_keep_their_definiteness(monkeypatch):
     assert len(runs) == before + 2
 
 
+def test_checked_rows_keep_their_last_solve(monkeypatch):
+    """`solve` keeps one pair on `SymmetricIntRows`, the last checked c and
+    its answer: the same c again eliminates nothing, another c is
+    eliminated and replaces it.  c is checked before the kept c is read,
+    errors are never kept, and plain map rows are eliminated every time."""
+    runs = []
+    real = kdg.rational.sparse_bareiss
+
+    def counted(rows, rhs):
+        runs.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(kdg.rational, "sparse_bareiss", counted)
+    dense = [[-2, 1, 0], [1, -3, 1], [0, 1, -2]]
+    rows = SymmetricIntRows(maps(dense))
+    c, other = [1, 0, -1], (0, 2, 1)
+    first = solve(rows, c)
+    assert list(first) == fraction_solve(dense, c)
+    assert solve(rows, c) == first and solve(rows, tuple(c)) == first
+    assert len(runs) == 1
+    assert list(solve(rows, other)) == fraction_solve(dense, other)
+    assert len(runs) == 2
+    assert solve(rows, c) == first and len(runs) == 3
+    # a kept c equal to the bad one does not answer it
+    for bad, error in (
+        ([True, 0, -1], TypeError),
+        ([1.0, 0, -1], TypeError),
+        ([1, 0], ValueError),
+        (c + [0], ValueError),
+    ):
+        with pytest.raises(error):
+            solve(rows, bad)
+    assert solve(rows, c) == first and len(runs) == 3
+    singular = SymmetricIntRows([{0: -1, 1: 1}, {0: 1, 1: -1}])
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError):
+            solve(singular, [0, 0])
+    assert len(runs) == 5 and "_solved" not in singular.__dict__
+    plain = maps(dense)
+    assert solve(plain, c) == first and solve(plain, c) == first
+    assert len(runs) == 7
+
+
 @pytest.mark.parametrize("row", [{0: -2, 2: 1}, {-1: 1, 0: -2}])
 def test_map_row_column_out_of_range(row):
     rows = [row, {1: -2}]

@@ -22,7 +22,6 @@ from kdg.rational import UNBOUNDED, is_negative_definite
 from kdg.transforms import (
     InsertionSite,
     StringDescriptor,
-    contract_string,
     contracted_indices,
     detect_strings,
     find_sites,
@@ -66,21 +65,26 @@ def triangle():
     )
 
 
+def contracted_rows(g, s):
+    """The map rows of `_contracted`'s integer system for g without s."""
+    weights, adj, _, _ = transforms._contracted(g, s)
+    return [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
+
+
 def test_contract_a3_middle():
+    """Eliminating the middle of A3 leaves the 2x2 matrix -1/2 [[3, -1],
+    [-1, 3]] on the props; `_contracted` scales both rows by n + 1 = 2."""
     g = a_chain(3)
     s = StringDescriptor((1,), 0, 2)
-    m = contract_string(g, s)
-    assert m == [
-        {0: Fraction(-3, 2), 1: Fraction(1, 2)},
-        {0: Fraction(1, 2), 1: Fraction(-3, 2)},
-    ]
+    assert contracted_rows(g, s) == [{0: -3, 1: 1}, {0: 1, 1: -3}]
+    assert transforms._contracted(g, s)[3] == {0: 0, 2: 1}
     assert contracted_indices(g, s) == [0, 2]
 
 
 def test_contract_empty_chain_is_original_matrix():
     g = a_chain(2)
     s = StringDescriptor((), 0, 1)
-    assert contract_string(g, s) == intersection_rows(g)
+    assert contracted_rows(g, s) == intersection_rows(g)
 
 
 def test_contract_rejects_bad_props():
@@ -89,14 +93,14 @@ def test_contract_rejects_bad_props():
         [("x", "o", 1), ("o", "y", 1)],
     )
     with pytest.raises(PreconditionError, match=r"props must be \(-2\)"):
-        contract_string(g, StringDescriptor((1,), 0, 2))
+        transforms._contracted(g, StringDescriptor((1,), 0, 2))
     # adjacent props with a nonempty chain in between is inconsistent
     cyc = build_graph(
         [("a", 0, -2), ("b", 0, -2), ("c", 0, -2)],
         [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)],
     )
     with pytest.raises(PreconditionError, match="adjacent"):
-        contract_string(cyc, StringDescriptor((1,), 0, 2))
+        transforms._contracted(cyc, StringDescriptor((1,), 0, 2))
 
 
 def test_find_sites():
