@@ -222,6 +222,11 @@ def suite_spectrum(seed: int = 0, trials: int = 300) -> SuiteResult:
 
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResult:
+    """Run suite `name`, with its own number of trials unless `trials` is
+    given.  Raises `PreconditionError` for an unknown suite or a negative
+    `trials`."""
+    if trials is not None and trials < 0:
+        raise PreconditionError(f"trials must be >= 0, got {trials}")
     if name == "lemmas":
         return suite_lemmas(seed=seed, trials=trials if trials is not None else 150)
     if name == "families":

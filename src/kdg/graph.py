@@ -361,18 +361,20 @@ def load_graph(path: str) -> WeightedDualGraph:
     return parse_graph_json(text)
 
 
+def _dot_id(text: str) -> str:
+    """text as a DOT quoted string: a backslash and a double quote are
+    escaped, so no id can end the string early."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: WeightedDualGraph) -> str:
     """Graphviz rendering: nodes labeled "id [genus, self]", edges labeled
     with their multiplicity when it exceeds 1."""
     lines = ["graph dual {"]
     for v in g.vertices:
-        lines.append(f'  "{v.id}" [label="{v.id} [{v.genus}, {v.self_int}]"];')
+        lines.append(f"  {_dot_id(v.id)} [label={_dot_id(f'{v.id} [{v.genus}, {v.self_int}]')}];")
     for e in sorted(g.edges):
-        ida = g.vertices[e.a].id
-        idb = g.vertices[e.b].id
-        if e.mult > 1:
-            lines.append(f'  "{ida}" -- "{idb}" [label="{e.mult}"];')
-        else:
-            lines.append(f'  "{ida}" -- "{idb}";')
+        ends = f"{_dot_id(g.vertices[e.a].id)} -- {_dot_id(g.vertices[e.b].id)}"
+        lines.append(f'  {ends} [label="{e.mult}"];' if e.mult > 1 else f"  {ends};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -34,6 +34,7 @@ from .graph import (
 from .rational import (
     RatVector,
     back_substitute,
+    closed_det,
     is_negative_definite,
     lcm_denominators,
     negative_pivots,
@@ -145,19 +146,18 @@ def _solution(
     singular: Optional[KdgError] = None,
 ) -> tuple[list[int], int]:
     """(y, d) for M m = c, M given by its integer diagonal and adjacency
-    maps, from one `sparse_bareiss`: d is the last pivot, det M, and
-    y = d m.  Raises `not_definite` unless the pivot
-    signs make M negative semidefinite, and `singular` (`not_definite`
-    when None) when M is singular."""
-    rows = [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
-    rhs = list(c)
-    done = sparse_bareiss(rows, rhs)
-    if done is None or not negative_pivots([d for d in done[1] if d]):
+    maps, from one `sparse_bareiss` on them: d = det M (`closed_det`) and
+    y = d m.  Raises `not_definite` unless every pivot N_p and its scale
+    s_p make M negative semidefinite (N_p s_p <= 0), and `singular`
+    (`not_definite` when None) when M is singular."""
+    diag, rows, rhs = list(weights), list(adj), list(c)
+    done = sparse_bareiss(diag, rows, rhs)
+    if done is None or not all(d * s <= 0 for d, s in zip(diag, done[1])):
         raise not_definite
-    order, pivots = done
-    if not all(pivots):
+    if not all(diag):
         raise singular or not_definite
-    return back_substitute(rows, rhs, order, pivots), pivots[-1]
+    d = closed_det(diag, rows)
+    return back_substitute(diag, rows, rhs, done[0], d), d
 
 
 def _graph_k_squared(g: WeightedDualGraph) -> Fraction:
@@ -331,15 +331,15 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     3. Ellipsoid pruning (Fincke & Pohst, Math. Comp. 44, 1985): with
        D* = -m/2 and M m = c, p_a(D) = 1 + (-K^2)/8 - (D - D*)^T (-M) (D - D*)/2,
        so p_a(D) > best confines D to an ellipsoid that shrinks as best
-       rises.  Its levels are the pivots D_k and rows of -M as
-       `sparse_bareiss` leaves them (Bareiss, Math. Comp. 22, 1968), last
-       eliminated first, so breadth-first on a connected graph: the form is
-       sum_k u_k^2 / (4 D_k D_(k-1)), u_k affine in the coordinate of level
-       k and those before it.  Coordinates are fixed depth-first, each one
-       within the exact projection of the ellipsoid given the coordinates
-       fixed before it, and within the bounds of step 2 that those
-       coordinates imply.  It all runs on integers scaled by the lcm of the
-       4 D_k D_(k-1).
+       rises.  Its levels are the pivots N_k, the scales s_k and the rows
+       of -M as `sparse_bareiss` leaves them (Bareiss, Math. Comp. 22,
+       1968), last eliminated first, so breadth-first on a connected graph:
+       the form is sum_k u_k^2 / (4 N_k s_k), u_k affine in the coordinate
+       of level k and those before it.  Coordinates are fixed depth-first,
+       each one within the exact projection of the ellipsoid given the
+       coordinates fixed before it, and within the bounds of step 2 that
+       those coordinates imply.  It all runs on integers scaled by the lcm
+       of the 4 N_k s_k.
 
     Raises `PreconditionError` (exit code 4) when the search visits more
     than `PA_SEARCH_BUDGET` nodes.
@@ -358,22 +358,19 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     weights = [v.self_int for v in g.vertices]
     c = adjunction_degrees(g)
     # Level k holds the vertex that `sparse_bareiss` eliminates k-th from
-    # last in the rows of -M, c riding along; piv[k] is its pivot D_k and
-    # piv[k + 1] the one before it, D_(k-1) (1 for the first).  Times unit,
+    # last in -M, c riding along, with pivot N_k and scale s_k.  Times unit,
     # the form is sum_k scale[k] * u_k^2, with u_k = den[k] * x_k - (cst[k]
     # - sum f * x_l over (l, f) in low[k]); at x = 0 it is base = unit * -K^2/4.
-    rows = [{j: -mult for j, mult in adj[v].items()} | {v: -w} for v, w in enumerate(weights)]
-    rhs = list(c)
-    elim, pivots = sparse_bareiss(rows, rhs)
+    diag, rows, rhs = [-w for w in weights], [{j: -mult for j, mult in a.items()} for a in adj], list(c)
+    elim, row_scale = sparse_bareiss(diag, rows, rhs)
     order = elim[::-1]
-    piv = pivots[::-1] + [1]
     level = {v: k for k, v in enumerate(order)}
     w = [weights[v] for v in order]
     nbrs = [[(level[j], mult) for j, mult in adj[v].items()] for v in order]
-    den = [2 * d for d in piv[:n]]
+    den = [2 * diag[v] for v in order]
     cst = [rhs[v] for v in order]
     low = [[(level[j], 2 * f) for j, f in rows[v].items() if f] for v in order]
-    quad = [4 * piv[k] * piv[k + 1] for k in range(n)]
+    quad = [4 * diag[v] * row_scale[v] for v in order]
     unit = lcm(*quad)
     scale = [unit // q for q in quad]
     base = sum(s * b * b for s, b in zip(scale, cst))

@@ -13,8 +13,8 @@ that.  Rows of that type are used as they are; any other rows go through
 `SymmetricIntRows(...)`, which raises ValueError for dense rows, an entry
 that is not a nonzero plain int, a column outside 0..n-1 and values that
 are not symmetric.  The right-hand side c of `solve` holds n plain ints:
-other lengths raise ValueError, other entries TypeError.  Kernels copy
-what they eliminate, so the caller's rows are never changed.  A rows
+other lengths raise ValueError, other entries TypeError.  Kernels read
+the caller's maps and never change them.  A rows
 object keeps two answers in its instance dict: `is_negative_definite`
 its definiteness, and `solve` one pair, a copy of the last c it was
 given (after c's checks) and the solution.  So a graph's rows are
@@ -26,28 +26,32 @@ every call.  The read-only convention of `SymmetricIntRows` covers the
 kept answers too.
 
 `sparse_bareiss` runs fraction-free elimination (Bareiss, Math. Comp. 22,
-1968) on a copy of the rows in leaf-first order, reverse breadth-first
-over the nonzero pattern, without row swaps.  Step k touches only the
-rows that meet the pivot, and on a tree nothing fills in (Parter, SIAM
-Review 3, 1961), whatever the vertex order, so a tree costs time linear in
-its size, up to the growth of the integers.  Rows are scaled lazily: a
-step whose pivot column is zero in a row only multiplies that row by a
-factor, and those factors telescope, so the row is skipped and brought up
-to date when it is next used.  Determinants are the last pivot, solves
-back substitute in integers (`back_substitute`), and negative
-definiteness is read off the signs of the pivots (`negative_pivots`).  A
-pivot that vanishes over a zero row makes the matrix singular: `det` gives
-0 and `solve` raises `SingularMatrixError`.  One that vanishes over a
-nonzero entry would need a row swap, which a symmetric matrix needs only
-when it is indefinite, so `det` and `solve` raise ValueError there; the
-matrix is not definite.  Every negative (semi)definite matrix, the only
-kind kdg solves, eliminates without a swap.  Callers that build rows of
-their own from adjacency maps call `sparse_bareiss` directly: the p_a
-ellipsoid, and `invariants._solution`, which factors once each `sweep`
-member, each `limit` graph, limit system and cross-check member, and each
-insertion and contraction system of `transforms`; the enumerator keeps a
-Bareiss factorization in vertex order in its search and reads each
-class's invariants off that.  Only `nullspace`, the kernel of a
+1968) on a diagonal, map rows and a right-hand side in leaf-first order,
+reverse breadth-first over the nonzero pattern, without row swaps.  Each
+row is scaled by the determinants of the eliminated components it meets,
+not by the leading minor of all that is eliminated, so the integers are
+the size of the determinants they stand for, and each pivot is the
+determinant of the component its step closes.  Step p touches only the
+rows that meet p, and on a tree nothing fills in (Parter, SIAM Review 3,
+1961), whatever the vertex order: row p holds only its parent, whose
+diagonal and right-hand side change while the rest of its row takes a
+factor kept apart, so a tree, a star included, costs time linear in its
+size, up to the growth of the integers.  A determinant is the product of
+the pivots that close a component (`closed_det`), solves back substitute
+in integers (`back_substitute`), and m is negative definite when every
+pivot N_p has the opposite sign of its row's scale s_p.  A pivot that
+vanishes over a zero row makes the matrix singular: `det` gives 0 and
+`solve` raises `SingularMatrixError`.  One that vanishes over a nonzero
+entry would need a row swap, which a symmetric matrix needs only when it
+is indefinite, so `det` and `solve` raise ValueError there; the matrix is
+not definite.  Every negative (semi)definite matrix, the only kind kdg
+solves, eliminates without a swap.  Callers that hold a diagonal and
+adjacency maps call `sparse_bareiss` directly: the p_a ellipsoid, and
+`invariants._solution`, which factors once each `sweep` member, each
+`limit` graph, limit system and cross-check member, and each insertion
+and contraction system of `transforms`; the enumerator keeps a Bareiss
+factorization in vertex order in its search and reads each class's
+invariants off that (`negative_pivots`).  Only `nullspace`, the kernel of a
 rectangular matrix, runs its own rational elimination.  No floating point
 enters any computation; a float entry raises, and decimal strings are
 produced for display only.
@@ -141,9 +145,9 @@ def _checked(m: Sequence[dict[int, int]]) -> SymmetricIntRows:
     return m if type(m) is SymmetricIntRows else SymmetricIntRows(m)
 
 
-def _sparse_rows(m: Sequence[dict[int, int]], c: Sequence[int] = ()) -> tuple[list[dict[int, int]], list[int]]:
-    """New copies of the rows of m (`_checked`) and of c, to eliminate."""
-    return list(map(dict.copy, _checked(m))), list(c)
+def _diagonal(m: SymmetricIntRows) -> list[int]:
+    """A new list of the diagonal entries of m."""
+    return [row.get(i, 0) for i, row in enumerate(m)]
 
 
 def _leaf_order(rows: list[dict[int, int]]) -> list[int]:
@@ -170,96 +174,129 @@ def _leaf_order(rows: list[dict[int, int]]) -> list[int]:
     return order
 
 
-def sparse_bareiss(rows: list[dict[int, int]], rhs: list[int]) -> Optional[tuple[list[int], list[int]]]:
-    """Fraction-free elimination of sparse rows with a symmetric nonzero
-    pattern, in place, in `_leaf_order` and without row swaps.
+def sparse_bareiss(
+    diag: list[int], rows: list[dict[int, int]], rhs: list[int]
+) -> Optional[tuple[list[int], list[int]]]:
+    """Fraction-free elimination of a symmetric matrix, given by its
+    diagonal and its map rows, in `_leaf_order` and without row swaps,
+    dividing each update by what the rows it combines share.
 
-    Returns the order and the pivots, or None when a pivot vanishes over a
-    nonzero entry of its remaining row: only a row swap could go on, and
-    the Schur complement then holds a block [[0, b], [b, x]] with b != 0,
-    so a symmetric matrix is indefinite.  A pivot that vanishes over a
-    zero row means the matrix is singular: it is recorded as 0 and the
-    step is skipped.  A zero row changes no other row, and its column only
-    rides along like `rhs`, so the rest of the elimination is that of the
-    matrix without that vertex, and each nonzero pivot is a leading
-    principal minor of the reordered matrix with the skipped vertices left
-    out.  Only a zero pivot pays for the test of its row.  Row i maps
-    column j to entry (i, j); zeros may be left out.  The entries
-    `back_substitute` reads right of each pivot stay in that pivot's row,
-    and `rhs` rides along like a last column.
+    The lists are changed in place, the maps in `rows` never: after step
+    p, diag[p] holds the pivot N_p, rhs[p] the right-hand side of row p
+    and rows[p] a new map from each column eliminated after p to its
+    entry.  Returns the order and, per vertex, the scale s_p its row had
+    when it was eliminated; or None when a pivot vanishes over a nonzero
+    entry of its remaining row: only a row swap could go on, and the Schur
+    complement then holds a block [[0, b], [b, x]] with b != 0, so the
+    matrix is indefinite.  A pivot that vanishes over a zero row means
+    the matrix is singular: the step is skipped, and as a zero row changes
+    no other row, the rest is the elimination of the matrix without that
+    vertex.  Row i maps column j to entry (i, j); zeros may be left out,
+    and an entry (i, i) is ignored.  `rhs` rides along like a last column
+    and may be empty.
 
-    The pattern being symmetric, the rows with a nonzero in the pivot
-    column are the columns of the pivot row, so step k touches only those
-    rows, and fill-in stays symmetric.  Scaling is lazy: a row untouched
-    by a step would only be multiplied by pivot / previous pivot, and
-    those factors telescope, so a row last updated when divisor[s] was
-    current holds its true entries times divisor[s] / divisor[t] at step
-    t.  The catch-up folds into the row's next update: (pivot x - a v) /
-    divisor[t] on caught-up x and a is (pivot x - a v) / divisor[s] on the
-    stale ones, exact either way.
+    Each row i still to be eliminated holds s_i times its row of the
+    Schur complement S, where s_i is the product of the determinants of
+    the components of eliminated vertices that i meets (Bareiss, Math.
+    Comp. 22, 1968, with the divisor of the component, not of all that is
+    eliminated).  So the pivot N_p = s_p S_pp is the determinant of the
+    component that p's step closes: p and the components it meets.  The
+    rows that step updates are those with a nonzero in column p, which
+    are the columns of row p as the pattern stays symmetric, and each i
+    of them becomes (N_p x_ij - x_ip x_pj) / g, g the product of the
+    determinants of the components that both i and p meet.  The stored
+    entries are not symmetric: x_ij / s_i = x_ji / s_j, and s_i != s_j in
+    general, so both x_ip and x_pi are read.  On a tree
+    eliminated leaf first nothing fills in (Parter, SIAM Review 3, 1961),
+    row p holds only its parent and g = 1, so only that parent's diagonal
+    and right-hand side change and the rest of its row is scaled by N_p,
+    which a per-row multiplier keeps until the row is read: every step
+    costs the same, up to the growth of the integers.
     """
+    n = len(diag)
     order = _leaf_order(rows)
-    since = [0] * len(rows)
-    divisor = [1]
-    pivots = []
+    done = [False] * n
+    mult = [1] * n  # the entries of row i off its diagonal are mult[i] times rows[i]
+    scale = [1] * n
+    # i -> the components that i meets and that met more than one row when
+    # they were closed, each named by its last vertex q, whose pivot diag[q]
+    # is its determinant: no other component can be shared by two rows
+    shared_by: dict[int, set[int]] = {}
     for p in order:
-        t = len(divisor) - 1
-        prev = divisor[t]
-        row_p = rows[p]
-        pivot = row_p.pop(p, 0)
-        s = since[p]
-        if s != t:
-            old = divisor[s]
-            pivot = pivot * prev // old
-            for j, x in row_p.items():
-                row_p[j] = x * prev // old
-            if rhs:
-                rhs[p] = rhs[p] * prev // old
-        pivots.append(pivot)
+        done[p] = True
+        m = mult[p]
+        row_p = {j: m * x for j, x in rows[p].items() if not done[j]}
+        rows[p] = row_p
+        pivot = diag[p]
         if not pivot:
             if any(row_p.values()):
                 return None
             continue
-        for i in row_p:
-            row_i = rows[i]
-            a = row_i.pop(p)
-            old = divisor[since[i]]
-            row_i = {j: (pivot * x - a * row_p.get(j, 0)) // old for j, x in row_i.items()}
-            for j, v in row_p.items():
-                if j not in row_i:
-                    row_i[j] = -a * v // old
-            rows[i] = row_i
+        met = shared_by.pop(p, None)
+        lazy = len(row_p) == 1
+        for i, x_pi in row_p.items():
+            x_ip = mult[i] * rows[i][p]
+            g = 1
+            if met and i in shared_by:
+                shared = met & shared_by[i]
+                if shared:
+                    g = math.prod(diag[q] for q in shared)
+                    shared_by[i] -= shared
+            if not lazy:
+                shared_by.setdefault(i, set()).add(p)
+            if lazy and g == 1:
+                mult[i] *= pivot
+            else:
+                m = pivot * mult[i]
+                row_i = {
+                    j: (m * x - x_ip * row_p.get(j, 0)) // g
+                    for j, x in rows[i].items()
+                    if not done[j] and j != i
+                }
+                for j, v in row_p.items():
+                    if j not in row_i and j != i:
+                        row_i[j] = -x_ip * v // g
+                rows[i] = row_i
+                mult[i] = 1
+            scale[i] = scale[i] // g * pivot
+            diag[i] = (pivot * diag[i] - x_ip * x_pi) // g
             if rhs:
-                rhs[i] = (pivot * rhs[i] - a * rhs[p]) // old
-            since[i] = t + 1
-        divisor.append(pivot)
-    return order, pivots
+                rhs[i] = (pivot * rhs[i] - x_ip * rhs[p]) // g
+    return order, scale
+
+
+def closed_det(diag: Sequence[int], rows: Sequence[dict[int, int]]) -> int:
+    """The determinant of a matrix as `sparse_bareiss` leaves it factored:
+    0 when a pivot vanished, else the product of the pivots whose rows are
+    empty, one for each component, which that pivot closes."""
+    return math.prod(d for d, row in zip(diag, rows) if not row) if all(diag) else 0
 
 
 def _factor(
     m: Sequence[dict[int, int]], c: Sequence[int] = ()
-) -> tuple[list[dict[int, int]], list[int], list[int], list[int]]:
-    """Factor the rows [m | c] for `det` and `solve`: (rows, rhs, order,
-    pivots) as `sparse_bareiss` leaves them.  Raises ValueError as
-    `_checked` does, and when elimination would need a row swap, which on
-    a symmetric m means it is indefinite.
+) -> tuple[list[int], list[dict[int, int]], list[int], list[int]]:
+    """Factor [m | c] for `det` and `solve`: (diag, rows, rhs, order) as
+    `sparse_bareiss` leaves them, on m's own maps (`_checked`).  Raises
+    ValueError as `_checked` does, and when elimination would need a row
+    swap, which on a symmetric m means it is indefinite.
     """
-    rows, rhs = _sparse_rows(m, c)
-    done = sparse_bareiss(rows, rhs)
+    m = _checked(m)
+    diag, rows, rhs = _diagonal(m), list(m), list(c)
+    done = sparse_bareiss(diag, rows, rhs)
     if done is None:
         raise ValueError(
             "a pivot vanishes over a nonzero row: elimination needs a row swap,"
             " which a symmetric matrix needs only when it is indefinite"
         )
-    return (rows, rhs, *done)
+    return diag, rows, rhs, done[0]
 
 
 def det(m: Sequence[dict[int, int]]) -> Fraction:
     """Exact determinant.  Raises ValueError as `_factor` does."""
     if not len(m):
         return Fraction(1)
-    pivots = _factor(m)[3]
-    return Fraction(pivots[-1]) if all(pivots) else Fraction(0)
+    diag, rows, _, _ = _factor(m)
+    return Fraction(closed_det(diag, rows))
 
 
 def solve(m: Sequence[dict[int, int]], c: Sequence[int]) -> tuple[Fraction, ...]:
@@ -280,58 +317,59 @@ def solve(m: Sequence[dict[int, int]], c: Sequence[int]) -> tuple[Fraction, ...]
     kept = m.__dict__.get("_solved")
     if kept is not None and kept[0] == key:
         return kept[1]
-    rows, rhs, order, pivots = _factor(m, key)
-    if not pivots:
-        return ()
-    if not all(pivots):
-        raise SingularMatrixError(pivots.index(0))
-    d = pivots[-1]
-    x = tuple(Fraction(yi, d) for yi in back_substitute(rows, rhs, order, pivots))
+    diag, rows, rhs, order = _factor(m, key)
+    if not all(diag):
+        raise SingularMatrixError(next(k for k, p in enumerate(order) if not diag[p]))
+    d = closed_det(diag, rows)
+    x = tuple(Fraction(yi, d) for yi in back_substitute(diag, rows, rhs, order, d))
     m._solved = (key, x)
     return x
 
 
 def back_substitute(
-    rows: list[dict[int, int]], rhs: list[int], order: Sequence[int], pivots: list[int]
+    diag: Sequence[int], rows: Sequence[dict[int, int]], rhs: Sequence[int], order: Sequence[int], d: int
 ) -> list[int]:
-    """The integer vector y = d x, where x solves the system whose rows
-    were factored in `order` with these `pivots`, and d = pivots[-1].
+    """The integer vector y = d x, where x solves the system that
+    `sparse_bareiss` factored in `order`, leaving pivot `diag[p]`,
+    right-hand side `rhs[p]` and row `rows[p]` (each column eliminated
+    after p to its entry) at step p, all scaled by the same s_p.
 
-    Row `order[k]` maps each column eliminated after step k to its entry
-    and `rhs` holds the right-hand side, as `sparse_bareiss` leaves them.
-    d is the determinant of that system, so y is integral (Cramer) and
-    every division is exact.
+    d is the determinant of that system (`closed_det`), so y is integral
+    (Cramer) and every division is exact.
     """
-    d = pivots[-1]
-    y = [0] * len(rows)
-    for p, pivot in zip(reversed(order), reversed(pivots)):
-        y[p] = (d * rhs[p] - sum(v * y[j] for j, v in rows[p].items())) // pivot
+    y = [0] * len(diag)
+    for p in reversed(order):
+        acc = d * rhs[p]
+        for j, v in rows[p].items():
+            acc -= v * y[j]
+        y[p] = acc // diag[p]
     return y
 
 
 def negative_pivots(pivots: Sequence[int]) -> bool:
     """Whether the leading principal minors D_1, D_2, ... in `pivots` come
-    from a negative definite matrix: (-1)^k D_k > 0 for every k.  Of a
-    symmetric matrix that `sparse_bareiss` factored, the nonzero pivots
-    pass exactly when it is negative semidefinite: a skipped zero row only
-    drops its vertex."""
+    from a negative definite matrix: (-1)^k D_k > 0 for every k.  The
+    pivots of a Bareiss factorization in vertex order, with the global
+    divisor, are those minors; the enumerator's search holds one."""
     return all(d < 0 if k % 2 == 0 else d > 0 for k, d in enumerate(pivots))
 
 
 def is_negative_definite(m: Sequence[dict[int, int]]) -> bool:
     """True iff the symmetric matrix m is negative definite.
 
-    Decided exactly: the leading principal minors D_k of m in leaf-first
-    order must satisfy (-1)^k D_k > 0 for every k.  A zero D_k means m is
-    not definite.  Raises ValueError as `SymmetricIntRows` does.  The
-    rows object (`_checked`) is decided on the first call, which keeps the
-    answer on it.
+    Decided exactly by `sparse_bareiss`: m is negative definite iff each
+    Schur pivot S_pp = N_p / s_p is negative, that is N_p s_p < 0 for
+    every p (Sylvester).  A zero pivot, or one that needs a row swap,
+    means m is not definite.  Raises ValueError as `SymmetricIntRows`
+    does.  The rows object (`_checked`) is decided on the first call,
+    which keeps the answer on it.
     """
     m = _checked(m)
     known = m.__dict__.get("_negative_definite")
     if known is None:
-        done = sparse_bareiss(_sparse_rows(m)[0], [])
-        known = m._negative_definite = done is not None and negative_pivots(done[1])
+        diag = _diagonal(m)
+        done = sparse_bareiss(diag, list(m), [])
+        known = m._negative_definite = done is not None and all(d * s < 0 for d, s in zip(diag, done[1]))
     return known
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from kdg.checks import SUITES, run_suite
+from kdg.cli import main
 from kdg.errors import PreconditionError
 
 
@@ -8,6 +9,16 @@ def test_suite_names():
     assert SUITES == ("lemmas", "families", "spectrum")
     with pytest.raises(PreconditionError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_negative_trials_exit_4(suite, capsys):
+    """A negative --trials is refused before any check runs, not read as
+    zero trials that all pass."""
+    with pytest.raises(PreconditionError, match="trials must be >= 0, got -5"):
+        run_suite(suite, trials=-5)
+    assert main(["verify", "--suite", suite, "--trials", "-5"]) == 4
+    assert "passed" not in capsys.readouterr().out
 
 
 def test_lemmas_suite_small():

@@ -501,6 +501,26 @@ def test_compute_scales_to_200_arm_star(centre_first, tmp_path, capsys):
     assert arithmetic_genus_rhs(report) == "-3"
 
 
+def test_compute_scales_to_2000_arm_star(tmp_path, capsys):
+    """K.A_i = c_i on the a-arm star: each arm gives k_arm = k_c / 2, and the
+    centre -(a+1) k_c + a k_c / 2 = a - 1, so k_c = -2(a-1)/(a+2) and
+    -K^2 = -k_c (a - 1) = 2(a-1)^2/(a+2), exactly."""
+
+    def expected(a):
+        return Fraction(2 * (a - 1) ** 2, a + 2)
+
+    assert expected(1000) == Fraction(332667, 167)
+    assert expected(200) == Fraction(39601, 101)
+    a = 2000
+    path = tmp_path / "star.json"
+    path.write_text(graph_to_json(star_graph(a, centre_first=True)))
+    code, elapsed, report = compute_in_process(capsys, path)
+    assert code == 0
+    assert elapsed < 5
+    assert report["k_squared"] == "3996001/1001" and Fraction(report["k_squared"]) == expected(a)
+    assert Fraction(report["canonical"]["coefficients"]["c"]) == Fraction(-2 * (a - 1), a + 2)
+
+
 def binary_tree(n: int):
     """Vertices 0..n-1 in heap order (the parent of i is (i - 1) // 2), -3
     on the inner vertices and -2 on the leaves: diagonally dominant, and
@@ -717,9 +737,9 @@ def count_factorizations(monkeypatch) -> list[int]:
     sizes = []
     real = rational.sparse_bareiss
 
-    def counted(rows, rhs):
+    def counted(diag, rows, rhs):
         sizes.append(len(rows))
-        return real(rows, rhs)
+        return real(diag, rows, rhs)
 
     patch_everywhere(monkeypatch, real, counted)
     return sizes

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from operator import attrgetter
 
@@ -480,6 +481,22 @@ def test_to_dot():
     # multiplicity shows up as an edge label
     g = build_graph([("a", 0, -2), ("b", 0, -3)], [("a", "b", 2)])
     assert "2" in to_dot(g)
+
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    """An id holding a double quote or a backslash stays inside its DOT
+    quoted string: each quoted string on a line reads back as the id."""
+    g = build_graph([('a"b', 0, -2), ("c\\", 0, -2), ("d", 0, -3)], [('a"b', "c\\"), ("c\\", "d")])
+    lines = to_dot(g).splitlines()
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    for line in lines[1:-1]:
+        # no stray double quote is left once the quoted strings are taken out
+        assert '"' not in quoted.sub("", line)
+    ids = [quoted.findall(line)[0] for line in lines[1:4]]
+    assert [re.sub(r"\\(.)", r"\1", x) for x in ids] == ['a"b', "c\\", "d"]
+    assert lines[1] == '  "a\\"b" [label="a\\"b [0, -2]"];'
+    assert lines[4] == '  "a\\"b" -- "c\\\\";'
 
 
 # JSON documents biased towards the schema, so that most of them get past

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,10 +13,10 @@ from kdg.rational import (
     UNBOUNDED,
     SingularMatrixError,
     SymmetricIntRows,
+    closed_det,
     det,
     is_negative_definite,
     lcm_denominators,
-    negative_pivots,
     nullspace,
     quadratic_form,
     rat,
@@ -181,38 +182,78 @@ def elimination_inputs(draw):
     return a, c
 
 
+def components(a, vertices):
+    """The connected components of the nonzero pattern of a on `vertices`."""
+    left, out = set(vertices), []
+    while left:
+        part, stack = set(), [left.pop()]
+        while stack:
+            i = stack.pop()
+            part.add(i)
+            near = {j for j in left if a[i][j]}
+            left -= near
+            stack.extend(near)
+        out.append(part)
+    return out
+
+
+def minor(a, vertices):
+    """The principal minor of a on `vertices`, by cofactor expansion."""
+    vs = sorted(vertices)
+    return cofactor_det([[a[i][j] for j in vs] for i in vs])
+
+
 @settings(max_examples=300)
-@given(elimination_inputs())
-@example(([[0, 1, 0], [1, 0, 2], [0, 2, -3]], None))  # a zero pivot over a nonzero row
-@example((d4_tail([], []), [1, 0, 0, 0, 0]))  # singular at the last step
-def test_bareiss_matches_dense_oracle(case):
+@given(elimination_inputs(), st.booleans())
+@example(([[0, 1, 0], [1, 0, 2], [0, 2, -3]], None), True)  # a zero pivot over a nonzero row
+@example((d4_tail([], []), [1, 0, 0, 0, 0]), False)  # singular at the last step
+def test_bareiss_matches_dense_oracle(case, with_diagonal):
+    """`sparse_bareiss` against textbook dense Bareiss on the vertices it
+    keeps: each kept row over its scale is the dense row over the leading
+    minor before it, each pivot is the determinant of the component its
+    step closes and each scale the product of those of the components the
+    row meets, so the closing pivots multiply to det a.  The maps may hold
+    the diagonal or not, and are never changed."""
     a, c = case
     n = len(a)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    rows = [{j: x for j, x in enumerate(row) if x and (with_diagonal or j != i)} for i, row in enumerate(a)]
+    copies = [dict(row) for row in rows]
+    diag = [a[i][i] for i in range(n)]
     rhs = list(c) if c else []
-    done = sparse_bareiss(rows, rhs)
+    work = list(rows)
+    done = sparse_bareiss(diag, work, rhs)
+    assert rows == copies
     poly = char_poly(a)
     nsd = all(x >= 0 for x in poly[1:])
     if done is None:
         # only an indefinite matrix needs a row swap
         assert not nsd
         return
-    order, pivots = done
+    order, scale = done
     assert sorted(order) == list(range(n))
     # a skipped step drops its vertex: the rest, in the same order, must
     # eliminate like the textbook dense rows, with no swap
-    kept = [v for v, d in zip(order, pivots) if d]
+    kept = [v for v in order if diag[v]]
     dense = [[a[i][j] for j in kept] + ([c[i]] if c else []) for i in kept]
     want, swaps, stage = dense_bareiss(dense, len(kept) + bool(c))
     assert stage is None and swaps == 0
-    assert [d for d in pivots if d] == [want[k][k] for k in range(len(kept))]
     for k, v in enumerate(kept):
-        got = {j: x for j, x in rows[v].items() if x and j in kept}
-        assert got == {kept[j]: want[k][j] for j in range(k + 1, len(kept)) if want[k][j]}
+        prev = want[k - 1][k - 1] if k else 1
+        s = scale[v]
+        assert Fraction(diag[v], s) == Fraction(want[k][k], prev)
+        got = {j: Fraction(x, s) for j, x in work[v].items() if x and j in kept}
+        assert got == {kept[j]: Fraction(want[k][j], prev) for j in range(k + 1, len(kept)) if want[k][j]}
         if c:
-            assert rhs[v] == want[k][-1]
-    assert (0 in pivots) == (poly[-1] == 0)
-    assert negative_pivots([d for d in pivots if d]) == nsd
+            assert Fraction(rhs[v], s) == Fraction(want[k][-1], prev)
+        before = kept[:k]
+        closed = next(part for part in components(a, before + [v]) if v in part)
+        assert diag[v] == minor(a, closed)
+        met = [part for part in components(a, before) if any(a[v][j] for j in part)]
+        assert s == math.prod(minor(a, part) for part in met)
+    assert (not all(diag)) == (poly[-1] == 0)
+    if all(diag):
+        assert closed_det(diag, work) == cofactor_det(a)
+    assert all(diag[v] * scale[v] <= 0 for v in order) == nsd
 
 
 def random_tree_matrix(n, seed, definite):
@@ -546,9 +587,9 @@ def test_only_checked_rows_keep_their_definiteness(monkeypatch):
     runs = []
     real = kdg.rational.sparse_bareiss
 
-    def counted(rows, rhs):
+    def counted(diag, rows, rhs):
         runs.append(len(rows))
-        return real(rows, rhs)
+        return real(diag, rows, rhs)
 
     monkeypatch.setattr(kdg.rational, "sparse_bareiss", counted)
     m = [{0: -2, 1: 1}, {0: 1, 1: -2}]
@@ -582,9 +623,9 @@ def test_checked_rows_keep_their_last_solve(monkeypatch):
     runs = []
     real = kdg.rational.sparse_bareiss
 
-    def counted(rows, rhs):
+    def counted(diag, rows, rhs):
         runs.append(len(rows))
-        return real(rows, rhs)
+        return real(diag, rows, rhs)
 
     monkeypatch.setattr(kdg.rational, "sparse_bareiss", counted)
     dense = [[-2, 1, 0], [1, -3, 1], [0, 1, -2]]

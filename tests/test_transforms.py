@@ -255,9 +255,9 @@ def test_transforms_factor_each_system_once(monkeypatch):
     sizes = []
     real = rational.sparse_bareiss
 
-    def counted(rows, rhs):
+    def counted(diag, rows, rhs):
         sizes.append(len(rows))
-        return real(rows, rhs)
+        return real(diag, rows, rhs)
 
     monkeypatch.setattr(rational, "sparse_bareiss", counted)
     monkeypatch.setattr(invariants, "sparse_bareiss", counted)
