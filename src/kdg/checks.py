@@ -136,11 +136,10 @@ def _family_corpus() -> list:
     return specs
 
 
-def suite_families(seed: int = 0, trials: int = 0) -> SuiteResult:
+def suite_families() -> SuiteResult:
     """Closed forms vs direct computation across the family corpus, plus the
-    stretch limits against their expected values.  (Deterministic; the seed
-    and trial count are accepted for interface uniformity.)"""
-    del seed, trials
+    stretch limits against their expected values: a fixed grid, with no
+    seed or trial count."""
     result = SuiteResult("families")
     for spec in _family_corpus():
         g = generate(spec)
@@ -221,16 +220,21 @@ def suite_spectrum(seed: int = 0, trials: int = 300) -> SuiteResult:
     return result
 
 
-def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResult:
-    """Run suite `name`, with its own number of trials unless `trials` is
-    given.  Raises `PreconditionError` for an unknown suite or a negative
-    `trials`."""
+def run_suite(name: str, seed: int | None = None, trials: int | None = None) -> SuiteResult:
+    """Run suite `name`, with seed 0 and its own number of trials unless
+    they are given.  Raises `PreconditionError` for an unknown suite, a
+    negative `trials`, or a seed or trial count given to `families`, whose
+    grid is fixed."""
     if trials is not None and trials < 0:
         raise PreconditionError(f"trials must be >= 0, got {trials}")
+    if name == "families":
+        if seed is not None or trials is not None:
+            raise PreconditionError("suite families runs a fixed grid of family members"
+                                    " and stretch limits; it takes no --seed or --trials")
+        return suite_families()
+    seed = 0 if seed is None else seed
     if name == "lemmas":
         return suite_lemmas(seed=seed, trials=trials if trials is not None else 150)
-    if name == "families":
-        return suite_families(seed=seed, trials=trials or 0)
     if name == "spectrum":
         return suite_spectrum(seed=seed, trials=trials if trials is not None else 300)
     raise PreconditionError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")

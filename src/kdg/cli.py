@@ -288,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="lemmas and spectrum only (default 0)")
+    p.add_argument("--trials", type=int, default=None, help="lemmas and spectrum only")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -11,7 +11,8 @@ hashable, they unpack and compare equal to plain tuples of their fields.
 Ingestion (`parse_graph_obj` -> `build_graph` -> `WeightedDualGraph`)
 reads each vertex and edge once: the JSON layer checks types and keys,
 `build_graph` resolves ids to indices, and the graph's constructor is the
-one place that checks values.  Error text is built only when one is raised.
+one place that checks values, building the graph's lookup maps in the same
+loops.  Error text is built only when one is raised.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -60,23 +62,29 @@ class WeightedDualGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        """Checks each record once, building the id index, c and the adjacency
+        maps as it goes; they live in the instance dict, not in fields, so
+        equality and hashing still see only vertices and edges."""
         if not self.vertices:
             raise InvalidGraphError("graph needs at least one vertex")
-        seen_ids = set()
+        index: dict[str, int] = {}
+        degrees = []
+        adj: list[dict[int, int]] = []
         for vid, genus, self_int in self.vertices:
             if not isinstance(vid, str) or not vid:
                 raise InvalidGraphError(f"vertex id must be a non-empty string, got {vid!r}")
-            if vid in seen_ids:
+            if vid in index:
                 raise InvalidGraphError(f"duplicate vertex id {vid!r}")
-            seen_ids.add(vid)
             if genus < 0:
                 raise InvalidGraphError(f"vertex {vid!r}: genus must be >= 0, got {genus}")
             if self_int > -1:
                 raise InvalidGraphError(
                     f"vertex {vid!r}: self-intersection must be <= -1, got {self_int}"
                 )
-        n = len(self.vertices)
-        seen_pairs = set()
+            index[vid] = len(adj)
+            degrees.append(2 * genus - 2 - self_int)
+            adj.append({})
+        n = len(adj)
         for a, b, mult in self.edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise InvalidGraphError(f"edge ({a}, {b}) references a missing vertex")
@@ -86,41 +94,20 @@ class WeightedDualGraph:
                 raise InvalidGraphError(f"edge ({a}, {b}) must be ordered a < b")
             if mult < 1:
                 raise InvalidGraphError(f"edge ({a}, {b}): multiplicity must be >= 1")
-            pair = (a, b)
-            if pair in seen_pairs:
+            row = adj[a]
+            if b in row:
                 raise InvalidGraphError(f"duplicate edge pair ({a}, {b})")
-            seen_pairs.add(pair)
+            row[b] = adj[b][a] = mult
+        self.__dict__.update(_index=index, _degrees=tuple(degrees), _adjacency=tuple(adj))
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    # Lookup maps and derived data, built on first use.  They live in the
-    # instance dict, not in fields, so equality and hashing still see only
-    # vertices and edges.
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v.id: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _mults(self) -> dict[tuple[int, int], int]:
-        return {(e.a, e.b): e.mult for e in self.edges}
-
-    @cached_property
-    def _adjacency(self) -> tuple[dict[int, int], ...]:
-        adj: tuple[dict[int, int], ...] = tuple({} for _ in self.vertices)
-        for e in self.edges:
-            adj[e.a][e.b] = e.mult
-            adj[e.b][e.a] = e.mult
-        return adj
-
+    # Derived data built on first use, in the instance dict like the maps.
     @cached_property
     def _intersection_rows(self) -> SymmetricIntRows:
         # a float or bool record raises ValueError here, when the rows are first built
         return SymmetricIntRows(a | {i: v.self_int} for i, (a, v) in enumerate(zip(self._adjacency, self.vertices)))
-
-    @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        return tuple(2 * v.genus - 2 - v.self_int for v in self.vertices)
 
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
@@ -147,7 +134,7 @@ class WeightedDualGraph:
         return self._index[vertex_id]
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
+        return tuple(self._index)
 
     def adjacency(self) -> tuple[dict[int, int], ...]:
         """Per-vertex map neighbor index -> intersection multiplicity.
@@ -158,7 +145,7 @@ class WeightedDualGraph:
         return self._adjacency
 
     def edge_mult(self, i: int, j: int) -> int:
-        return self._mults.get((min(i, j), max(i, j)), 0)
+        return self._adjacency[i].get(j, 0) if 0 <= i < len(self._adjacency) else 0
 
 
 def build_graph(
@@ -183,7 +170,8 @@ def build_graph(
             raise InvalidGraphError(f"edge references unknown vertex id {exc.args[0]!r}") from None
         pairs.append((a, b, m) if a < b else (b, a, m))
     pairs.sort(key=itemgetter(0, 1))
-    return WeightedDualGraph(vts, tuple(map(Edge._make, pairs)))
+    # `Edge._make` less its length check: each pair is a triple built here
+    return WeightedDualGraph(vts, tuple(map(tuple.__new__, repeat(Edge), pairs)))
 
 
 def intersection_matrix(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:

@@ -152,8 +152,11 @@ def _solution(
     (`not_definite` when None) when M is singular."""
     diag, rows, rhs = list(weights), list(adj), list(c)
     done = sparse_bareiss(diag, rows, rhs)
-    if done is None or not all(d * s <= 0 for d, s in zip(diag, done[1])):
+    if done is None:
         raise not_definite
+    for d, s in zip(diag, done[1]):
+        if d * s > 0:
+            raise not_definite
     if not all(diag):
         raise singular or not_definite
     d = closed_det(diag, rows)
@@ -173,10 +176,13 @@ def _graph_k_squared(g: WeightedDualGraph) -> Fraction:
 def _form(weights: Sequence[int], adj, v: Sequence) -> Union[int, Fraction]:
     """t(v) M v = sum_i v_i (w_i v_i + sum_j m_ij v_j), with M given by its
     diagonal `weights` and its adjacency maps (neighbour -> multiplicity)."""
-    return sum(
-        vi * (weights[i] * vi + sum(mult * v[j] for j, mult in adj[i].items()))
-        for i, vi in enumerate(v)
-    )
+    total = 0
+    for vi, w, row in zip(v, weights, adj):
+        row_dot = w * vi
+        for j, mult in row.items():
+            row_dot += mult * v[j]
+        total += vi * row_dot
+    return total
 
 
 #: Steps Laufer's sequence may take before `_laufer` gives up with a
@@ -201,7 +207,7 @@ def _fundamental(g: WeightedDualGraph) -> tuple[Cycle, int, int]:
     """(Z, Z^2, K.Z) from one run of Laufer's sequence per graph, Z^2 read
     off its final products Z.A_i.  g must be connected and negative
     definite (`fundamental_cycle` checks).  Kept in g's instance dict
-    beside its cached adjacency, so equality and hashing never see it; an
+    beside its adjacency maps, so equality and hashing never see it; an
     error is not kept, so the next call raises it again."""
     data = g.__dict__.get("_fundamental")
     if data is None:

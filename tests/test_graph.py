@@ -200,6 +200,42 @@ def test_symmetric_int_rows_refuse_other_rows(rows):
         SymmetricIntRows(rows)
 
 
+@st.composite
+def multigraph_records(draw):
+    """(vertices, edges, the same edges reordered with some ends swapped)
+    for a graph on up to 8 vertices with genus up to 2 and any pairs joined
+    with multiplicity up to 3, so often with several components."""
+    r = draw(st.integers(min_value=1, max_value=8))
+    verts = [(f"v{i}", draw(st.integers(0, 2)), draw(st.integers(-5, -1))) for i in range(r)]
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    mults = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(f"v{i}", f"v{j}", m) for (i, j), m in zip(pairs, mults) if m]
+    swaps = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    reordered = [(b, a, m) if swap else (a, b, m) for (a, b, m), swap in zip(edges, swaps)]
+    return verts, edges, draw(st.permutations(reordered))
+
+
+@settings(max_examples=200)
+@given(multigraph_records())
+def test_kept_maps_and_c_match_the_dense_matrix(records):
+    """The adjacency maps, c and `edge_mult` a graph keeps from its
+    constructor against the dense `intersection_matrix` and the vertex
+    records; a graph built from the same records in another edge order
+    compares equal, hashes equal, has the same repr and keeps the same maps."""
+    verts, edges, reordered = records
+    g = build_graph(verts, edges)
+    m = intersection_matrix(g)
+    n = len(m)
+    off_diagonal = [[0 if i == j else m[i][j] for j in range(n)] for i in range(n)]
+    assert g.adjacency() == tuple({j: x for j, x in enumerate(row) if x} for row in off_diagonal)
+    assert [[g.edge_mult(i, j) for j in range(n)] for i in range(n)] == off_diagonal
+    assert adjunction_degrees(g) == tuple(2 * genus - 2 - self_int for _, genus, self_int in verts)
+    assert [m[i][i] for i in range(n)] == [self_int for _, _, self_int in verts]
+    twin = build_graph(verts, reordered)
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert twin.adjacency() == g.adjacency() and adjunction_degrees(twin) == adjunction_degrees(g)
+
+
 def test_lookups_leave_equality_and_hash_alone():
     vertices = [("a", 0, -2), ("b", 0, -3), ("c", 0, -2)]
     g = build_graph(vertices, [("a", "b", 2), ("b", "c", 1)])
@@ -208,6 +244,8 @@ def test_lookups_leave_equality_and_hash_alone():
     with pytest.raises(KeyError):
         g.index_of("z")
     assert [g.edge_mult(i, j) for i, j in ((0, 1), (1, 0), (1, 2), (0, 2), (2, 0))] == [2, 2, 1, 0, 0]
+    # an index outside the graph joins nothing, even one a negative index would wrap to
+    assert [g.edge_mult(i, j) for i, j in ((-1, 1), (1, -1), (3, 1), (1, 3))] == [0, 0, 0, 0]
     # the lookup maps are built on g only; twin still compares and hashes equal
     assert g == twin and hash(g) == hash(twin)
     assert g != build_graph(vertices, [("a", "b", 2)])
@@ -429,6 +467,13 @@ _INGESTION_ERRORS = [
     ({"vertices": [_v(), _v()]}, "duplicate vertex id 'a'"),
     ({"vertices": [_v(genus=-1)]}, "vertex 'a': genus must be >= 0, got -1"),
     ({"vertices": [_v(self=0)]}, "vertex 'a': self-intersection must be <= -1, got 0"),
+    # two faults at once: the first one checked wins
+    ({"vertices": _AB, "edges": [{"a": "z", "b": "z"}]}, "edge references unknown vertex id 'z'"),
+    ({"vertices": _AB, "edges": [{"a": "a", "b": "b"}, {"a": "b", "b": "a", "m": 0}]},
+     "edge (0, 1): multiplicity must be >= 1"),
+    ({"vertices": [_v(), _v("b", genus=-1)], "edges": [{"a": "a", "b": "z"}]},
+     "edge references unknown vertex id 'z'"),
+    ({"vertices": [_v(), _v("b", genus=-1)], "edges": [{"a": "a", "b": "a"}]}, "vertex 'b': genus must be >= 0, got -1"),
 ]
 
 
@@ -463,6 +508,46 @@ def test_constructor_error_messages_are_exact():
         with pytest.raises(InvalidGraphError) as info:
             build()
         assert str(info.value) == message
+
+
+_AB_RECORDS = [("a", 0, -2), ("b", 0, -2)]
+_ABC = tuple(VertexData(i, 0, -2) for i in "abc")
+_BAD_B = (VertexData("a", 0, -2), VertexData("b", -1, -2), VertexData("c", 0, -2))
+
+# Records with two faults at once, as `build_graph` and `WeightedDualGraph`
+# take them, and the one message each raises: vertices are checked before
+# edges, `build_graph` resolves ids before anything else, and an edge's
+# faults are checked as missing vertex, self-loop, order, multiplicity and
+# last duplicate pair.
+_TWO_FAULTS = [
+    # out of range and a self-loop
+    (lambda: build_graph(_AB_RECORDS, [("z", "z")]), "edge references unknown vertex id 'z'"),
+    (lambda: WeightedDualGraph(_ABC, (Edge(3, 3),)), "edge (3, 3) references a missing vertex"),
+    (lambda: WeightedDualGraph(_ABC, (Edge(-1, -1),)), "edge (-1, -1) references a missing vertex"),
+    (lambda: WeightedDualGraph(_ABC, (Edge(1, 5, 0),)), "edge (1, 5) references a missing vertex"),
+    # unordered, with multiplicity 0 or mirroring an earlier pair; `build_graph` orders each pair itself
+    (lambda: build_graph(_AB_RECORDS, [("b", "a", 0)]), "edge (0, 1): multiplicity must be >= 1"),
+    (lambda: WeightedDualGraph(_ABC, (Edge(2, 1, 0),)), "edge (2, 1) must be ordered a < b"),
+    (lambda: WeightedDualGraph(_ABC, (Edge(1, 2), Edge(2, 1))), "edge (2, 1) must be ordered a < b"),
+    # a duplicate pair whose second copy has multiplicity 0
+    (lambda: build_graph(_AB_RECORDS, [("a", "b"), ("b", "a", 0)]), "edge (0, 1): multiplicity must be >= 1"),
+    (lambda: build_graph(_AB_RECORDS, [("a", "b", 0), ("b", "a")]), "edge (0, 1): multiplicity must be >= 1"),
+    (lambda: WeightedDualGraph(_ABC, (Edge(0, 1), Edge(0, 1, 0))), "edge (0, 1): multiplicity must be >= 1"),
+    # a third copy with multiplicity 0 comes after the duplicate
+    (lambda: build_graph(_AB_RECORDS, [("a", "b"), ("b", "a"), ("a", "b", 0)]), "duplicate edge pair (0, 1)"),
+    (lambda: WeightedDualGraph(_ABC, (Edge(0, 1), Edge(0, 1), Edge(0, 1, 0))), "duplicate edge pair (0, 1)"),
+    # an unknown edge id, or an index out of range, beside a bad vertex
+    (lambda: build_graph([("a", 0, -2), ("b", -1, -2)], [("a", "z")]), "edge references unknown vertex id 'z'"),
+    (lambda: build_graph([("a", 0, -2), ("a", 0, -2)], [("a", "z")]), "edge references unknown vertex id 'z'"),
+    (lambda: WeightedDualGraph(_BAD_B, (Edge(0, 5),)), "vertex 'b': genus must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("build, message", _TWO_FAULTS)
+def test_two_faults_raise_the_first_in_check_order(build, message):
+    with pytest.raises(InvalidGraphError) as info:
+        build()
+    assert str(info.value) == message and info.value.exit_code == 2
 
 
 def test_load_graph(tmp_path):
