@@ -136,6 +136,23 @@ def _family_corpus() -> list:
     return specs
 
 
+def _stretch_cases() -> list:
+    """The members and stretched parameters of `suite_families`' limits."""
+    return [
+        (family_spec("I", n=1, s=1, t=0), ("n", "s")),
+        (family_spec("II", n=2, s=1), ("n",)),
+        (family_spec("II", n=2, s=1), ("s",)),
+        (family_spec("III", n=1, s=3), ("n",)),
+        (family_spec("IV", n=1), ("n",)),
+        (family_spec("V", n=1), ("n",)),
+        (family_spec("VI", n=2), ("n",)),
+        (family_spec("two_curve", k=2, m=1, n=2), ("n",)),
+        (family_spec("tail", r=2, k=1, n=1), ("n",)),
+        (family_spec("two_tail", r=1, k=1, n=1, s=1), ("n", "s")),
+        (family_spec("double_three", n=1), ("n",)),
+    ]
+
+
 def suite_families() -> SuiteResult:
     """Closed forms vs direct computation across the family corpus, plus the
     stretch limits against their expected values: a fixed grid, with no
@@ -161,20 +178,7 @@ def suite_families() -> SuiteResult:
                 degrees[0] == spec["r"],
                 f"{spec}: adjunction degree of the end curve is not r",
             )
-    stretch_cases = [
-        (family_spec("I", n=1, s=1, t=0), ("n", "s")),
-        (family_spec("II", n=2, s=1), ("n",)),
-        (family_spec("II", n=2, s=1), ("s",)),
-        (family_spec("III", n=1, s=3), ("n",)),
-        (family_spec("IV", n=1), ("n",)),
-        (family_spec("V", n=1), ("n",)),
-        (family_spec("VI", n=2), ("n",)),
-        (family_spec("two_curve", k=2, m=1, n=2), ("n",)),
-        (family_spec("tail", r=2, k=1, n=1), ("n",)),
-        (family_spec("two_tail", r=1, k=1, n=1, s=1), ("n", "s")),
-        (family_spec("double_three", n=1), ("n",)),
-    ]
-    for spec, params in stretch_cases:
+    for spec, params in _stretch_cases():
         g = generate(spec)
         descs = [stretch_descriptor(spec, g, p) for p in params]
         want = expected_limit(spec, params)

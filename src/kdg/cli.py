@@ -149,8 +149,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _describe_string(g: WeightedDualGraph, s: StringDescriptor) -> str:
-    ids = g.ids()
+def _describe_string(ids: Sequence[str], s: StringDescriptor) -> str:
     chain = "-".join(ids[i] for i in s.chain)
     ends = [ids[x] for x in (s.left, s.right) if x is not None]
     attach = ", ".join(ends) if ends else "nothing (whole component)"
@@ -176,13 +175,14 @@ def _resolve_string_arg(g: WeightedDualGraph, token: str, stretchable) -> String
 
 def _cmd_limit(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
+    ids = g.ids()
     detected = detect_strings(g)
     stretchable = [s for s in detected if s.left is not None or s.right is not None]
     print("maximal strings:")
     if not detected:
         print("  (none)")
     for s in detected:
-        print(f"  {_describe_string(g, s)}")
+        print(f"  {_describe_string(ids, s)}")
     if args.strings == "auto":
         chosen = stretchable
         if not chosen:
@@ -193,7 +193,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
             s = _resolve_string_arg(g, token, stretchable)
             if s not in chosen:
                 chosen.append(s)
-    print("stretching: " + "; ".join(_describe_string(g, s) for s in chosen))
+    print("stretching: " + "; ".join(_describe_string(ids, s) for s in chosen))
     # `chosen` holds distinct stretchable strings of `detected`, as
     # `limit_k_squared` would resolve them, so g is checked and factored once
     solved = _definite_solution(g)

@@ -11,14 +11,17 @@ Three related pieces live here:
   else is untouched;
 * limits: letting designated string lengths go to infinity.  The contracted
   block converges entrywise to diagonal -1, coupling 0; strings whose two
-  prop coefficients already agree contribute a constant and are frozen at
-  their current length instead.
+  end coefficients already agree contribute a constant and are frozen at
+  their current length instead.  After g's own factorization every limit
+  system is the core of g, g less the interiors of the designated strings
+  (`_limit_core`), so it is factored at the size of the core, not of g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -28,10 +31,10 @@ from .errors import (
     SingularLimitError,
 )
 from .graph import (
+    Edge,
     VertexData,
     WeightedDualGraph,
     adjunction_degrees,
-    build_graph,
     validate,
 )
 from .invariants import _checked_k_squared, _graph_k_squared, _graph_system, _solution
@@ -216,16 +219,10 @@ def _contracted(
     g: WeightedDualGraph, s: StringDescriptor
 ) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
     """The system of g with the chain of s eliminated from the
-    intersection matrix, the descriptor's left and right vertices acting
-    as props: genus-0 (-2)-vertices, as in an insertion.  The chain
-    carries no adjunction weight, so this is plain block elimination, and
-    it leaves the props' rows with -(n+2)/(n+1) on their diagonal and
-    1/(n+1) between them for an n-vertex chain.  Those rows come as
-    `_system_without` gives them times n + 1, which makes them integral.
-    c vanishes at the props, so this system has the same solution m and
-    the same t(m) M m = m.c as the block-eliminated one; its determinant
-    is (n+1)^2 times that one's.  The last item maps each kept vertex to
-    its row (`contracted_indices`)."""
+    intersection matrix (`_hirzebruch_jung`), the descriptor's left and
+    right vertices acting as props: genus-0 (-2)-vertices, as in an
+    insertion.  The last item maps each kept vertex to its row
+    (`contracted_indices`)."""
     _check_string_structure(g, s, allow_empty=True)
     if s.left is None or s.right is None:
         raise PreconditionError("contraction needs prop vertices on both ends")
@@ -236,13 +233,23 @@ def _contracted(
     if s.chain and g.edge_mult(s.left, s.right) != 0:
         raise PreconditionError("props of a non-empty string must not be adjacent")
     weights, adj, c, local = _system_without(g, set(s.chain))
-    k = len(s.chain) + 1
-    p, q = local[s.left], local[s.right]
-    for r in (p, q):
-        weights[r] = -(k + 1)
-        adj[r] = {j: k * mult for j, mult in adj[r].items()}
-    adj[p][q] = adj[q][p] = 1
+    _hirzebruch_jung(weights, adj, local[s.left], local[s.right], len(s.chain))
     return weights, adj, c, local
+
+
+def _hirzebruch_jung(weights: list[int], rows: list[dict[int, int]], p: int, q: int, n: int) -> None:
+    """Eliminate a chain of n (-2)-vertices between rows p and q in place,
+    rows p and q of genus-0 (-2)-vertices already without it.  The chain
+    carries no adjunction weight, so this is plain block elimination: it
+    leaves -(n+2)/(n+1) on the diagonal of p and q and 1/(n+1) between
+    them, and both rows are scaled by n + 1, which makes them integral.  c
+    vanishes at p and q, so the system has the same solution m and the
+    same t(m) M m = m.c as the block-eliminated one; its determinant is
+    (n+1)^2 times that one's."""
+    for r in (p, q):
+        weights[r] = -(n + 2)
+        rows[r] = {j: (n + 1) * mult for j, mult in rows[r].items()}
+    rows[p][q] = rows[q][p] = 1
 
 
 def _system_without(
@@ -347,63 +354,54 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
 
 
 def detect_strings(g: WeightedDualGraph) -> list[StringDescriptor]:
-    """Maximal chains of genus-0 (-2)-vertices.
+    """Maximal chains of genus-0 (-2)-vertices, in the order of their least
+    vertex, each listed from its end of least index.
 
     A vertex can sit on a chain when its total intersection degree is at
     most 2 and every incident edge has multiplicity 1; branch points are
     therefore never part of a chain.  Components that close into cycles are
     skipped (they are never negative definite).  Chains covering a whole
-    connected component are reported with both attachments None.
+    connected component are reported with both attachments None.  One walk
+    over the adjacency maps: each chain is followed both ways from its
+    least vertex, and every vertex is visited once.
     """
     adj = g.adjacency()
-
-    def eligible(i: int) -> bool:
-        return (
-            _is_minus2(g, i)
-            and sum(adj[i].values()) <= 2
-            and all(m == 1 for m in adj[i].values())
-        )
-
-    eset = {i for i in range(len(g)) if eligible(i)}
-    seen: set[int] = set()
+    # open_[i]: i may sit on a chain, and no walk has reached it yet
+    open_ = [
+        genus == 0 and self_int == -2 and len(row) <= 2 and sum(row.values()) == len(row)
+        for (_, genus, self_int), row in zip(g.vertices, adj)
+    ]
     out = []
-    for i in sorted(eset):
-        if i in seen:
+    for i, row in enumerate(adj):
+        if not open_[i]:
             continue
-        comp = {i}
-        frontier = [i]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y in eset and y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
-        ends = [x for x in sorted(comp) if len([y for y in adj[x] if y in comp]) <= 1]
-        if not ends:
-            continue
-        if len(comp) == 1:
-            chain = [ends[0]]
-            outs = sorted(y for y in adj[chain[0]] if y not in comp)
-            left = outs[0] if outs else None
-            right = outs[1] if len(outs) > 1 else None
+        open_[i] = False
+        halves = []
+        for nxt in row:
+            if not open_[nxt]:
+                continue
+            half = []
+            while nxt is not None:
+                cur, nxt = nxt, None
+                open_[cur] = False
+                half.append(cur)
+                for k in adj[cur]:
+                    if open_[k]:
+                        nxt = k
+                        break
+            halves.append(half)
+        if len(halves) == 1 and len(halves[0]) > 1 and i in adj[halves[0][-1]]:
+            continue  # the walk went round a cycle
+        first, second = (halves + [[], []])[:2]
+        chain = first[::-1] + [i] + second
+        if chain[-1] < chain[0]:
+            chain.reverse()
+        if len(chain) == 1:
+            left, right = (sorted(row) + [None, None])[:2]
         else:
-            start = min(ends)
-            chain = [start]
-            prev = None
-            cur = start
-            while True:
-                step = [y for y in adj[cur] if y in comp and y != prev]
-                if not step:
-                    break
-                prev, cur = cur, step[0]
-                chain.append(cur)
-            first_out = sorted(y for y in adj[chain[0]] if y not in comp)
-            last_out = sorted(y for y in adj[chain[-1]] if y not in comp)
-            left = first_out[0] if first_out else None
-            right = last_out[0] if last_out else None
+            left = next((k for k in adj[chain[0]] if k != chain[1]), None)
+            right = next((k for k in adj[chain[-1]] if k != chain[-2]), None)
         out.append(StringDescriptor(tuple(chain), left, right))
-    out.sort(key=lambda s: min(s.chain))
     return out
 
 
@@ -427,68 +425,47 @@ def _splice(
     g: WeightedDualGraph, s: StringDescriptor, length: int
 ) -> tuple[WeightedDualGraph, Optional[StringDescriptor]]:
     """`with_string_length` on a checked descriptor, whose chain may also be
-    empty between two adjacent attachments (an insertion site)."""
+    empty between two adjacent attachments (an insertion site).  Built by
+    index from g's records in O(n + edges): the member's vertices are g's
+    in order, less the removed chain vertices or followed by the new ones,
+    and its edges are ordered by index pair."""
     k = len(s.chain)
     if length == k:
         return g, s
-    ids = g.ids()
-    chain_ids = [ids[i] for i in s.chain]
-    left_id = ids[s.left] if s.left is not None else None
-    right_id = ids[s.right] if s.right is not None else None
-    pair_mult: dict[tuple[str, str], int] = {}
-    for e in g.edges:
-        key = tuple(sorted((ids[e.a], ids[e.b])))
-        pair_mult[key] = e.mult
-
-    def drop(u: str, v: str) -> None:
-        pair_mult.pop(tuple(sorted((u, v))), None)
-
-    def put(u: str, v: str, m: int = 1) -> None:
-        key = tuple(sorted((u, v)))
-        pair_mult[key] = pair_mult.get(key, 0) + m
-
-    verts = list(g.vertices)
+    left, right = s.left, s.right
     if length > k:
-        fresh = _fresh_ids(g, length - k)
-        end = chain_ids[-1] if chain_ids else left_id
-        if right_id is not None:
-            drop(end, right_id)
-        run = [end] + fresh
-        for u, v in zip(run, run[1:]):
-            put(u, v)
-        if right_id is not None:
-            put(fresh[-1], right_id)
-        verts += [VertexData(i, 0, -2) for i in fresh]
-        new_chain_ids = chain_ids + fresh
+        n = len(g)
+        vertices = g.vertices + tuple(VertexData(v, 0, -2) for v in _fresh_ids(g, length - k))
+        chain = s.chain + tuple(range(n, n + length - k))
+        run = (s.chain[-1] if s.chain else left,) + chain[k:]
+        edges = list(g.edges)
+        if right is not None:
+            edges.remove(tuple(sorted((run[0], right))) + (1,))
+            edges.append((right, run[-1], 1))
+        edges += [(a, b, 1) for a, b in zip(run, run[1:])]
     else:
-        removed = set(chain_ids[length:])
-        verts = [v for v in verts if v.id not in removed]
-        pair_mult = {
-            key: m for key, m in pair_mult.items() if not (key[0] in removed or key[1] in removed)
-        }
-        if length == 0:
-            if left_id is not None and left_id == right_id:
-                # joining would turn the cycle into a self-intersecting curve
-                raise PreconditionError(
-                    "cannot shrink to length 0: both attachments are the same vertex"
-                )
-            if left_id is not None and right_id is not None:
-                put(left_id, right_id)
-        elif right_id is not None:
-            put(chain_ids[length - 1], right_id)
-        new_chain_ids = chain_ids[:length]
-    built = build_graph(
-        [(v.id, v.genus, v.self_int) for v in verts],
-        [(u, v, m) for (u, v), m in sorted(pair_mult.items())],
-    )
-    if not new_chain_ids:
-        return built, None
-    descriptor = StringDescriptor(
-        tuple(built.index_of(i) for i in new_chain_ids),
-        built.index_of(left_id) if left_id is not None else None,
-        built.index_of(right_id) if right_id is not None else None,
-    )
-    return built, descriptor
+        if length == 0 and left is not None and left == right:
+            # joining would turn the cycle into a self-intersecting curve
+            raise PreconditionError("cannot shrink to length 0: both attachments are the same vertex")
+        removed = set(s.chain[length:])
+        vertices = tuple(v for i, v in enumerate(g.vertices) if i not in removed)
+        pos = list(accumulate((i not in removed for i in range(len(g))), initial=0))
+        edges = [(pos[a], pos[b], m) for a, b, m in g.edges if a not in removed and b not in removed]
+        end = s.chain[length - 1] if length else left
+        if end is not None and right is not None:
+            # the chain's new last vertex, or at length 0 its left
+            # attachment, meets its right one: a new edge or one more
+            m = g.edge_mult(end, right)
+            pair = tuple(sorted((pos[end], pos[right])))
+            if m:
+                edges.remove(pair + (m,))
+            edges.append(pair + (m + 1,))
+        chain = tuple(pos[i] for i in s.chain[:length])
+        left, right = (None if x is None else pos[x] for x in (left, right))
+    edges.sort()
+    # `Edge._make` less its length check: each pair is a triple
+    member = WeightedDualGraph(vertices, tuple(map(tuple.__new__, repeat(Edge), edges)))
+    return member, (StringDescriptor(chain, left, right) if chain else None)
 
 
 def _resolve_designated(
@@ -515,26 +492,6 @@ def _resolve_designated(
     return resolved
 
 
-def _limit_system(
-    g: WeightedDualGraph, stretched: Sequence[StringDescriptor]
-) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
-    """The integer system of g with the `stretched` strings at their limit:
-    (diagonal, adjacency maps, c, position of each kept vertex of g).
-
-    A stretched n-interior string contracts to its two ends with
-    -(n+2)/(n+1) on the diagonal and 1/(n+1) between them, which tends to
-    -1 and 0, so its ends get -1, no entry between them, and its interior
-    is dropped.  c is that of g: the ends are genus-0 (-2)-vertices.
-    """
-    weights, rows, c, local = _system_without(g, {i for s in stretched for i in s.chain[1:-1]})
-    for s in stretched:
-        p, q = local[s.chain[0]], local[s.chain[-1]]
-        weights[p] = weights[q] = -1
-        rows[p].pop(q, None)
-        rows[q].pop(p, None)
-    return weights, rows, c, local
-
-
 def _definite_solution(g: WeightedDualGraph) -> tuple[list[int], int]:
     """(y, d) of g's own system M m = c (`_solution`); PreconditionError
     unless g is negative definite, as every limit needs."""
@@ -548,61 +505,100 @@ def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -
     be maximal strings of g (`_resolve_designated`).  Strings are processed
     in designation order.  For each one the end coefficients m_p, m_q of
     the current system are compared: when they agree the value is constant
-    in that direction and the string is frozen at its current length;
-    otherwise it goes to its limit (`_limit_system`).  Every system is
-    factored once by `_solution`, g included: the factorization that checks
-    g also solves its system, which is the first one whenever no string
-    has to be spliced longer first.  The pivots decide: a matrix that is
-    not negative semidefinite means the stretched family leaves the
-    negative definite class (PreconditionError); a singular one is
-    reported via SingularLimitError, never guessed at.  `kdg limit` checks
-    g and resolves the strings once for this and the cross-check, and
-    calls `_limit_along`.
+    in that direction and the string is frozen at its current length, a
+    string of length 1 at length 2; otherwise it goes to its limit.  g is
+    factored once, and every other system at the size of its core
+    (`_limit_along`).  The pivots decide: a matrix that is not negative
+    semidefinite means the stretched family leaves the negative definite
+    class (PreconditionError); a singular one is reported via
+    SingularLimitError, never guessed at.  `kdg limit` checks g and
+    detects its strings once for this and the cross-check, and calls
+    `_limit_along`.
     """
     solved = _definite_solution(g)
     return _limit_along(g, _resolve_designated(g, strings), solved)
+
+
+def _limit_core(
+    g: WeightedDualGraph, strings: Sequence[StringDescriptor]
+) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int], list[tuple[int, int]]]:
+    """The core of g for `strings` as `_resolve_designated` gives them: g
+    less the strings' interiors, each string held at its length by its two
+    ends (`_hirzebruch_jung`); one of length 1 gets a second end, a new
+    (-2) row before its right attachment, so it is held at length 2.
+    Returns (diagonal, adjacency maps, c, the row of each kept vertex of g,
+    the two end rows of each string).  The interiors are negative definite
+    (A_n), so by inertia additivity (Haynsworth, Linear Algebra Appl. 1,
+    1968) the core is negative definite, semidefinite or singular exactly
+    when the graph it stands for is, and has its solution of M m = c on
+    the kept vertices."""
+    weights, rows, c, local = _system_without(g, {i for s in strings for i in s.chain[1:-1]})
+    ends = []
+    for s in strings:
+        p = local[s.chain[0]]
+        if len(s.chain) > 1:
+            q = local[s.chain[-1]]
+            if len(s.chain) > 2:
+                _hirzebruch_jung(weights, rows, p, q, len(s.chain) - 2)
+        else:
+            q = len(rows)
+            weights.append(-2)
+            c.append(0)
+            rows.append({p: 1})
+            rows[p][q] = 1
+            if s.right is not None:
+                r = local[s.right]
+                del rows[p][r], rows[r][p]
+                rows[r][q] = rows[q][r] = 1
+        ends.append((p, q))
+    return weights, rows, c, local, ends
+
+
+#: Designated strings times core rows (`_limit_core`) over which a limit
+#: is refused with a `PreconditionError` (exit code 4) before any core
+#: system is factored: it factors at most one per string, plus one.
+LIMIT_WORK_BUDGET = 1_000_000
 
 
 def _limit_along(
     g: WeightedDualGraph, strings: Sequence[StringDescriptor], solved: tuple[list[int], int]
 ) -> Fraction:
     """`limit_k_squared` on strings as `_resolve_designated` gives them, with
-    `solved` g's (y, d) from `_definite_solution`."""
-    descs = list(strings)
-    work = g
-    for i in range(len(descs)):
-        if len(descs[i].chain) < 2:
-            # splice to length 2 first: the limit direction only depends on
-            # the family, and in the frozen branch the value is constant, so
-            # the reported number is unchanged either way
-            work, grown = _splice(work, descs[i], 2)
-            assert grown is not None
-            descs[i] = grown
+    `solved` g's (y, d) from `_definite_solution`.
+
+    Every system is the core of g (`_limit_core`), each designated string
+    in it either at its length or at its limit (ends -1, no coupling),
+    factored once by `_solution` at the size of the core.  The first one,
+    every string at its length, has g's own solution on the core, so it is
+    factored only when a string of length 1 added a row; each stretched
+    string sets up the next one.  More strings times core rows than
+    `LIMIT_WORK_BUDGET` are refused before any of them is factored."""
+    weights, rows, c, local, ends = _limit_core(g, strings)
+    if len(strings) * len(rows) > LIMIT_WORK_BUDGET:
+        raise PreconditionError(f"limit of {len(strings)} strings on a {len(rows)}-vertex core"
+                                f" exceeds its budget of {LIMIT_WORK_BUDGET} strings times core vertices")
     indefinite = PreconditionError(
         "limit matrix is not negative semidefinite;"
         " the stretched family leaves the negative definite class"
     )
     singular = SingularLimitError("intermediate limit matrix is singular; no finite limit reported")
-    stretched: list[StringDescriptor] = []
-    y = None
-    if work is g:
-        weights, adj, c = _graph_system(g)
-        local = range(len(g))  # g's own system drops no vertex
-        y, d = solved
-    for s in descs:
+    y, d = solved
+    # g's own solution on the core, unless a string of length 1 added a row
+    y = [y[v] for v in local] if len(local) == len(rows) else None
+    for p, q in ends:
         if y is None:
-            weights, adj, c, local = _limit_system(work, stretched)
-            y, d = _solution(weights, adj, c, indefinite, singular)
-        if y[local[s.chain[0]]] != y[local[s.chain[-1]]]:
-            stretched.append(s)
+            y, d = _solution(weights, rows, c, indefinite, singular)
+        if y[p] != y[q]:
+            weights[p] = weights[q] = -1
+            rows[p] = {j: 1 for j in rows[p] if j != q}
+            rows[q] = {j: 1 for j in rows[q] if j != p}
             y = None
     if y is None:
-        weights, adj, c, _ = _limit_system(work, stretched)
         singular = SingularLimitError(
             "limit matrix is singular; the value diverges or needs analysis beyond this procedure"
         )
-        y, d = _solution(weights, adj, c, indefinite, singular)
-    return _checked_k_squared(weights, adj, c, y, d)
+        y, d = _solution(weights, rows, c, indefinite, singular)
+    return _checked_k_squared(weights, rows, c, y, d)
 
 
 def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[Fraction, object]:

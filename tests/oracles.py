@@ -16,7 +16,12 @@ pruned search and its stabilizer scan, the orderly prefix lemma by
 trying every permutation of each leading block instead of the search's
 per-column data stabilizers, string limits by Schur contraction of
 each string to its two ends and Gauss-Jordan elimination over `Fraction`s
-instead of integer rows factored without row swaps, and the values of a
+instead of integer rows factored without row swaps, and again by the
+sequential procedure on whole spliced graphs, one system per stretched
+string, instead of the core systems; maximal strings by growing each
+component of eligible vertices and then walking it, instead of one walk;
+string splices by edge maps keyed by vertex ids and rebuilt through
+`build_graph`, instead of by index; and the values of a
 chain insertion from the dense inserted matrix, its chain eliminated by a
 Schur complement computed column by column, instead of the closed-form
 contraction.
@@ -27,12 +32,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
+from typing import Optional, Sequence
 
 import numpy as np
 
-from kdg.graph import WeightedDualGraph, adjunction_degrees, intersection_matrix
-from kdg.invariants import fundamental_cycle
-from kdg.transforms import with_string_length
+from kdg.errors import PreconditionError, SingularLimitError
+from kdg.graph import VertexData, WeightedDualGraph, adjunction_degrees, build_graph, intersection_matrix
+from kdg.invariants import _checked_k_squared, _graph_system, _solution, fundamental_cycle
+from kdg.transforms import StringDescriptor, _is_minus2, with_string_length
 
 
 def cofactor_det(m) -> Fraction:
@@ -391,3 +398,228 @@ def leading_blocks_minimal(encoding: str) -> bool:
                 if [m[p[i]][p[j]] for i, j in pairs] < block:
                     return False
     return True
+
+
+# The sequential limit procedure: every string shorter than 2 is spliced to
+# length 2 in the graph itself, and every limit system is that whole graph
+# less the interiors of the strings stretched so far (`full_limit_system`),
+# so the strings held at their length keep all their vertices.  With it,
+# the string detection and the id-keyed splice it was written on.
+
+
+def _fresh_ids(g: WeightedDualGraph, count: int, stem: str = "w") -> list[str]:
+    used = set(g.ids())
+    out = []
+    k = 1
+    while len(out) < count:
+        cand = f"{stem}{k}"
+        if cand not in used:
+            used.add(cand)
+            out.append(cand)
+        k += 1
+    return out
+
+
+def _system_without(
+    g: WeightedDualGraph, dropped: set[int]
+) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
+    """M m = c for g without the `dropped` vertices: (diagonal of M, new
+    adjacency maps, c, position of each kept vertex of g), built from
+    `g.adjacency()` in O(n + edges)."""
+    adj = g.adjacency()
+    degrees = adjunction_degrees(g)
+    local = {v: k for k, v in enumerate(i for i in range(len(g)) if i not in dropped)}
+    weights = [g.vertices[v].self_int for v in local]
+    rows = [{local[j]: mult for j, mult in adj[v].items() if j in local} for v in local]
+    return weights, rows, [degrees[v] for v in local], local
+
+
+def component_strings(g: WeightedDualGraph) -> list[StringDescriptor]:
+    """Maximal chains of genus-0 (-2)-vertices.
+
+    A vertex can sit on a chain when its total intersection degree is at
+    most 2 and every incident edge has multiplicity 1; branch points are
+    therefore never part of a chain.  Components that close into cycles are
+    skipped (they are never negative definite).  Chains covering a whole
+    connected component are reported with both attachments None.
+    """
+    adj = g.adjacency()
+
+    def eligible(i: int) -> bool:
+        return (
+            _is_minus2(g, i)
+            and sum(adj[i].values()) <= 2
+            and all(m == 1 for m in adj[i].values())
+        )
+
+    eset = {i for i in range(len(g)) if eligible(i)}
+    seen: set[int] = set()
+    out = []
+    for i in sorted(eset):
+        if i in seen:
+            continue
+        comp = {i}
+        frontier = [i]
+        while frontier:
+            x = frontier.pop()
+            for y in adj[x]:
+                if y in eset and y not in comp:
+                    comp.add(y)
+                    frontier.append(y)
+        seen |= comp
+        ends = [x for x in sorted(comp) if len([y for y in adj[x] if y in comp]) <= 1]
+        if not ends:
+            continue
+        if len(comp) == 1:
+            chain = [ends[0]]
+            outs = sorted(y for y in adj[chain[0]] if y not in comp)
+            left = outs[0] if outs else None
+            right = outs[1] if len(outs) > 1 else None
+        else:
+            start = min(ends)
+            chain = [start]
+            prev = None
+            cur = start
+            while True:
+                step = [y for y in adj[cur] if y in comp and y != prev]
+                if not step:
+                    break
+                prev, cur = cur, step[0]
+                chain.append(cur)
+            first_out = sorted(y for y in adj[chain[0]] if y not in comp)
+            last_out = sorted(y for y in adj[chain[-1]] if y not in comp)
+            left = first_out[0] if first_out else None
+            right = last_out[0] if last_out else None
+        out.append(StringDescriptor(tuple(chain), left, right))
+    out.sort(key=lambda s: min(s.chain))
+    return out
+
+
+def id_splice(
+    g: WeightedDualGraph, s: StringDescriptor, length: int
+) -> tuple[WeightedDualGraph, Optional[StringDescriptor]]:
+    """`with_string_length` on a checked descriptor, whose chain may also be
+    empty between two adjacent attachments (an insertion site)."""
+    k = len(s.chain)
+    if length == k:
+        return g, s
+    ids = g.ids()
+    chain_ids = [ids[i] for i in s.chain]
+    left_id = ids[s.left] if s.left is not None else None
+    right_id = ids[s.right] if s.right is not None else None
+    pair_mult: dict[tuple[str, str], int] = {}
+    for e in g.edges:
+        key = tuple(sorted((ids[e.a], ids[e.b])))
+        pair_mult[key] = e.mult
+
+    def drop(u: str, v: str) -> None:
+        pair_mult.pop(tuple(sorted((u, v))), None)
+
+    def put(u: str, v: str, m: int = 1) -> None:
+        key = tuple(sorted((u, v)))
+        pair_mult[key] = pair_mult.get(key, 0) + m
+
+    verts = list(g.vertices)
+    if length > k:
+        fresh = _fresh_ids(g, length - k)
+        end = chain_ids[-1] if chain_ids else left_id
+        if right_id is not None:
+            drop(end, right_id)
+        run = [end] + fresh
+        for u, v in zip(run, run[1:]):
+            put(u, v)
+        if right_id is not None:
+            put(fresh[-1], right_id)
+        verts += [VertexData(i, 0, -2) for i in fresh]
+        new_chain_ids = chain_ids + fresh
+    else:
+        removed = set(chain_ids[length:])
+        verts = [v for v in verts if v.id not in removed]
+        pair_mult = {
+            key: m for key, m in pair_mult.items() if not (key[0] in removed or key[1] in removed)
+        }
+        if length == 0:
+            if left_id is not None and left_id == right_id:
+                # joining would turn the cycle into a self-intersecting curve
+                raise PreconditionError(
+                    "cannot shrink to length 0: both attachments are the same vertex"
+                )
+            if left_id is not None and right_id is not None:
+                put(left_id, right_id)
+        elif right_id is not None:
+            put(chain_ids[length - 1], right_id)
+        new_chain_ids = chain_ids[:length]
+    built = build_graph(
+        [(v.id, v.genus, v.self_int) for v in verts],
+        [(u, v, m) for (u, v), m in sorted(pair_mult.items())],
+    )
+    if not new_chain_ids:
+        return built, None
+    descriptor = StringDescriptor(
+        tuple(built.index_of(i) for i in new_chain_ids),
+        built.index_of(left_id) if left_id is not None else None,
+        built.index_of(right_id) if right_id is not None else None,
+    )
+    return built, descriptor
+
+
+def full_limit_system(
+    g: WeightedDualGraph, stretched: Sequence[StringDescriptor]
+) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
+    """The integer system of g with the `stretched` strings at their limit:
+    (diagonal, adjacency maps, c, position of each kept vertex of g).
+
+    A stretched n-interior string contracts to its two ends with
+    -(n+2)/(n+1) on the diagonal and 1/(n+1) between them, which tends to
+    -1 and 0, so its ends get -1, no entry between them, and its interior
+    is dropped.  c is that of g: the ends are genus-0 (-2)-vertices.
+    """
+    weights, rows, c, local = _system_without(g, {i for s in stretched for i in s.chain[1:-1]})
+    for s in stretched:
+        p, q = local[s.chain[0]], local[s.chain[-1]]
+        weights[p] = weights[q] = -1
+        rows[p].pop(q, None)
+        rows[q].pop(p, None)
+    return weights, rows, c, local
+
+
+def sequential_limit(
+    g: WeightedDualGraph, strings: Sequence[StringDescriptor], solved: tuple[list[int], int]
+) -> Fraction:
+    """`limit_k_squared` on strings as `_resolve_designated` gives them, with
+    `solved` g's (y, d) from `_definite_solution`."""
+    descs = list(strings)
+    work = g
+    for i in range(len(descs)):
+        if len(descs[i].chain) < 2:
+            # splice to length 2 first: the limit direction only depends on
+            # the family, and in the frozen branch the value is constant, so
+            # the reported number is unchanged either way
+            work, grown = id_splice(work, descs[i], 2)
+            assert grown is not None
+            descs[i] = grown
+    indefinite = PreconditionError(
+        "limit matrix is not negative semidefinite;"
+        " the stretched family leaves the negative definite class"
+    )
+    singular = SingularLimitError("intermediate limit matrix is singular; no finite limit reported")
+    stretched: list[StringDescriptor] = []
+    y = None
+    if work is g:
+        weights, adj, c = _graph_system(g)
+        local = range(len(g))  # g's own system drops no vertex
+        y, d = solved
+    for s in descs:
+        if y is None:
+            weights, adj, c, local = full_limit_system(work, stretched)
+            y, d = _solution(weights, adj, c, indefinite, singular)
+        if y[local[s.chain[0]]] != y[local[s.chain[-1]]]:
+            stretched.append(s)
+            y = None
+    if y is None:
+        weights, adj, c, _ = full_limit_system(work, stretched)
+        singular = SingularLimitError(
+            "limit matrix is singular; the value diverges or needs analysis beyond this procedure"
+        )
+        y, d = _solution(weights, adj, c, indefinite, singular)
+    return _checked_k_squared(weights, adj, c, y, d)

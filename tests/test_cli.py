@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 import kdg.cli
 import kdg.enumeration
 import kdg.families
+import kdg.graph
+import kdg.transforms
 from kdg import invariants, rational
 from kdg.cli import main
 from kdg.families import family_names, family_spec, generate
@@ -446,8 +448,8 @@ def test_compute_terminates_on_long_chain(tmp_path, capsys):
 # 300-vertex binary tree 0.09 s.  With the kernels reading adjacency rows,
 # `k_squared` takes 0.04 s on A(2000) and 0.05 s on the 1023-vertex binary
 # tree, against 0.8 s and 0.24 s on the dense intersection matrix, and its
-# tracemalloc peak on A(4000) is 2.6 MB against 256 MB.  A 1000-arm star
-# stays quadratic (1.4 s), since its centre row is rewritten once per arm.
+# tracemalloc peak on A(4000) is 2.6 MB against 256 MB.  It takes 0.007 s
+# on a 1000-arm star, whose elimination costs the same per arm.
 
 
 def test_compute_scales_to_a400(tmp_path, capsys):
@@ -784,6 +786,64 @@ def test_limit_detects_strings_once_and_factors_g_once(tmp_path, monkeypatch, ca
     # g; the limit system without the string's two interior vertices; the
     # cross-check's members with the string at length 0, 1 and 2
     assert sizes == [v, v - 2, v - 4, v - 3, v - 2]
+
+
+def test_limit_factors_g_once_then_only_its_core(tmp_path, monkeypatch, capsys):
+    """`limit` factors g once at its own size, and every later system is
+    the core of g.  Both 6-vertex arms of the 13-vertex I(n=6,s=6,t=0) are
+    stretched, and with their 8 interior vertices gone the two limit
+    systems have 5 rows (the sequential procedure factored 9, then 5).
+    Each arm of the 3-vertex I(n=1,s=1,t=0) has length 1 and is held at
+    length 2 by one added core vertex, so its first system is the 5-row
+    core too, then one per stretched arm."""
+    sizes = count_factorizations(monkeypatch)
+    cases = ((family_spec("I", n=6, s=6, t=0), [13, 5, 5]), (family_spec("I", n=1, s=1, t=0), [3, 5, 5, 5]))
+    for spec, want in cases:
+        g = generate(spec)
+        path = tmp_path / "i.json"
+        path.write_text(graph_to_json(g))
+        sizes.clear()
+        assert main(["limit", str(path), "--strings", "n1,s1"]) == 0
+        assert "limit of -K^2: 1 " in capsys.readouterr().out
+        assert sizes == want and want[0] == len(g)
+
+
+def test_limit_work_budget_exits_4_before_any_core_system(tmp_path, monkeypatch, capsys):
+    """More strings times core vertices than `LIMIT_WORK_BUDGET` exit 4
+    once g is checked, before any core system is factored; the budget
+    itself is admitted.  The star of 4 (-2)-arms has a 9-vertex core, each
+    arm held at length 2."""
+    path = tmp_path / "star.json"
+    path.write_text(graph_to_json(build_graph(
+        [("c", 0, -5)] + [(f"a{i}", 0, -2) for i in range(4)], [("c", f"a{i}") for i in range(4)]
+    )))
+    sizes = count_factorizations(monkeypatch)
+    monkeypatch.setattr(kdg.transforms, "LIMIT_WORK_BUDGET", 35)
+    assert main(["limit", str(path), "--strings", "auto"]) == 4
+    err = capsys.readouterr().err
+    assert "limit of 4 strings on a 9-vertex core exceeds its budget of 35" in err
+    assert sizes == [5]
+    monkeypatch.setattr(kdg.transforms, "LIMIT_WORK_BUDGET", 36)
+    assert main(["limit", str(path), "--strings", "auto"]) == 0
+    assert "limit of -K^2: " in capsys.readouterr().out
+
+
+def test_limit_reads_the_ids_once(tmp_path, monkeypatch, capsys):
+    """`limit` lists every string by its vertex ids from one `ids()` call."""
+    g = generate(family_spec("I", n=3, s=3, t=3))
+    path = tmp_path / "i.json"
+    path.write_text(graph_to_json(g))
+    calls = []
+    real = kdg.graph.WeightedDualGraph.ids
+
+    def ids(self):
+        calls.append(len(self))
+        return real(self)
+
+    monkeypatch.setattr(kdg.graph.WeightedDualGraph, "ids", ids)
+    assert main(["limit", str(path), "--strings", "auto"]) == 0
+    assert capsys.readouterr().out.count("(attached to x)") == 6
+    assert calls == [len(g)]
 
 
 def test_compute_decides_definiteness_once(tmp_path, monkeypatch, capsys):

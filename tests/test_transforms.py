@@ -1,14 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kdg import invariants, rational, transforms
-from kdg.checks import _family_corpus
-from kdg.enumeration import EnumBounds, random_admissible
-from kdg.errors import NotNegativeDefiniteError, PreconditionError, SingularLimitError
+from kdg.checks import _family_corpus, _stretch_cases
+from kdg.enumeration import EnumBounds, enumerate_admissible, graph_from_encoding, random_admissible
+from kdg.errors import (
+    InvalidGraphError,
+    KdgError,
+    NotNegativeDefiniteError,
+    PreconditionError,
+    SingularLimitError,
+)
 from kdg.families import family_spec, generate, stretch_descriptor
 from kdg.graph import (
     Edge,
@@ -32,7 +40,7 @@ from kdg.transforms import (
     with_string_length,
 )
 
-from .oracles import insertion_values, schur_limit
+from .oracles import component_strings, id_splice, insertion_values, schur_limit, sequential_limit
 
 ALWAYS_IDENTITIES = {
     "contraction_matches_direct",
@@ -559,3 +567,135 @@ def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
     with pytest.raises(PreconditionError, match="negative definite graph"):
         mobius_limit_crosscheck(g, s)
     assert sizes == []
+
+
+def outcome(run):
+    """run()'s value, or the class and message of the KdgError it raises."""
+    try:
+        return run()
+    except KdgError as exc:
+        return type(exc), str(exc)
+
+
+def limit_against_sequential(g, picked):
+    """`limit_k_squared`'s outcome on the picked strings, after checking
+    that the sequential procedure gives the same value, or the same error
+    class and message."""
+    got = outcome(lambda: limit_k_squared(g, picked))
+
+    def sequential():
+        solved = transforms._definite_solution(g)
+        return sequential_limit(g, transforms._resolve_designated(g, picked), solved)
+
+    assert got == outcome(sequential), (g, picked)
+    return got
+
+
+def stretchable(g):
+    return [s for s in detect_strings(g) if s.left is not None or s.right is not None]
+
+
+def outcome_kind(got):
+    return got[0] if isinstance(got, tuple) else type(got)
+
+
+def test_limit_matches_sequential_oracle_on_family_stretch_cases():
+    for spec, params in _stretch_cases():
+        g = generate(spec)
+        got = limit_against_sequential(g, [stretch_descriptor(spec, g, p) for p in params])
+        assert outcome_kind(got) in (Fraction, SingularLimitError)
+
+
+def test_limit_matches_sequential_oracle_on_the_6_vertex_box():
+    """Every designation of 1-3 stretchable strings, in detection order, of
+    every genus-0 class with at most 6 vertices and self >= -3."""
+    kinds = Counter()
+    for entry in enumerate_admissible(EnumBounds(6, min_self=-3)):
+        g = graph_from_encoding(entry.encoding)
+        strings = stretchable(g)
+        for k in (1, 2, 3):
+            for picked in combinations(strings, k):
+                kinds[outcome_kind(limit_against_sequential(g, list(picked)))] += 1
+    assert kinds == {Fraction: 1483, PreconditionError: 460, SingularLimitError: 295}
+
+
+def test_limit_matches_sequential_oracle_on_random_graphs():
+    """Every designation of 1-3 stretchable strings, each in a seeded
+    order, on 400 seeded random admissible graphs, and on 400 more of
+    (-2)-curves only, whose strings are longer: a string of length 1
+    designated with one of length 3 or more is where a core that holds
+    the longer one at the wrong length goes wrong."""
+    kinds = Counter()
+    for bounds in (LIMIT_BOUNDS, EnumBounds(8, min_self=-2, max_genus=1)):
+        for seed in range(400):
+            rng = random.Random(seed)
+            g = random_admissible(rng, bounds)
+            strings = stretchable(g)
+            for k in (1, 2, 3):
+                for picked in combinations(strings, k):
+                    kinds[outcome_kind(limit_against_sequential(g, rng.sample(picked, k)))] += 1
+    assert sum(kinds.values()) >= 400
+    assert set(kinds) == {Fraction, PreconditionError, SingularLimitError}
+
+
+def string_rich_graph(rng):
+    """A random graph, neither connected nor definite as a rule, rich in
+    strings and in what ends them: paths of mostly genus-0 (-2)-vertices,
+    listed in a shuffled vertex order, some genus-1 (-2)-vertices and
+    (-3)-vertices, multiplicity-2 edges, and chords that close (-2)-cycles
+    or cycles through one other vertex.  Components that are one chain
+    arise wherever a path is cut."""
+    n = rng.randint(1, 9)
+    names = [f"v{i}" for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    data = [(rng.choice((0, 0, 0, 0, 1)), rng.choice((-2, -2, -2, -3))) for _ in range(n)]
+    verts = [(names[i], *data[i]) for i in order]
+    pairs = {}
+
+    def join(a, b):
+        pairs.setdefault(frozenset((a, b)), (names[a], names[b], rng.choice((1, 1, 1, 1, 2))))
+
+    for i in range(1, n):
+        if rng.random() < 0.85:
+            join(i - 1 if rng.random() < 0.7 else rng.randrange(i), i)
+    if n >= 3:
+        for _ in range(rng.randint(0, 2)):
+            join(*rng.sample(range(n), 2))
+    return build_graph(verts, list(pairs.values()))
+
+
+def splices_against_oracles(g, kinds):
+    """Check `detect_strings` and `_splice`, at every length up to two past
+    each detected string's and every insertion site's, against the
+    oracles: equal graphs, edge order included, equal descriptors, or the
+    same error class and message."""
+    strings = detect_strings(g)
+    assert strings == component_strings(g)
+    sites = [StringDescriptor((), site.a, site.b) for site in find_sites(g)]
+    for s in strings + sites:
+        for length in range(len(s.chain) + 3):
+            got = outcome(lambda: transforms._splice(g, s, length))
+            assert got == outcome(lambda: id_splice(g, s, length)), (g, s, length)
+            if isinstance(got[0], type):
+                kinds[got] += 1
+                continue
+            assert all(type(e) is Edge for e in got[0].edges)
+            if length < len(s.chain):
+                end = s.chain[length - 1] if length else s.left
+                if None not in (end, s.right) and g.edge_mult(end, s.right):
+                    kinds["bumped"] += 1  # the new end already met its right attachment
+
+
+def test_detect_strings_and_splice_match_oracles():
+    kinds = Counter()
+    for spec in _family_corpus():
+        splices_against_oracles(generate(spec), kinds)
+    for seed in range(500):
+        splices_against_oracles(string_rich_graph(random.Random(seed)), kinds)
+    for g in (triangle(), a_chain(1), a_chain(4)):
+        splices_against_oracles(g, kinds)
+    same_vertex = "cannot shrink to length 0: both attachments are the same vertex"
+    assert kinds[PreconditionError, same_vertex] > 0
+    assert kinds[InvalidGraphError, "graph needs at least one vertex"] > 0
+    assert kinds["bumped"] > 0
