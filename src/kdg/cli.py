@@ -49,6 +49,8 @@ def _parse_params(text: Optional[str]) -> dict[str, int]:
         key = key.strip()
         if not sep or not key:
             raise PreconditionError(f"bad parameter assignment {item!r} (expected name=value)")
+        if key in out:
+            raise PreconditionError(f"parameter {key} is given twice")
         try:
             out[key] = int(value)
         except ValueError:

@@ -20,10 +20,15 @@ shapes below, writing x for a genus-0 (-3)-vertex and o for a genus-0
 * double_three(n): x - o^n - x; simple_elliptic(w): one genus-1 vertex of
   self-intersection -w; non_lc_star: a (-5)-vertex with four (-3)-leaves.
 
-`expected_limit` gives the exact limit of the closed form as chosen arm
-parameters tend to infinity, and `stretch_descriptor` points at the maximal
-string of a generated member that realizes that parameter, so the limit
-machinery can be checked end to end.
+Each family's -K^2 is written once (`_K2_FORMS`), as a (numerator,
+denominator) pair in the factors a_x = x/(x+1) of its arm parameters x.
+Each counts the vertices of a (-2)-string, up to a fixed offset, and a
+string of length L enters -K^2 only through its Hirzebruch-Jung factor
+L/(L+1).  `closed_form_k2` reads the pair at the member.  `expected_limit`
+reads it with every stretched factor at its limit 1, UNBOUNDED when the
+denominator vanishes there.  `stretch_descriptor`
+points at the maximal string of a generated member that realizes an arm
+parameter, so the limit machinery can be checked end to end.
 """
 
 from __future__ import annotations
@@ -289,45 +294,38 @@ def _arm(p: int) -> Fraction:
     return Fraction(p, p + 1)
 
 
+# -K^2 of each family as (numerator, denominator), given the parameters p
+# and a(x) = x/(x+1) for each arm parameter x (`_STRETCH`).
+_K2_FORMS = {
+    "A": lambda p, a: (0, 1),
+    "D": lambda p, a: (0, 1),
+    "E6": lambda p, a: (0, 1),
+    "E7": lambda p, a: (0, 1),
+    "E8": lambda p, a: (0, 1),
+    "I": lambda p, a: (1, 3 - a("n") - a("s") - a("t")),
+    "II": lambda p, a: (1, 2 - a("n")),
+    "III": lambda p, a: (1, 5 - a("n") - 4 * a("s")),
+    "IV": lambda p, a: (4, 7 - 4 * a("n")),
+    "V": lambda p, a: (3, 5 - 3 * a("n")),
+    "VI": lambda p, a: (3 - 2 * a("n"), 9 * (1 - a("n"))),
+    "VII": lambda p, a: (2, 3),
+    "VIII": lambda p, a: (4, 5),
+    "IX": lambda p, a: (2, 3),
+    "two_curve": lambda p, a: (p["k"] ** 2 * (2 * p["m"] + 1) ** 2, p["k"] * p["m"] + 1 - a("n")),
+    "tail": lambda p, a: (p["r"] ** 2, p["k"] + 1 - a("n")),
+    "two_tail": lambda p, a: (p["r"] ** 2, p["k"] + 2 - a("n") - a("s")),
+    "double_three": lambda p, a: (1, 1),
+    "simple_elliptic": lambda p, a: (p["w"], 1),
+    "non_lc_star": lambda p, a: (71, 11),
+}
+
+
 def closed_form_k2(spec: FamilySpec) -> Fraction:
     """-K^2 of the family member, straight from the closed form."""
     _check_domain(spec)
     p = dict(spec.params)
-    name = spec.name
-    if name in ("A", "D", "E6", "E7", "E8"):
-        return Fraction(0)
-    if name == "I":
-        return 1 / (3 - _arm(p["n"]) - _arm(p["s"]) - _arm(p["t"]))
-    if name == "II":
-        return Fraction(p["n"] + 1, p["n"] + 2)
-    if name == "III":
-        return 1 / (3 - _arm(p["n"]) - Fraction(2 * (p["s"] - 1), p["s"] + 1))
-    if name == "IV":
-        return Fraction(4 * p["n"] + 4, 3 * p["n"] + 7)
-    if name == "V":
-        return Fraction(3 * p["n"] + 3, 2 * p["n"] + 5)
-    if name == "VI":
-        return Fraction(p["n"] + 3, 9)
-    if name in ("VII", "IX"):
-        return Fraction(2, 3)
-    if name == "VIII":
-        return Fraction(4, 5)
-    if name == "two_curve":
-        k, m, n = p["k"], p["m"], p["n"]
-        top = 2 * (1 + Fraction(1, n)) * k**2 * (2 * m + 1) ** 2
-        bottom = (2 * k * m + 2) * (1 + Fraction(1, n)) - 2
-        return top / bottom
-    if name == "tail":
-        return Fraction(p["r"]) ** 2 / (p["k"] + 1 - _arm(p["n"]))
-    if name == "two_tail":
-        return Fraction(p["r"]) ** 2 / (p["k"] + 2 - _arm(p["n"]) - _arm(p["s"]))
-    if name == "double_three":
-        return Fraction(1)
-    if name == "simple_elliptic":
-        return Fraction(p["w"])
-    if name == "non_lc_star":
-        return Fraction(71, 11)
-    raise PreconditionError(f"unknown family {name!r}")  # pragma: no cover
+    num, den = _K2_FORMS[spec.name](p, lambda x: _arm(p[x]))
+    return Fraction(num) / den
 
 
 def two_curve_coefficient(spec: FamilySpec) -> Fraction:
@@ -342,22 +340,29 @@ def two_curve_coefficient(spec: FamilySpec) -> Fraction:
     return top / bottom
 
 
-_STRETCHABLE = {
-    "I": ("n", "s", "t"),
-    "II": ("n", "s"),
-    "III": ("n", "s"),
-    "IV": ("n",),
-    "V": ("n",),
-    "VI": ("n",),
-    "two_curve": ("n",),
-    "tail": ("n",),
-    "two_tail": ("n", "s"),
-    "double_three": ("n",),
+# The (-2)-arm each stretchable parameter counts: a vertex on it, and the
+# least value of the parameter at which that vertex sits on a maximal
+# string.  III's chain c is attached at its second vertex, so its
+# stretchable part starts at c3, and VI's at its third, so at c4.  At
+# two_curve's n = 1 the only maximal string runs between the two genus
+# curves, a different direction entirely; the dangling tail f that
+# realizes n only becomes a string from n = 2 on.
+_STRETCH = {
+    "I": {"n": ("n1", 1), "s": ("s1", 1), "t": ("t1", 1)},
+    "II": {"n": ("n1", 1), "s": ("s1", 1)},
+    "III": {"n": ("n1", 1), "s": ("c3", 3)},
+    "IV": {"n": ("n1", 1)},
+    "V": {"n": ("n1", 1)},
+    "VI": {"n": ("c4", 2)},
+    "two_curve": {"n": ("f2", 2)},
+    "tail": {"n": ("n1", 1)},
+    "two_tail": {"n": ("n1", 1), "s": ("s1", 1)},
+    "double_three": {"n": ("n1", 1)},
 }
 
 
 def stretchable_parameters(spec: FamilySpec) -> tuple[str, ...]:
-    return _STRETCHABLE.get(spec.name, ())
+    return tuple(_STRETCH.get(spec.name, ()))
 
 
 def _check_stretched(spec: FamilySpec, stretched: Iterable[str]) -> set[str]:
@@ -374,69 +379,30 @@ def _check_stretched(spec: FamilySpec, stretched: Iterable[str]) -> set[str]:
 
 
 def expected_limit(spec: FamilySpec, stretched: Iterable[str]) -> LimitValue:
-    """Exact limit of closed_form_k2 as the chosen parameters go to infinity.
+    """Exact limit of closed_form_k2 as the chosen parameters go to infinity:
+    the closed form with each chosen arm factor at its limit 1.
 
-    Returns UNBOUNDED when the closed form diverges in that direction.
+    Returns UNBOUNDED when that leaves its denominator 0.
     """
     _check_domain(spec)
     chosen = _check_stretched(spec, stretched)
     p = dict(spec.params)
-
-    def arm(key: str) -> Fraction:
-        return Fraction(1) if key in chosen else _arm(p[key])
-
-    name = spec.name
-    if name == "I":
-        d = 3 - arm("n") - arm("s") - arm("t")
-        return UNBOUNDED if d == 0 else 1 / d
-    if name == "II":
-        return Fraction(1) if "n" in chosen else closed_form_k2(spec)
-    if name == "III":
-        d = 3 - arm("n") - (Fraction(2) if "s" in chosen else Fraction(2 * (p["s"] - 1), p["s"] + 1))
-        return UNBOUNDED if d == 0 else 1 / d
-    if name == "IV":
-        return Fraction(4, 3)
-    if name == "V":
-        return Fraction(3, 2)
-    if name == "VI":
-        return UNBOUNDED
-    if name == "two_curve":
-        k, m = p["k"], p["m"]
-        return Fraction(k**2 * (2 * m + 1) ** 2, k * m)
-    if name == "tail":
-        return Fraction(p["r"]) ** 2 / Fraction(p["k"])
-    if name == "two_tail":
-        return Fraction(p["r"]) ** 2 / (p["k"] + 2 - arm("n") - arm("s"))
-    if name == "double_three":
-        return Fraction(1)
-    raise PreconditionError(f"family {name} has no stretch limits")  # pragma: no cover
+    num, den = _K2_FORMS[spec.name](p, lambda x: 1 if x in chosen else _arm(p[x]))
+    return UNBOUNDED if den == 0 else Fraction(num) / den
 
 
 def stretch_descriptor(spec: FamilySpec, g: WeightedDualGraph, param: str) -> StringDescriptor:
     """The maximal string of this member realizing the given arm parameter.
 
-    The member must be large enough for the arm to contain at least one
-    chain vertex (for III the attachment splits the chain, so the
-    stretchable part starts at its third vertex).
+    The member must be large enough for the arm's marker vertex (`_STRETCH`)
+    to sit on that string.
     """
     _check_stretched(spec, [param])
-    p = dict(spec.params)
-    name = spec.name
-    if name == "III" and param == "s":
-        _require(p["s"] >= 3, "III s-stretch needs s >= 3 in the starting member")
-        marker = "c3"
-    elif name == "VI":
-        _require(p["n"] >= 2, "VI stretch needs n >= 2 in the starting member")
-        marker = "c4"
-    elif name == "two_curve":
-        # at n = 1 the only maximal string runs between the two genus
-        # curves, which is a different direction entirely; the dangling
-        # tail that realizes n only becomes a string from n = 2 on
-        _require(p["n"] >= 2, "two_curve stretch needs n >= 2 in the starting member")
-        marker = "f2"
-    else:
-        _require(p[param] >= 1, f"{name} {param}-stretch needs {param} >= 1 in the starting member")
-        marker = f"{param}1"
+    marker, least = _STRETCH[spec.name][param]
+    _require(
+        spec[param] >= least,
+        f"{spec.name} {param}-stretch needs {param} >= {least} in the starting member",
+    )
     target = g.index_of(marker)
     for s in detect_strings(g):
         if target in s.chain:

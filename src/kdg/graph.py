@@ -230,10 +230,6 @@ def validate(g: WeightedDualGraph) -> ValidationReport:
     return ValidationReport(connected, negdef, minimal, tuple(messages))
 
 
-def is_admissible(g: WeightedDualGraph) -> bool:
-    return validate(g).admissible
-
-
 def subgraph(g: WeightedDualGraph, keep: Sequence[int]) -> WeightedDualGraph:
     """Induced subgraph on the given vertex indices (original order kept)."""
     idx = sorted(set(keep))

@@ -5,10 +5,10 @@ Three related pieces live here:
 * chain insertion: replacing a multiplicity-1 edge between two genus-0
   (-2)-vertices by a chain of n fresh (-2)-vertices, together with the
   exact bookkeeping (`verify_insertion`) showing how -K^2 grows;
-* string contraction: eliminating such a chain from the linear system.
-  The Schur complement of an n-chain block is explicit: the two endpoint
-  "props" get diagonal -(n+2)/(n+1) and mutual entry 1/(n+1), everything
-  else is untouched;
+* string contraction: eliminating such a chain from the linear system
+  (`_hirzebruch_jung`).  The Schur complement of an n-chain block is
+  explicit: the two endpoint "props" get diagonal -(n+2)/(n+1) and mutual
+  entry 1/(n+1), everything else is untouched;
 * limits: letting designated string lengths go to infinity.  The contracted
   block converges entrywise to diagonal -1, coupling 0; strings whose two
   end coefficients already agree contribute a constant and are frozen at
@@ -56,7 +56,7 @@ class StringDescriptor:
     `chain` lists the vertex indices along the path; `left`/`right` are the
     indices of the vertices the two chain ends attach to, or None when a
     chain end touches nothing else.  detect_strings produces maximal such
-    chains; `_contracted` accepts any insertion-shaped one.
+    chains.
     """
 
     chain: tuple[int, ...]
@@ -163,7 +163,7 @@ def insert_minus2(g: WeightedDualGraph, site: InsertionSite, n: int) -> Weighted
     return _splice(g, empty, n)[0]
 
 
-def _check_string_structure(g: WeightedDualGraph, s: StringDescriptor, allow_empty: bool) -> None:
+def _check_string_structure(g: WeightedDualGraph, s: StringDescriptor) -> None:
     n = len(g)
     for label, idx in (("left", s.left), ("right", s.right)):
         if idx is not None and not (0 <= idx < n):
@@ -172,15 +172,9 @@ def _check_string_structure(g: WeightedDualGraph, s: StringDescriptor, allow_emp
         raise PreconditionError("string chain repeats a vertex")
     if any(not (0 <= i < n) for i in s.chain):
         raise PreconditionError("string chain index out of range")
-    adj = g.adjacency()
     if not s.chain:
-        if not allow_empty:
-            raise PreconditionError("string chain is empty")
-        if s.left is None or s.right is None or s.left == s.right:
-            raise PreconditionError("empty string needs two distinct attachments")
-        if adj[s.left].get(s.right) != 1:
-            raise PreconditionError("empty string attachments must share a multiplicity-1 edge")
-        return
+        raise PreconditionError("string chain is empty")
+    adj = g.adjacency()
     chain_set = set(s.chain)
     if s.left in chain_set or s.right in chain_set:
         raise PreconditionError("string attachments must lie outside the chain")
@@ -208,38 +202,10 @@ def _check_string_structure(g: WeightedDualGraph, s: StringDescriptor, allow_emp
             raise PreconditionError("right attachment does not match the graph")
 
 
-def contracted_indices(g: WeightedDualGraph, s: StringDescriptor) -> list[int]:
-    """Vertex indices that survive `_contracted`, in original order: its
-    system's row k belongs to vertex `contracted_indices(g, s)[k]`."""
-    chain_set = set(s.chain)
-    return [i for i in range(len(g)) if i not in chain_set]
-
-
-def _contracted(
-    g: WeightedDualGraph, s: StringDescriptor
-) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, int]]:
-    """The system of g with the chain of s eliminated from the
-    intersection matrix (`_hirzebruch_jung`), the descriptor's left and
-    right vertices acting as props: genus-0 (-2)-vertices, as in an
-    insertion.  The last item maps each kept vertex to its row
-    (`contracted_indices`)."""
-    _check_string_structure(g, s, allow_empty=True)
-    if s.left is None or s.right is None:
-        raise PreconditionError("contraction needs prop vertices on both ends")
-    if s.left == s.right:
-        raise PreconditionError("contraction needs two distinct prop vertices")
-    if not (_is_minus2(g, s.left) and _is_minus2(g, s.right)):
-        raise PreconditionError("props must be (-2)-curves")
-    if s.chain and g.edge_mult(s.left, s.right) != 0:
-        raise PreconditionError("props of a non-empty string must not be adjacent")
-    weights, adj, c, local = _system_without(g, set(s.chain))
-    _hirzebruch_jung(weights, adj, local[s.left], local[s.right], len(s.chain))
-    return weights, adj, c, local
-
-
 def _hirzebruch_jung(weights: list[int], rows: list[dict[int, int]], p: int, q: int, n: int) -> None:
     """Eliminate a chain of n (-2)-vertices between rows p and q in place,
-    rows p and q of genus-0 (-2)-vertices already without it.  The chain
+    rows p and q of genus-0 (-2)-vertices already without it, or joined by
+    the one edge that the chain replaces (an insertion site).  The chain
     carries no adjunction weight, so this is plain block elimination: it
     leaves -(n+2)/(n+1) on the diagonal of p and q and 1/(n+1) between
     them, and both rows are scaled by n + 1, which makes them integral.  c
@@ -271,7 +237,9 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     identity relating the old and new canonical data.
 
     g, the inserted graph and the inserted graph with its new chain
-    contracted are factored once each (`_solution`), -K^2 checked two ways.
+    eliminated are factored once each (`_solution`), -K^2 checked two ways.
+    The last system is g's own with its site edge replaced by the chain's
+    block (`_hirzebruch_jung` on a copy of g's rows).
     All comparisons are exact rational equalities; the report lists each
     one with its two sides so a failure is auditable.
     """
@@ -300,10 +268,11 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     # contracted system: the new chain eliminated, same index set as g; as
     # a Schur complement of a negative definite matrix it is one too
     a, b = site.a, site.b
-    chain = StringDescriptor(tuple(range(len(g), len(stretched))), min(a, b), max(a, b))
+    weights, rows, c = _graph_system(g)
+    rows = list(rows)  # g's own maps stay as they are
+    _hirzebruch_jung(weights, rows, a, b, n)
     m_after, k2_contracted, det_scaled = solved(
-        *_contracted(stretched, chain)[:3],
-        InternalCheckError("contracted system is not negative definite"),
+        weights, rows, c, InternalCheckError("contracted system is not negative definite")
     )
     det_contracted = det_scaled / (n + 1) ** 2
 
@@ -415,7 +384,7 @@ def with_string_length(
     joins the two attachments directly (bumping an existing edge).  Returns
     the new graph and the updated descriptor (None at length 0).
     """
-    _check_string_structure(g, s, allow_empty=False)
+    _check_string_structure(g, s)
     if length < 0:
         raise PreconditionError(f"string length must be >= 0, got {length}")
     return _splice(g, s, length)

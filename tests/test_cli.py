@@ -118,6 +118,19 @@ def test_family_bad_params():
     assert run("family", "X").returncode == 2
 
 
+def test_repeated_parameter_exits_4(capsys):
+    """A name given twice in `family --params` or `sweep --fix` exits 4
+    naming it, instead of keeping the last value."""
+    assert main(["family", "A", "--params", "n=3,n=2"]) == 4
+    assert main(["sweep", "I", "--param", "n", "--range", "0..1", "--fix", "s=1,t=0,s=2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: parameter n is given twice",
+        "error: parameter s is given twice",
+    ]
+
+
 def test_family_vertex_budget_exits_4(monkeypatch, capsys):
     """A member over FAMILY_VERTEX_BUDGET exits 4 from its count alone,
     for `family` and for a `sweep` row."""

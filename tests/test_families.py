@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -225,3 +226,37 @@ def test_limits_realized_by_machinery():
     with pytest.raises(SingularLimitError):
         limit_k_squared(g, [stretch_descriptor(spec, g, "n")])
     assert expected_limit(spec, ["n"]) is UNBOUNDED
+
+
+def test_expected_limits_match_limit_machinery_on_every_small_member():
+    """`expected_limit`, the closed form with its stretched arm factors at
+    1, against `limit_k_squared` on every nonempty set of stretchable
+    parameters of every member with n, s <= 4, t <= 3, k in {2, 4},
+    m in {1, 2} and r <= 6 whose strings `stretch_descriptor` finds; a
+    singular limit system meets UNBOUNDED."""
+    ranges = {"n": range(5), "s": range(5), "t": range(4), "k": (2, 4), "m": (1, 2), "r": range(7)}
+    pairs = 0
+    for name in family_names():
+        keys = kdg.families._PARAMS[name]
+        for values in product(*(ranges.get(k, ()) for k in keys)):
+            try:
+                spec = family_spec(name, **dict(zip(keys, values)))
+            except PreconditionError:
+                continue
+            stretchable = stretchable_parameters(spec)
+            if not stretchable:
+                continue
+            g = generate(spec)
+            for size in range(1, len(stretchable) + 1):
+                for params in combinations(stretchable, size):
+                    try:
+                        strings = [stretch_descriptor(spec, g, p) for p in params]
+                    except PreconditionError:
+                        continue
+                    try:
+                        got = limit_k_squared(g, strings)
+                    except SingularLimitError:
+                        got = UNBOUNDED
+                    assert got == expected_limit(spec, params), (str(spec), params)
+                    pairs += 1
+    assert pairs == 872

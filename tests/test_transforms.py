@@ -30,7 +30,6 @@ from kdg.rational import UNBOUNDED, is_negative_definite
 from kdg.transforms import (
     InsertionSite,
     StringDescriptor,
-    contracted_indices,
     detect_strings,
     find_sites,
     insert_minus2,
@@ -73,42 +72,25 @@ def triangle():
     )
 
 
-def contracted_rows(g, s):
-    """The map rows of `_contracted`'s integer system for g without s."""
-    weights, adj, _, _ = transforms._contracted(g, s)
-    return [a | {i: w} for i, (w, a) in enumerate(zip(weights, adj))]
-
-
 def test_contract_a3_middle():
     """Eliminating the middle of A3 leaves the 2x2 matrix -1/2 [[3, -1],
-    [-1, 3]] on the props; `_contracted` scales both rows by n + 1 = 2."""
-    g = a_chain(3)
-    s = StringDescriptor((1,), 0, 2)
-    assert contracted_rows(g, s) == [{0: -3, 1: 1}, {0: 1, 1: -3}]
-    assert transforms._contracted(g, s)[3] == {0: 0, 2: 1}
-    assert contracted_indices(g, s) == [0, 2]
+    [-1, 3]] on the props; `_hirzebruch_jung` scales both rows by n + 1 = 2.
+    Contracting the edge of A2, A3's insertion site, to a chain of one
+    vertex gives the same rows, as in `verify_insertion`, and leaves A2's
+    own maps as they were."""
 
+    def contracted(weights, rows, p, q):
+        rows = list(rows)
+        transforms._hirzebruch_jung(weights, rows, p, q, 1)
+        return [r | {i: w} for i, (w, r) in enumerate(zip(weights, rows))]
 
-def test_contract_empty_chain_is_original_matrix():
-    g = a_chain(2)
-    s = StringDescriptor((), 0, 1)
-    assert contracted_rows(g, s) == intersection_rows(g)
-
-
-def test_contract_rejects_bad_props():
-    g = build_graph(
-        [("x", 0, -3), ("o", 0, -2), ("y", 0, -3)],
-        [("x", "o", 1), ("o", "y", 1)],
-    )
-    with pytest.raises(PreconditionError, match=r"props must be \(-2\)"):
-        transforms._contracted(g, StringDescriptor((1,), 0, 2))
-    # adjacent props with a nonempty chain in between is inconsistent
-    cyc = build_graph(
-        [("a", 0, -2), ("b", 0, -2), ("c", 0, -2)],
-        [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)],
-    )
-    with pytest.raises(PreconditionError, match="adjacent"):
-        transforms._contracted(cyc, StringDescriptor((1,), 0, 2))
+    weights, rows, _, local = transforms._system_without(a_chain(3), {1})
+    assert local == {0: 0, 2: 1}
+    assert contracted(weights, rows, 0, 1) == [{0: -3, 1: 1}, {0: 1, 1: -3}]
+    a2 = a_chain(2)
+    weights, rows, _ = invariants._graph_system(a2)
+    assert contracted(weights, rows, 0, 1) == [{0: -3, 1: 1}, {0: 1, 1: -3}]
+    assert a2.adjacency() == ({1: 1}, {0: 1})
 
 
 def test_find_sites():
@@ -518,7 +500,7 @@ def test_limit_matches_schur_oracle(seed, data):
 
 def check_detected_strings(g):
     for s in detect_strings(g):
-        transforms._check_string_structure(g, s, allow_empty=False)
+        transforms._check_string_structure(g, s)
 
 
 def test_detected_strings_pass_the_structure_check_on_family_corpus():
