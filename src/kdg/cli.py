@@ -24,7 +24,7 @@ from .enumeration import EnumBounds, enumerate_admissible
 from .errors import InternalCheckError, KdgError, PreconditionError, SingularLimitError
 from .families import closed_form_k2, family_names, family_spec, generate
 from .graph import WeightedDualGraph, graph_to_json, load_graph, to_dot
-from .invariants import _graph_k_squared, invariant_report, report_to_obj, report_to_text
+from .invariants import invariant_report, k_squared, report_to_obj, report_to_text
 from .rational import UNBOUNDED, rat_decimal, rat_str
 from .transforms import (
     StringDescriptor,
@@ -141,7 +141,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = [["param", "k2_exact", "k2_decimal", "closed_form", "match"]]
     for value in range(lo, hi + 1):
         spec = family_spec(args.name, **{**fixed, args.param: value})
-        direct = _graph_k_squared(generate(spec))
+        direct = k_squared(generate(spec))
         formula = closed_form_k2(spec)
         rows.append(_printable(lambda: [
             value, rat_str(direct), rat_decimal(direct), rat_str(formula),

@@ -11,8 +11,11 @@ hashable, they unpack and compare equal to plain tuples of their fields.
 Ingestion (`parse_graph_obj` -> `build_graph` -> `WeightedDualGraph`)
 reads each vertex and edge once: the JSON layer checks types and keys,
 `build_graph` resolves ids to indices, and the graph's constructor is the
-one place that checks values, building the graph's lookup maps in the same
-loops.  Error text is built only when one is raised.
+one place that checks values, plain ints included, building the graph's
+lookup maps, the diagonal of M and c in the same loops.  Error text is
+built only when one is raised.  A graph factors [M | c] once, on first use
+(`rational.factor`), and definiteness, the canonical cycle, -K^2 and the
+p_a search all read that factorization.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, PreconditionError
-from .rational import SymmetricIntRows, is_negative_definite
+from .rational import Factorization, factor, is_negative_definite
 
 
 class VertexData(NamedTuple):
@@ -62,12 +65,15 @@ class WeightedDualGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        """Checks each record once, building the id index, c and the adjacency
-        maps as it goes; they live in the instance dict, not in fields, so
-        equality and hashing still see only vertices and edges."""
+        """Checks each record once, building the id index, the diagonal of M,
+        c and the adjacency maps as it goes; they live in the instance dict,
+        not in fields, so equality and hashing still see only vertices and
+        edges.  Every genus, self-intersection, edge index and multiplicity
+        must be a plain int: a float or a bool raises `InvalidGraphError`."""
         if not self.vertices:
             raise InvalidGraphError("graph needs at least one vertex")
         index: dict[str, int] = {}
+        weights = []
         degrees = []
         adj: list[dict[int, int]] = []
         for vid, genus, self_int in self.vertices:
@@ -75,6 +81,11 @@ class WeightedDualGraph:
                 raise InvalidGraphError(f"vertex id must be a non-empty string, got {vid!r}")
             if vid in index:
                 raise InvalidGraphError(f"duplicate vertex id {vid!r}")
+            if type(genus) is not int or type(self_int) is not int:
+                raise InvalidGraphError(
+                    f"vertex {vid!r}: integer genus and self-intersection expected,"
+                    f" got {genus!r}, {self_int!r}"
+                )
             if genus < 0:
                 raise InvalidGraphError(f"vertex {vid!r}: genus must be >= 0, got {genus}")
             if self_int > -1:
@@ -82,10 +93,15 @@ class WeightedDualGraph:
                     f"vertex {vid!r}: self-intersection must be <= -1, got {self_int}"
                 )
             index[vid] = len(adj)
+            weights.append(self_int)
             degrees.append(2 * genus - 2 - self_int)
             adj.append({})
         n = len(adj)
         for a, b, mult in self.edges:
+            if type(a) is not int or type(b) is not int:
+                raise InvalidGraphError(f"edge ({a!r}, {b!r}): integer vertex indices expected")
+            if type(mult) is not int:
+                raise InvalidGraphError(f"edge ({a}, {b}): integer multiplicity expected, got {mult!r}")
             if not (0 <= a < n and 0 <= b < n):
                 raise InvalidGraphError(f"edge ({a}, {b}) references a missing vertex")
             if a == b:
@@ -98,16 +114,19 @@ class WeightedDualGraph:
             if b in row:
                 raise InvalidGraphError(f"duplicate edge pair ({a}, {b})")
             row[b] = adj[b][a] = mult
-        self.__dict__.update(_index=index, _degrees=tuple(degrees), _adjacency=tuple(adj))
+        self.__dict__.update(
+            _index=index, _weights=tuple(weights), _degrees=tuple(degrees), _adjacency=tuple(adj)
+        )
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     # Derived data built on first use, in the instance dict like the maps.
     @cached_property
-    def _intersection_rows(self) -> SymmetricIntRows:
-        # a float or bool record raises ValueError here, when the rows are first built
-        return SymmetricIntRows(a | {i: v.self_int} for i, (a, v) in enumerate(zip(self._adjacency, self.vertices)))
+    def _factorization(self) -> Factorization:
+        """[M | c] factored once per graph, on its diagonal, adjacency maps
+        and c; every kernel that asks about g reads it."""
+        return factor(self._weights, self._adjacency, self._degrees)
 
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
@@ -139,9 +158,9 @@ class WeightedDualGraph:
     def adjacency(self) -> tuple[dict[int, int], ...]:
         """Per-vertex map neighbor index -> intersection multiplicity.
 
-        Like g's intersection rows and c, the maps are built once per graph
-        and every call hands out the same ones, so they are read-only: a
-        caller that changes a row copies it first, as `intersection_rows` does."""
+        Like c and g's factorization, the maps are built once per graph and
+        every call hands out the same ones, so they are read-only: a caller
+        that changes a row copies it first."""
         return self._adjacency
 
     def edge_mult(self, i: int, j: int) -> int:
@@ -186,15 +205,6 @@ def intersection_matrix(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def intersection_rows(g: WeightedDualGraph) -> list[dict[int, int]]:
-    """The intersection matrix as map rows for the `rational` kernels: row
-    i maps each neighbour of vertex i to the intersection number and i to
-    its self-intersection.  New maps on every call, copied from the rows g
-    builds once in O(n + edges); `validate` and `kdg.invariants` hand those
-    read-only rows to the kernels, which copy what they eliminate."""
-    return list(map(dict.copy, g._intersection_rows))
-
-
 def adjunction_degrees(g: WeightedDualGraph) -> tuple[int, ...]:
     """The vector c with c_i = 2*genus_i - 2 - self_int_i, one tuple per graph.
 
@@ -219,7 +229,7 @@ def validate(g: WeightedDualGraph) -> ValidationReport:
     connected = is_connected(g)
     if not connected:
         messages.append(f"not connected: {len(g._components)} components")
-    negdef = is_negative_definite(g._intersection_rows)
+    negdef = is_negative_definite(g._factorization)
     if not negdef:
         messages.append("not negative definite")
     minimal = True

@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .errors import (
     InternalCheckError,
     InvalidGraphError,
-    KdgError,
     NotNegativeDefiniteError,
     PreconditionError,
 )
@@ -32,16 +31,14 @@ from .graph import (
     validate,
 )
 from .rational import (
+    Factorization,
     RatVector,
-    back_substitute,
-    closed_det,
     is_negative_definite,
-    lcm_denominators,
     negative_pivots,
+    quadratic_form,
     rat_decimal,
     rat_str,
     solve,
-    sparse_bareiss,
     vec,
 )
 
@@ -90,99 +87,59 @@ class InvariantReport:
     bound_checks: tuple[BoundCheck, ...]
 
 
-def _checked_matrix(g: WeightedDualGraph):
-    """M as g's own read-only map rows, built and checked once per graph
-    (`rational.SymmetricIntRows`; `intersection_rows` copies them), so the
-    kernels only copy them; NotNegativeDefiniteError unless M is negative
-    definite, checked on every call and decided by one elimination per
-    rows object (`rational.is_negative_definite` keeps the answer)."""
-    m = g._intersection_rows
-    if not is_negative_definite(m):
+def _checked_matrix(g: WeightedDualGraph) -> Factorization:
+    """g's factorization of [M | c], built once per graph
+    (`WeightedDualGraph._factorization`); NotNegativeDefiniteError unless
+    M is negative definite, checked on every call."""
+    f = g._factorization
+    if not is_negative_definite(f):
         raise NotNegativeDefiniteError("intersection matrix is not negative definite")
-    return m
+    return f
+
+
+def _solved(g: WeightedDualGraph) -> tuple[list[int], int]:
+    """(y, d) with d = det M and y = d m, M m = c, read off g's
+    factorization (`rational.solve`), after `_checked_matrix`."""
+    return solve(_checked_matrix(g), NotNegativeDefiniteError("intersection matrix is not negative definite"))
 
 
 def canonical_cycle(g: WeightedDualGraph) -> Cycle:
     """Coefficients of the numerical canonical cycle (M m = c)."""
-    m = _checked_matrix(g)
-    return Cycle.from_coefficients(solve(m, adjunction_degrees(g)))
+    y, d = _solved(g)
+    return Cycle.from_coefficients([Fraction(v, d) for v in y])
 
 
 def k_squared(g: WeightedDualGraph) -> Fraction:
     """-K^2, computed two ways (-t(m) M m and -sum m_i c_i) and cross-checked,
-    in integers on y = den * m, den the common denominator of m."""
-    # Not `_graph_k_squared` yet: the benchmark self-test pins these solve and definiteness counts.
-    m = _checked_matrix(g)
-    c = adjunction_degrees(g)
-    coeffs = solve(m, c)
-    den = lcm(*{x.denominator for x in coeffs})
-    y = [x.numerator * (den // x.denominator) for x in coeffs]
-    return _checked_k_squared([v.self_int for v in g.vertices], g.adjacency(), c, y, den)
+    in integers on y = d m, d = det M, read off g's factorization.  Raises
+    NotNegativeDefiniteError unless M is negative definite."""
+    return _checked_k_squared(g._weights, g.adjacency(), adjunction_degrees(g), *_solved(g))
 
 
 def _checked_k_squared(weights: Sequence[int], adj, c: Sequence[int], y: Sequence[int], d: int) -> Fraction:
     """-K^2 = -y.c / d for the integer vector y = d m, M m = c, after
-    checking that -t(y) M y / d^2 agrees: t(y) M y = d * y.c."""
+    checking that -t(y) M y / d^2 agrees: t(y) M y = d * y.c.  The
+    difference is summed as sum_i y_i ((M y)_i - d c_i), M given by its
+    diagonal and adjacency maps, whose terms vanish when y is right, so no
+    two entries of y, which grow with det M, are multiplied."""
     y_dot_c = sum(map(mul, y, c))
-    y_form = _form(weights, adj, y)
-    if y_form != d * y_dot_c:
+    excess = 0
+    for yi, w, row, ci in zip(y, weights, adj, c):
+        row_dot = w * yi - d * ci
+        for j, mult in row.items():
+            row_dot += mult * y[j]
+        excess += yi * row_dot
+    if excess:
         raise InternalCheckError(
-            f"-K^2 mismatch: quadratic form {Fraction(-y_form, d * d)}"
+            f"-K^2 mismatch: quadratic form {Fraction(-excess - d * y_dot_c, d * d)}"
             f" vs adjunction sum {Fraction(-y_dot_c, d)}"
         )
     return Fraction(-y_dot_c, d)
 
 
 def _graph_system(g: WeightedDualGraph) -> tuple[list[int], Sequence[dict], Sequence[int]]:
-    """M m = c for g: (diagonal of M, its adjacency maps, c)."""
-    return [v.self_int for v in g.vertices], g.adjacency(), adjunction_degrees(g)
-
-
-def _solution(
-    weights: Sequence[int],
-    adj: Sequence[dict[int, int]],
-    c: Sequence[int],
-    not_definite: KdgError,
-    singular: Optional[KdgError] = None,
-) -> tuple[list[int], int]:
-    """(y, d) for M m = c, M given by its integer diagonal and adjacency
-    maps, from one `sparse_bareiss` on them: d = det M (`closed_det`) and
-    y = d m.  Raises `not_definite` unless every pivot N_p and its scale
-    s_p make M negative semidefinite (N_p s_p <= 0), and `singular`
-    (`not_definite` when None) when M is singular."""
-    diag, rows, rhs = list(weights), list(adj), list(c)
-    done = sparse_bareiss(diag, rows, rhs)
-    if done is None:
-        raise not_definite
-    for d, s in zip(diag, done[1]):
-        if d * s > 0:
-            raise not_definite
-    if not all(diag):
-        raise singular or not_definite
-    d = closed_det(diag, rows)
-    return back_substitute(diag, rows, rhs, done[0], d), d
-
-
-def _graph_k_squared(g: WeightedDualGraph) -> Fraction:
-    """-K^2 of g as `k_squared` gives it, checked the same two ways, from one
-    `sparse_bareiss` on g's adjacency rows (`_solution`).  Raises the same
-    `NotNegativeDefiniteError` when M is not negative definite, singular
-    included."""
-    system = _graph_system(g)
-    y, d = _solution(*system, NotNegativeDefiniteError("intersection matrix is not negative definite"))
-    return _checked_k_squared(*system, y, d)
-
-
-def _form(weights: Sequence[int], adj, v: Sequence) -> Union[int, Fraction]:
-    """t(v) M v = sum_i v_i (w_i v_i + sum_j m_ij v_j), with M given by its
-    diagonal `weights` and its adjacency maps (neighbour -> multiplicity)."""
-    total = 0
-    for vi, w, row in zip(v, weights, adj):
-        row_dot = w * vi
-        for j, mult in row.items():
-            row_dot += mult * v[j]
-        total += vi * row_dot
-    return total
+    """M m = c for g: (a new list of the diagonal of M, its adjacency maps, c)."""
+    return list(g._weights), g.adjacency(), adjunction_degrees(g)
 
 
 #: Steps Laufer's sequence may take before `_laufer` gives up with a
@@ -211,7 +168,7 @@ def _fundamental(g: WeightedDualGraph) -> tuple[Cycle, int, int]:
     error is not kept, so the next call raises it again."""
     data = g.__dict__.get("_fundamental")
     if data is None:
-        z, products = _laufer([v.self_int for v in g.vertices], g.adjacency())
+        z, products = _laufer(g._weights, g.adjacency())
         data = (Cycle.from_coefficients(z), sum(map(mul, z, products)), sum(map(mul, z, adjunction_degrees(g))))
         g.__dict__["_fundamental"] = data
     return data
@@ -276,8 +233,7 @@ def _degrees(g: WeightedDualGraph, coeffs: RatVector) -> tuple[Union[int, Fracti
     when every coefficient is integral, and `Fraction`s otherwise."""
     if all(x.denominator == 1 for x in coeffs):
         coeffs = [x.numerator for x in coeffs]
-    weights = [v.self_int for v in g.vertices]
-    return _form(weights, g.adjacency(), coeffs), sum(map(mul, coeffs, adjunction_degrees(g)))
+    return quadratic_form(g._weights, g.adjacency(), coeffs), sum(map(mul, coeffs, adjunction_degrees(g)))
 
 
 def cycle_degrees(g: WeightedDualGraph, d: Union[Cycle, Sequence]) -> tuple[Fraction, Fraction]:
@@ -311,7 +267,29 @@ PA_SEARCH_BUDGET = 1_000_000
 
 def _pa_of(weights, adj, c, d) -> int:
     """p_a(D) = 1 + (D^2 + K.D)/2 in integers."""
-    return 1 + (_form(weights, adj, d) + sum(map(mul, d, c))) // 2
+    return 1 + (quadratic_form(weights, adj, d) + sum(map(mul, d, c))) // 2
+
+
+def _pa_levels(
+    g: WeightedDualGraph
+) -> tuple[list[int], list[int], list[int], list[list[tuple[int, int]]], list[int]]:
+    """(order, den, cst, low, quad): the levels of `pa_max_bounded`'s
+    ellipsoid, read off g's factorization of [M | c], which must be
+    negative definite.  Level k holds the vertex order[k] that the
+    factorization eliminates k-th from last, with pivot N_k, scale s_k, row
+    x_kl and right-hand side rhs_k.  The factorization of -M with c is M's
+    times sigma_k = sign N_k at each level, so den[k] = 2 |N_k|,
+    cst[k] = -sigma_k rhs_k, low[k] holds (l, 2 sigma_k x_kl) for each
+    nonzero x_kl, l a level, and quad[k] = -4 N_k s_k > 0."""
+    f = g._factorization
+    order = f.order[::-1]
+    level = {v: k for k, v in enumerate(order)}
+    sign = [1 if f.pivots[v] > 0 else -1 for v in order]
+    den = [2 * abs(f.pivots[v]) for v in order]
+    cst = [-s * f.rhs[v] for s, v in zip(sign, order)]
+    low = [[(level[j], 2 * s * x) for j, x in f.rows[v].items() if x] for s, v in zip(sign, order)]
+    quad = [-4 * f.pivots[v] * f.scales[v] for v in order]
+    return order, den, cst, low, quad
 
 
 def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
@@ -337,15 +315,16 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     3. Ellipsoid pruning (Fincke & Pohst, Math. Comp. 44, 1985): with
        D* = -m/2 and M m = c, p_a(D) = 1 + (-K^2)/8 - (D - D*)^T (-M) (D - D*)/2,
        so p_a(D) > best confines D to an ellipsoid that shrinks as best
-       rises.  Its levels are the pivots N_k, the scales s_k and the rows
-       of -M as `sparse_bareiss` leaves them (Bareiss, Math. Comp. 22,
-       1968), last eliminated first, so breadth-first on a connected graph:
-       the form is sum_k u_k^2 / (4 N_k s_k), u_k affine in the coordinate
-       of level k and those before it.  Coordinates are fixed depth-first,
-       each one within the exact projection of the ellipsoid given the
-       coordinates fixed before it, and within the bounds of step 2 that
-       those coordinates imply.  It all runs on integers scaled by the lcm
-       of the 4 N_k s_k.
+       rises.  Its levels are read off g's own factorization of [M | c]
+       (Bareiss, Math. Comp. 22, 1968), last eliminated first, so
+       breadth-first on a connected graph: -M's pivots, scales, rows and
+       right-hand sides are M's times one sign per level, sigma_k = sign N_k,
+       and the form is sum_k u_k^2 / (-4 N_k s_k), u_k affine in the
+       coordinate of level k and those before it.  Coordinates are fixed
+       depth-first, each one within the exact projection of the ellipsoid
+       given the coordinates fixed before it, and within the bounds of
+       step 2 that those coordinates imply.  It all runs on integers scaled
+       by the lcm of the -4 N_k s_k.
 
     Raises `PreconditionError` (exit code 4) when the search visits more
     than `PA_SEARCH_BUDGET` nodes.
@@ -361,22 +340,15 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
     best = max(pa_tz)
     n = len(g)
     adj = g.adjacency()
-    weights = [v.self_int for v in g.vertices]
+    weights = g._weights
     c = adjunction_degrees(g)
-    # Level k holds the vertex that `sparse_bareiss` eliminates k-th from
-    # last in -M, c riding along, with pivot N_k and scale s_k.  Times unit,
-    # the form is sum_k scale[k] * u_k^2, with u_k = den[k] * x_k - (cst[k]
-    # - sum f * x_l over (l, f) in low[k]); at x = 0 it is base = unit * -K^2/4.
-    diag, rows, rhs = [-w for w in weights], [{j: -mult for j, mult in a.items()} for a in adj], list(c)
-    elim, row_scale = sparse_bareiss(diag, rows, rhs)
-    order = elim[::-1]
+    # Times unit, the form is sum_k scale[k] * u_k^2, with u_k = den[k] * x_k
+    # - (cst[k] - sum f * x_l over (l, f) in low[k]); at x = 0 it is
+    # base = unit * -K^2/4.
+    order, den, cst, low, quad = _pa_levels(g)
     level = {v: k for k, v in enumerate(order)}
     w = [weights[v] for v in order]
     nbrs = [[(level[j], mult) for j, mult in adj[v].items()] for v in order]
-    den = [2 * diag[v] for v in order]
-    cst = [rhs[v] for v in order]
-    low = [[(level[j], 2 * f) for j, f in rows[v].items() if f] for v in order]
-    quad = [4 * diag[v] * row_scale[v] for v in order]
     unit = lcm(*quad)
     scale = [unit // q for q in quad]
     base = sum(s * b * b for s, b in zip(scale, cst))
@@ -469,8 +441,10 @@ def pa_max_bounded(g: WeightedDualGraph, bound: int = 3) -> int:
 
 
 def numerical_index(g: WeightedDualGraph) -> int:
-    """Least positive integer r such that r*K has integer coefficients."""
-    return lcm_denominators(canonical_cycle(g).coefficients)
+    """Least positive integer r such that r*K has integer coefficients:
+    |d| / gcd(d, y_1, ..., y_n) for y = d m."""
+    y, d = _solved(g)
+    return abs(d) // gcd(d, *y)
 
 
 def classify(g: WeightedDualGraph) -> str:

@@ -2,86 +2,41 @@
 
 Scalars are `int` or `fractions.Fraction` (arbitrary precision, always in
 lowest terms with positive denominator); vectors are immutable tuples, and
-every rational result is a `Fraction`.
+every rational result is a `Fraction`.  No floating point enters any
+computation; decimal strings are produced for display only.
 
-`det`, `solve`, `is_negative_definite` and `quadratic_form` take one
-matrix form, `SymmetricIntRows`: the map rows of a symmetric matrix of
-plain ints, row i a dict column -> entry over the nonzeros of row i.  A
-graph builds its intersection matrix in this form once
-(`graph.intersection_rows` copies it), and callers that hold a graph pass
-that.  Rows of that type are used as they are; any other rows go through
-`SymmetricIntRows(...)`, which raises ValueError for dense rows, an entry
-that is not a nonzero plain int, a column outside 0..n-1 and values that
-are not symmetric.  The right-hand side c of `solve` holds n plain ints:
-other lengths raise ValueError, other entries TypeError.  Kernels read
-the caller's maps and never change them.  A rows
-object keeps two answers in its instance dict: `is_negative_definite`
-its definiteness, and `solve` one pair, a copy of the last c it was
-given (after c's checks) and the solution.  So a graph's rows are
-eliminated once for definiteness and once for M m = c, however many
-invariants ask; a different c is eliminated and replaces the kept pair.
-Errors are never kept: a singular or indefinite system raises on every
-call, and rows of any other type are checked and eliminated anew on
-every call.  The read-only convention of `SymmetricIntRows` covers the
-kept answers too.
-
-`sparse_bareiss` runs fraction-free elimination (Bareiss, Math. Comp. 22,
-1968) on a diagonal, map rows and a right-hand side in leaf-first order,
-reverse breadth-first over the nonzero pattern, without row swaps.  Each
-row is scaled by the determinants of the eliminated components it meets,
-not by the leading minor of all that is eliminated, so the integers are
-the size of the determinants they stand for, and each pivot is the
-determinant of the component its step closes.  Step p touches only the
-rows that meet p, and on a tree nothing fills in (Parter, SIAM Review 3,
-1961), whatever the vertex order: row p holds only its parent, whose
-diagonal and right-hand side change while the rest of its row takes a
-factor kept apart, so a tree, a star included, costs time linear in its
-size, up to the growth of the integers.  A determinant is the product of
-the pivots that close a component (`closed_det`), solves back substitute
-in integers (`back_substitute`), and m is negative definite when every
-pivot N_p has the opposite sign of its row's scale s_p.  A pivot that
-vanishes over a zero row makes the matrix singular: `det` gives 0 and
-`solve` raises `SingularMatrixError`.  One that vanishes over a nonzero
-entry would need a row swap, which a symmetric matrix needs only when it
-is indefinite, so `det` and `solve` raise ValueError there; the matrix is
-not definite.  Every negative (semi)definite matrix, the only kind kdg
-solves, eliminates without a swap.  Callers that hold a diagonal and
-adjacency maps call `sparse_bareiss` directly: the p_a ellipsoid, and
-`invariants._solution`, which factors once each `sweep` member, each
-`limit` graph, limit system and cross-check member, and each insertion
-and contraction system of `transforms`; the enumerator keeps a Bareiss
-factorization in vertex order in its search and reads each class's
-invariants off that (`negative_pivots`).  Only `nullspace`, the kernel of a
-rectangular matrix, runs its own rational elimination.  No floating point
-enters any computation; a float entry raises, and decimal strings are
-produced for display only.
+Every symmetric integer system M m = c in kdg, M given by its diagonal and
+its map rows (row i a dict column -> entry over the nonzeros of row i), is
+factored once, by `factor`: one fraction-free elimination of [M | c]
+(`sparse_bareiss`; Bareiss, Math. Comp. 22, 1968), leaf-first and without
+row swaps, kept with its definiteness as a `Factorization`.  A graph keeps
+the factorization of its own system; the limit cores and the contracted
+insertion system are factored where they are built.  The kernels read
+it: `is_negative_definite`, `solve` (one integer back substitution per
+factorization, kept) and `det` (`closed_det`); `quadratic_form`
+evaluates t(v) M v on the diagonal and the maps.  Nothing here checks
+its input: every system comes from a graph, whose constructor admits
+only plain ints, or is built by kdg from one.  A symmetric matrix needs a
+row swap only when it is indefinite, so every negative (semi)definite
+matrix, the only kind kdg solves, eliminates without one.  The
+enumerator keeps a Bareiss factorization in vertex order in its search
+and reads each class's invariants off that (`negative_pivots`); only
+`nullspace`, the kernel of a rectangular matrix, runs its own rational
+elimination.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
-
-from .errors import KdgError
 
 RatLike = Union[int, Fraction]
 RatVector = tuple[Fraction, ...]
-
-
-class SingularMatrixError(KdgError):
-    """Raised by `solve` when a pivot vanishes over a zero row.
-
-    `stage` is the zero-based step, in elimination order, where it did.
-    """
-
-    exit_code = 5
-
-    def __init__(self, stage: int):
-        self.stage = stage
-        super().__init__(f"singular matrix: no pivot at elimination stage {stage}")
 
 
 class _Unbounded:
@@ -110,44 +65,6 @@ def rat(x: RatLike) -> Fraction:
 
 def vec(entries: Iterable[RatLike]) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in entries)
-
-
-class SymmetricIntRows(tuple):
-    """Map rows of a symmetric matrix of nonzero plain ints, checked once,
-    when built: every row a dict, every column a plain int in 0..n-1, every
-    stored entry a nonzero plain int and each entry equal to its mirror.
-    Raises ValueError otherwise.  The one matrix form of `det`, `solve`,
-    `is_negative_definite` and `quadratic_form`, which use such rows as
-    they are; `is_negative_definite` decides them once and `solve` keeps
-    its last c with the solution, both in their instance dict.  The rows
-    are read-only by convention: changing one after the check voids it
-    and those answers."""
-
-    def __new__(cls, rows: Iterable[dict[int, int]]) -> "SymmetricIntRows":
-        self = super().__new__(cls, rows)
-        n = len(self)
-        if not all(type(row) is dict for row in self):
-            raise ValueError("map rows expected")
-        entries = list(chain.from_iterable(map(dict.values, self)))
-        if set(map(type, chain(chain.from_iterable(self), entries))) - {int} or not all(entries):
-            raise ValueError("nonzero plain int entries expected")
-        columns = set().union(*self)
-        if columns and (min(columns) < 0 or max(columns) >= n):
-            raise ValueError(f"map row with a column outside 0..{n - 1}")
-        # every stored entry against its mirror, a missing one read as 0
-        if not all(self[j].get(i, 0) == x for i, row in enumerate(self) for j, x in row.items()):
-            raise ValueError("symmetric matrix expected")
-        return self
-
-
-def _checked(m: Sequence[dict[int, int]]) -> SymmetricIntRows:
-    """m itself when it is `SymmetricIntRows`, else m checked as such."""
-    return m if type(m) is SymmetricIntRows else SymmetricIntRows(m)
-
-
-def _diagonal(m: SymmetricIntRows) -> list[int]:
-    """A new list of the diagonal entries of m."""
-    return [row.get(i, 0) for i, row in enumerate(m)]
 
 
 def _leaf_order(rows: list[dict[int, int]]) -> list[int]:
@@ -272,60 +189,6 @@ def closed_det(diag: Sequence[int], rows: Sequence[dict[int, int]]) -> int:
     return math.prod(d for d, row in zip(diag, rows) if not row) if all(diag) else 0
 
 
-def _factor(
-    m: Sequence[dict[int, int]], c: Sequence[int] = ()
-) -> tuple[list[int], list[dict[int, int]], list[int], list[int]]:
-    """Factor [m | c] for `det` and `solve`: (diag, rows, rhs, order) as
-    `sparse_bareiss` leaves them, on m's own maps (`_checked`).  Raises
-    ValueError as `_checked` does, and when elimination would need a row
-    swap, which on a symmetric m means it is indefinite.
-    """
-    m = _checked(m)
-    diag, rows, rhs = _diagonal(m), list(m), list(c)
-    done = sparse_bareiss(diag, rows, rhs)
-    if done is None:
-        raise ValueError(
-            "a pivot vanishes over a nonzero row: elimination needs a row swap,"
-            " which a symmetric matrix needs only when it is indefinite"
-        )
-    return diag, rows, rhs, done[0]
-
-
-def det(m: Sequence[dict[int, int]]) -> Fraction:
-    """Exact determinant.  Raises ValueError as `_factor` does."""
-    if not len(m):
-        return Fraction(1)
-    diag, rows, _, _ = _factor(m)
-    return Fraction(closed_det(diag, rows))
-
-
-def solve(m: Sequence[dict[int, int]], c: Sequence[int]) -> tuple[Fraction, ...]:
-    """Solve m x = c exactly.  Raises SingularMatrixError(stage) when m is
-    singular, stage counted in elimination order, ValueError as `_factor`
-    does and unless c has one entry per row, and TypeError for an entry of
-    c that is not a plain int.  The rows object (`_checked`) keeps its
-    last c, once c is checked, with the answer: the same c again is
-    answered without an elimination, another c replaces the pair.  An
-    error is not kept, so it is raised on every call."""
-    m = _checked(m)
-    key = tuple(c)
-    if len(key) != len(m):
-        raise ValueError("dimension mismatch")
-    for x in key:
-        if type(x) is not int:
-            raise TypeError(f"plain int expected, got {type(x).__name__}")
-    kept = m.__dict__.get("_solved")
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    diag, rows, rhs, order = _factor(m, key)
-    if not all(diag):
-        raise SingularMatrixError(next(k for k, p in enumerate(order) if not diag[p]))
-    d = closed_det(diag, rows)
-    x = tuple(Fraction(yi, d) for yi in back_substitute(diag, rows, rhs, order, d))
-    m._solved = (key, x)
-    return x
-
-
 def back_substitute(
     diag: Sequence[int], rows: Sequence[dict[int, int]], rhs: Sequence[int], order: Sequence[int], d: int
 ) -> list[int]:
@@ -346,40 +209,89 @@ def back_substitute(
     return y
 
 
+@dataclass(frozen=True)
+class Factorization:
+    """[M | c] as `sparse_bareiss` leaves it: per vertex p its pivot N_p,
+    its eliminated row (each column eliminated after p to its entry) and
+    right-hand side, all scaled by s_p, with the elimination order and
+    the scales s_p; order and scales are None when a pivot vanished over a
+    nonzero entry, so that only a row swap could go on.  M is negative
+    definite when every Schur pivot S_pp = N_p / s_p is negative, that is
+    N_p s_p < 0 (Sylvester), and negative semidefinite when every
+    N_p s_p <= 0 and no row swap was needed.  Read-only by convention."""
+
+    pivots: list[int]
+    rows: list[dict[int, int]]
+    rhs: list[int]
+    order: Optional[list[int]]
+    scales: Optional[list[int]]
+    definite: bool
+    semidefinite: bool
+
+    @cached_property
+    def solution(self) -> tuple[list[int], int]:
+        """(y, d) for a nonsingular M that needed no row swap: d = det M
+        (`closed_det`) and the integer vector y = d m, M m = c, from one
+        back substitution on the first read, kept."""
+        d = closed_det(self.pivots, self.rows)
+        return back_substitute(self.pivots, self.rows, self.rhs, self.order, d), d
+
+
+def factor(diag: Sequence[int], rows: Sequence[dict[int, int]], rhs: Sequence[int] = ()) -> Factorization:
+    """[M | c] factored by one `sparse_bareiss` on copies of the lists, M
+    given by its diagonal and its map rows, which are never changed."""
+    diag, rows, rhs = list(diag), list(rows), list(rhs)
+    order, scales = sparse_bareiss(diag, rows, rhs) or (None, None)
+    top = 1 if scales is None else max(map(mul, diag, scales), default=-1)
+    return Factorization(diag, rows, rhs, order, scales, top < 0, top <= 0)
+
+
+def is_negative_definite(f: Factorization) -> bool:
+    """Whether the factored M is negative definite."""
+    return f.definite
+
+
+def solve(
+    f: Factorization, not_definite: Exception, singular: Optional[Exception] = None
+) -> tuple[list[int], int]:
+    """(y, d) for the factored M m = c: d = det M (`closed_det`) and the
+    integer vector y = d m.  Raises `not_definite` unless M is negative
+    semidefinite, and `singular` (`not_definite` when None) when M is
+    semidefinite and singular.  The pair is `f.solution`, computed once
+    and read-only."""
+    if not f.definite:
+        raise (singular or not_definite) if f.semidefinite else not_definite
+    return f.solution
+
+
+def det(f: Factorization) -> int:
+    """The determinant of the factored M (`closed_det`).  Raises ValueError
+    when elimination needed a row swap, which a symmetric M needs only
+    when it is indefinite."""
+    if f.scales is None:
+        raise ValueError("a pivot vanishes over a nonzero row: the determinant needs a row swap")
+    return closed_det(f.pivots, f.rows)
+
+
+def quadratic_form(weights: Sequence[int], adj: Sequence[dict[int, int]], v: Sequence[RatLike]) -> RatLike:
+    """t(v) M v = sum_i v_i (w_i v_i + sum_j m_ij v_j), with M given by its
+    diagonal `weights` and its adjacency maps (neighbour -> multiplicity):
+    an int on ints, exact on `Fraction`s."""
+    total = 0
+    for vi, w, row in zip(v, weights, adj):
+        row_dot = w * vi
+        for j, mult in row.items():
+            row_dot += mult * v[j]
+        total += vi * row_dot
+    return total
+
+
 def negative_pivots(pivots: Sequence[int]) -> bool:
     """Whether the leading principal minors D_1, D_2, ... in `pivots` come
     from a negative definite matrix: (-1)^k D_k > 0 for every k.  The
     pivots of a Bareiss factorization in vertex order, with the global
     divisor, are those minors; the enumerator's search holds one."""
     return all(d < 0 if k % 2 == 0 else d > 0 for k, d in enumerate(pivots))
-
-
-def is_negative_definite(m: Sequence[dict[int, int]]) -> bool:
-    """True iff the symmetric matrix m is negative definite.
-
-    Decided exactly by `sparse_bareiss`: m is negative definite iff each
-    Schur pivot S_pp = N_p / s_p is negative, that is N_p s_p < 0 for
-    every p (Sylvester).  A zero pivot, or one that needs a row swap,
-    means m is not definite.  Raises ValueError as `SymmetricIntRows`
-    does.  The rows object (`_checked`) is decided on the first call,
-    which keeps the answer on it.
-    """
-    m = _checked(m)
-    known = m.__dict__.get("_negative_definite")
-    if known is None:
-        diag = _diagonal(m)
-        done = sparse_bareiss(diag, list(m), [])
-        known = m._negative_definite = done is not None and all(d * s < 0 for d, s in zip(diag, done[1]))
-    return known
-
-
-def quadratic_form(m: Sequence[dict[int, int]], v: Sequence[RatLike]) -> Fraction:
-    """The value t(v) m v, exactly, for v of ints or `Fraction`s."""
-    m = _checked(m)
-    if len(v) != len(m):
-        raise ValueError("dimension mismatch")
-    w = vec(v)
-    return sum((wi * sum(x * w[j] for j, x in row.items()) for row, wi in zip(m, w) if wi), Fraction(0))
 
 
 def nullspace(m: Sequence[Sequence[RatLike]]) -> list[tuple[Fraction, ...]]:

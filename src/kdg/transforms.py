@@ -37,8 +37,8 @@ from .graph import (
     adjunction_degrees,
     validate,
 )
-from .invariants import _checked_k_squared, _graph_k_squared, _graph_system, _solution
-from .rational import UNBOUNDED, lcm_denominators, nullspace, rat_str
+from .invariants import _checked_k_squared, _graph_system, k_squared
+from .rational import UNBOUNDED, factor, lcm_denominators, nullspace, rat_str, solve
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def _system_without(
     adj = g.adjacency()
     degrees = adjunction_degrees(g)
     local = {v: k for k, v in enumerate(i for i in range(len(g)) if i not in dropped)}
-    weights = [g.vertices[v].self_int for v in local]
+    weights = [g._weights[v] for v in local]
     rows = [{local[j]: mult for j, mult in adj[v].items() if j in local} for v in local]
     return weights, rows, [degrees[v] for v in local], local
 
@@ -237,9 +237,10 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     identity relating the old and new canonical data.
 
     g, the inserted graph and the inserted graph with its new chain
-    eliminated are factored once each (`_solution`), -K^2 checked two ways.
-    The last system is g's own with its site edge replaced by the chain's
-    block (`_hirzebruch_jung` on a copy of g's rows).
+    eliminated are factored once each, the two graphs by their own kept
+    factorization, -K^2 checked two ways.  The last system is g's own with
+    its site edge replaced by the chain's block (`_hirzebruch_jung` on a
+    copy of g's rows).
     All comparisons are exact rational equalities; the report lists each
     one with its two sides so a failure is auditable.
     """
@@ -247,19 +248,20 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     if n < 1:
         raise PreconditionError(f"insertion length must be >= 1, got {n}")
 
-    def solved(weights, adj, c, not_definite):
-        y, d = _solution(weights, adj, c, not_definite)
-        k2 = _checked_k_squared(weights, adj, c, y, d)
+    def solved(system, f, not_definite):
+        y, d = solve(f, not_definite)
+        k2 = _checked_k_squared(*system, y, d)
         return tuple(Fraction(v, d) for v in y), k2, Fraction(d)
 
     m_before, k2_before, det_base = solved(
-        *_graph_system(g), NotNegativeDefiniteError("base graph must be negative definite")
+        _graph_system(g), g._factorization, NotNegativeDefiniteError("base graph must be negative definite")
     )
     stretched = insert_minus2(g, site, n)
     # the notion is only defined between negative definite divisors;
     # long chains at a trivalent hub can leave that class
     m_full, k2_after, _ = solved(
-        *_graph_system(stretched),
+        _graph_system(stretched),
+        stretched._factorization,
         NotNegativeDefiniteError(
             f"inserting {n} vertices at ({g.vertices[site.a].id}, "
             f"{g.vertices[site.b].id}) leaves the negative definite class"
@@ -272,7 +274,9 @@ def verify_insertion(g: WeightedDualGraph, site: InsertionSite, n: int) -> Inser
     rows = list(rows)  # g's own maps stay as they are
     _hirzebruch_jung(weights, rows, a, b, n)
     m_after, k2_contracted, det_scaled = solved(
-        weights, rows, c, InternalCheckError("contracted system is not negative definite")
+        (weights, rows, c),
+        factor(weights, rows, c),
+        InternalCheckError("contracted system is not negative definite"),
     )
     det_contracted = det_scaled / (n + 1) ** 2
 
@@ -462,9 +466,9 @@ def _resolve_designated(
 
 
 def _definite_solution(g: WeightedDualGraph) -> tuple[list[int], int]:
-    """(y, d) of g's own system M m = c (`_solution`); PreconditionError
-    unless g is negative definite, as every limit needs."""
-    return _solution(*_graph_system(g), PreconditionError("limit needs a negative definite graph"))
+    """(y, d) of g's own system M m = c, read off g's factorization;
+    PreconditionError unless g is negative definite, as every limit needs."""
+    return solve(g._factorization, PreconditionError("limit needs a negative definite graph"))
 
 
 def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -> Fraction:
@@ -537,10 +541,10 @@ def _limit_along(
 
     Every system is the core of g (`_limit_core`), each designated string
     in it either at its length or at its limit (ends -1, no coupling),
-    factored once by `_solution` at the size of the core.  The first one,
-    every string at its length, has g's own solution on the core, so it is
-    factored only when a string of length 1 added a row; each stretched
-    string sets up the next one.  More strings times core rows than
+    factored once (`solve(factor(...))`) at the size of the core.  The
+    first one, every string at its length, has g's own solution on the
+    core, so it is factored only when a string of length 1 added a row;
+    each stretched string sets up the next one.  More strings times core rows than
     `LIMIT_WORK_BUDGET` are refused before any of them is factored."""
     weights, rows, c, local, ends = _limit_core(g, strings)
     if len(strings) * len(rows) > LIMIT_WORK_BUDGET:
@@ -556,7 +560,7 @@ def _limit_along(
     y = [y[v] for v in local] if len(local) == len(rows) else None
     for p, q in ends:
         if y is None:
-            y, d = _solution(weights, rows, c, indefinite, singular)
+            y, d = solve(factor(weights, rows, c), indefinite, singular)
         if y[p] != y[q]:
             weights[p] = weights[q] = -1
             rows[p] = {j: 1 for j in rows[p] if j != q}
@@ -566,7 +570,7 @@ def _limit_along(
         singular = SingularLimitError(
             "limit matrix is singular; the value diverges or needs analysis beyond this procedure"
         )
-        y, d = _solution(weights, rows, c, indefinite, singular)
+        y, d = solve(factor(weights, rows, c), indefinite, singular)
     return _checked_k_squared(weights, rows, c, y, d)
 
 
@@ -579,7 +583,7 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     vertex) the window shifts to the current length.  g must be negative
     definite, as `limit_k_squared` also checks first (PreconditionError),
     and s a maximal string of g.  Each member is factored once, -K^2
-    checked two ways (`_graph_k_squared`); `kdg limit` checks g and
+    checked two ways (`k_squared`); `kdg limit` checks g and
     resolves s once for both procedures and calls `_fitted_limit`.
     Shrinking a (-2) string keeps definiteness, so a member that is not
     definite has every longer one fail too, and its
@@ -606,7 +610,7 @@ def _fitted_limit(
     def member_k2(length: int) -> Fraction:
         if length == len(desc.chain):
             return _checked_k_squared(*_graph_system(g), *solved)
-        return _graph_k_squared(_splice(g, desc, length)[0])
+        return k_squared(_splice(g, desc, length)[0])
 
     lengths = [0, 1, 2]
     try:

@@ -14,8 +14,8 @@ from kdg.enumeration import (
     enumerate_admissible,
     enumerate_encodings,
 )
-from kdg.graph import adjunction_degrees, intersection_rows
-from kdg.rational import solve
+from kdg.graph import adjunction_degrees
+from kdg.rational import factor, solve
 
 settings.register_profile(
     "suite",
@@ -67,10 +67,16 @@ def search_factorization(m, extra=0, check=None):
     return piv, lower
 
 
+def direct_k_squared(diag, rows, c) -> Fraction:
+    """-K^2 = -sum m_i c_i by one solve of M m = c, M given by its diagonal
+    and map rows and known negative definite."""
+    y, d = solve(factor(diag, rows, c), AssertionError("not negative definite"))
+    return Fraction(-sum(map(mul, y, c)), d)
+
+
 def quick_k_squared(g) -> Fraction:
     """-K^2 by direct solve, for graphs already known negative definite."""
-    c = adjunction_degrees(g)
-    return -sum(map(mul, solve(intersection_rows(g), c), c))
+    return direct_k_squared([v.self_int for v in g.vertices], g.adjacency(), adjunction_degrees(g))
 
 
 @pytest.fixture(scope="session")
@@ -82,9 +88,7 @@ def encoding_k_squared(encoding: str) -> Fraction:
     """-K^2 by direct solve on the integer map rows of an encoding already
     known negative definite, with no graph built."""
     data, adj = _decode(encoding)
-    rows = [a | {i: w} for i, (a, (_, w)) in enumerate(zip(adj, data))]
-    c = [2 * g - 2 - w for g, w in data]
-    return -sum(map(mul, solve(rows, c), c))
+    return direct_k_squared([w for _, w in data], adj, [2 * g - 2 - w for g, w in data])
 
 
 @pytest.fixture(scope="session")

@@ -38,8 +38,9 @@ import numpy as np
 
 from kdg.errors import PreconditionError, SingularLimitError
 from kdg.graph import VertexData, WeightedDualGraph, adjunction_degrees, build_graph, intersection_matrix
-from kdg.invariants import _checked_k_squared, _graph_system, _solution, fundamental_cycle
-from kdg.transforms import StringDescriptor, _is_minus2, with_string_length
+from kdg.invariants import _checked_k_squared, _graph_system, fundamental_cycle
+from kdg.rational import factor, solve
+from kdg.transforms import StringDescriptor, _is_minus2
 
 
 def cofactor_det(m) -> Fraction:
@@ -162,7 +163,7 @@ def schur_limit(g: WeightedDualGraph, strings):
     descs = list(strings)
     for i, s in enumerate(descs):
         if len(s.chain) < 2:
-            g, descs[i] = with_string_length(g, s, 2)
+            g, descs[i] = id_splice(g, s, 2)
     interior = {v for s in descs for v in s.chain[1:-1]}
     keep = [v for v in range(len(g)) if v not in interior]
     local = {v: k for k, v in enumerate(keep)}
@@ -612,7 +613,7 @@ def sequential_limit(
     for s in descs:
         if y is None:
             weights, adj, c, local = full_limit_system(work, stretched)
-            y, d = _solution(weights, adj, c, indefinite, singular)
+            y, d = solve(factor(weights, adj, c), indefinite, singular)
         if y[local[s.chain[0]]] != y[local[s.chain[-1]]]:
             stretched.append(s)
             y = None
@@ -621,5 +622,5 @@ def sequential_limit(
         singular = SingularLimitError(
             "limit matrix is singular; the value diverges or needs analysis beyond this procedure"
         )
-        y, d = _solution(weights, adj, c, indefinite, singular)
+        y, d = solve(factor(weights, adj, c), indefinite, singular)
     return _checked_k_squared(weights, adj, c, y, d)

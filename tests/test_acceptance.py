@@ -16,7 +16,6 @@ rather than assuming it.
 import functools
 import random
 from fractions import Fraction
-from operator import mul
 
 from kdg.enumeration import EnumBounds, graph_from_encoding, random_admissible
 from kdg.errors import NotNegativeDefiniteError
@@ -28,7 +27,7 @@ from kdg.families import (
     stretch_descriptor,
     two_curve_coefficient,
 )
-from kdg.graph import adjunction_degrees, intersection_rows
+from kdg.graph import adjunction_degrees
 from kdg.invariants import (
     RATIONAL_TRIPLE,
     bound_checks,
@@ -38,7 +37,6 @@ from kdg.invariants import (
     k_squared,
     pa_max_bounded,
 )
-from kdg.rational import solve
 from kdg.transforms import (
     find_sites,
     limit_k_squared,
@@ -46,7 +44,7 @@ from kdg.transforms import (
     verify_insertion,
 )
 
-from .conftest import encoding_vertex_data, quick_k_squared
+from .conftest import direct_k_squared, encoding_vertex_data, quick_k_squared
 from .oracles import ADE_BOX_BOUND, box_min_anti_nef
 
 _RESULTS: dict[int, bool] = {}
@@ -253,7 +251,7 @@ def test_criterion_08_subgraph_monotonicity(e5_entries):
         r = len(g)
         if r == 1:
             continue
-        rows = intersection_rows(g)
+        weights = [v.self_int for v in g.vertices]
         c = adjunction_degrees(g)
         adj = g.adjacency()
         neighbor_mask = [0] * r
@@ -277,9 +275,8 @@ def test_criterion_08_subgraph_monotonicity(e5_entries):
                 continue
             keep = [i for i in range(r) if mask >> i & 1]
             at = {v: k for k, v in enumerate(keep)}
-            sub_rows = [{at[j]: x for j, x in rows[i].items() if j in at} for i in keep]
-            sub_c = [c[i] for i in keep]
-            part = -sum(map(mul, solve(sub_rows, sub_c), sub_c))
+            sub_rows = [{at[j]: x for j, x in adj[i].items() if j in at} for i in keep]
+            part = direct_k_squared([weights[i] for i in keep], sub_rows, [c[i] for i in keep])
             assert part <= full, (entry.encoding, keep)
 
 

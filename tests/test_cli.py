@@ -761,15 +761,9 @@ def count_factorizations(monkeypatch) -> list[int]:
 
 
 def test_sweep_row_factors_its_member_once(monkeypatch, capsys):
-    """A sweep row is one `sparse_bareiss` on its member: no definiteness
-    check, solve or `k_squared` of its own."""
-
-    def never(*args):
-        raise AssertionError("sweep called a per-invariant kernel")
-
+    """A sweep row is one `sparse_bareiss` on its member, whose
+    factorization `k_squared` reads."""
     v = len(generate(family_spec("II", n=3, s=1)))
-    for kernel in (invariants.k_squared, rational.solve, rational.is_negative_definite):
-        patch_everywhere(monkeypatch, kernel, never)
     sizes = count_factorizations(monkeypatch)
     assert main(["sweep", "II", "--param", "n", "--range", "3..3", "--fix", "s=1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "3,4/5,0.8,4/5,true"
@@ -859,10 +853,9 @@ def test_limit_reads_the_ids_once(tmp_path, monkeypatch, capsys):
     assert calls == [len(g)]
 
 
-def test_compute_decides_definiteness_once(tmp_path, monkeypatch, capsys):
-    """`compute` on II(n=1,s=2) factors 2 systems of the graph's size: one
-    elimination decides definiteness and one solves M m = c, and its
-    graph's rows keep both answers for every later check and solve.  The
+def test_compute_factors_the_graph_once(tmp_path, monkeypatch, capsys):
+    """`compute` on II(n=1,s=2) factors [M | c] once, at the graph's size,
+    and every definiteness check and solve reads that factorization.  The
     kernel calls stay 5 `solve` and 10 `is_negative_definite`."""
     g = generate(family_spec("II", n=1, s=2))
     path = tmp_path / "ii.json"
@@ -884,45 +877,35 @@ def test_compute_decides_definiteness_once(tmp_path, monkeypatch, capsys):
     code, _, report = compute_in_process(capsys, path)
     assert code == 0 and report == expected
     assert calls == {"solve": 5, "is_negative_definite": 10}
-    assert sizes == [len(g)] * 2
+    assert sizes == [len(g)] == [7]
 
 
-def test_pa_search_adds_one_factorization(monkeypatch):
+def test_pa_search_reads_the_graphs_factorization(monkeypatch):
     """`invariant_report` on simple_elliptic(w=1), where p_a(Z) = 1 and the
-    p_a search runs, makes 3 eliminations: definiteness, M m = c, and the
-    search's own factorization of -M."""
+    p_a search runs, makes one elimination: the search reads its levels off
+    the graph's factorization of [M | c] instead of factoring -M."""
     g = generate(family_spec("simple_elliptic", w=1))
     sizes = count_factorizations(monkeypatch)
     report = invariant_report(g)
     assert report.pa_z == 1
-    assert sizes == [len(g)] * 3
+    assert sizes == [len(g)] == [1]
 
 
-def test_graph_rows_are_built_once(tmp_path, monkeypatch, capsys):
-    """`invariant_report` on II(n=1,s=2) builds one `SymmetricIntRows`, its
-    graph's own, and so does `kdg compute` on it, which runs 2
-    eliminations.  A call site that passed plain rows would build and check
-    them anew on every call, and eliminate them again for definiteness and
-    for every solve, whose kept answers live on the rows object."""
-    built = []
-    real = rational.SymmetricIntRows.__new__
-
-    def counted(cls, rows):
-        built.append(cls)
-        return real(cls, rows)
-
-    monkeypatch.setattr(rational.SymmetricIntRows, "__new__", staticmethod(counted))
+def test_graph_keeps_its_factorization(tmp_path, monkeypatch, capsys):
+    """A second `invariant_report` on the same II(n=1,s=2) factors nothing:
+    the graph keeps its factorization.  An equal graph read from JSON, as
+    `kdg compute` does, is factored once more, on its own."""
     g = generate(family_spec("II", n=1, s=2))
-    invariant_report(g)
-    assert built == [rational.SymmetricIntRows]
+    sizes = count_factorizations(monkeypatch)
+    first = invariant_report(g)
+    assert invariant_report(g) == first
+    assert sizes == [len(g)]
     path = tmp_path / "ii.json"
     path.write_text(graph_to_json(g))
-    built.clear()
-    sizes = count_factorizations(monkeypatch)
+    sizes.clear()
     code, _, _ = compute_in_process(capsys, path)
     assert code == 0
-    assert built == [rational.SymmetricIntRows]
-    assert sizes == [len(g)] * 2
+    assert sizes == [len(g)]
 
 
 def test_importing_cli_loads_no_multiprocessing():

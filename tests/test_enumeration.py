@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import kdg.enumeration
-import kdg.invariants
+import kdg.rational
 from kdg.cli import main
 from kdg.enumeration import (
     ENUM_TASK_BUDGET,
@@ -242,7 +242,7 @@ def test_spectrum_entries_come_from_the_search(monkeypatch):
     def never(*args):
         raise AssertionError("a class was factored or decoded after the search")
 
-    monkeypatch.setattr(kdg.invariants, "sparse_bareiss", never)
+    monkeypatch.setattr(kdg.rational, "sparse_bareiss", never)
     monkeypatch.setattr(kdg.enumeration, "_decode", never)
     bounds = EnumBounds(3, min_self=-4, max_genus=1, max_edge_multiplicity=2)
     entries = enumerate_admissible(bounds)

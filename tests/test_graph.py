@@ -1,7 +1,6 @@
 import random
 import re
 from fractions import Fraction
-from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from kdg.checks import _family_corpus
 from kdg.enumeration import EnumBounds, random_admissible
 from kdg.errors import InvalidGraphError, PreconditionError
-from kdg.families import family_spec, generate
+from kdg.families import generate
 from kdg.graph import (
     Edge,
     VertexData,
@@ -21,7 +20,6 @@ from kdg.graph import (
     graph_to_json,
     graph_to_obj,
     intersection_matrix,
-    intersection_rows,
     is_connected,
     load_graph,
     parse_graph_json,
@@ -31,10 +29,10 @@ from kdg.graph import (
     validate,
 )
 from kdg.invariants import invariant_report
-from kdg.rational import SingularMatrixError, SymmetricIntRows, det, is_negative_definite, solve
+from kdg.rational import det, factor, is_negative_definite, solve
 from kdg.transforms import detect_strings, with_string_length
 
-from .oracles import char_poly
+from .oracles import char_poly, cofactor_det, fraction_solve
 
 
 def x31() -> WeightedDualGraph:
@@ -76,81 +74,81 @@ def test_intersection_data_is_integer(g):
     m = intersection_matrix(g)
     assert all(type(x) is int for row in m for x in row)
     assert all(type(x) is int for x in adjunction_degrees(g))
-    assert intersection_rows(g) == [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert g._weights == tuple(m[i][i] for i in range(len(m)))
+
+
+class NotDefinite(Exception):
+    pass
+
+
+class Singular(Exception):
+    pass
+
+
+def kernel_outcomes(f):
+    """What det, solve and is_negative_definite give on the factorization
+    f: a value, or the type of the error."""
+    out = []
+    for kernel in (det, lambda f: solve(f, NotDefinite(), Singular()), is_negative_definite):
+        try:
+            out.append(kernel(f))
+        except (ValueError, NotDefinite, Singular) as exc:
+            out.append(type(exc))
+    return out
 
 
 @given(small_graphs())
 @settings(max_examples=200)
-def test_kernels_agree_on_checked_and_plain_rows(g):
-    """The kernels give the same value, or refuse alike, on a graph's own
-    `SymmetricIntRows` and on the plain map rows `intersection_rows`
-    copies, and refuse its dense matrix."""
+def test_graph_factorization_matches_dense_oracles(g):
+    """A graph's own factorization of [M | c] against the dense oracles on
+    its intersection matrix: definiteness by the characteristic
+    polynomial, the determinant by cofactor expansion and the solution of
+    M m = c by Gauss-Jordan elimination over `Fraction`s."""
     m = intersection_matrix(g)
-    checked = g._intersection_rows
-    rows = intersection_rows(g)
     c = adjunction_degrees(g)
-    for kernel in (det, is_negative_definite, lambda a: solve(a, c)):
-        with pytest.raises(ValueError, match="map rows expected"):
-            kernel(m)
+    f = g._factorization
     poly = char_poly(m)
-    assert is_negative_definite(rows) == is_negative_definite(checked) == all(x > 0 for x in poly[1:])
+    assert is_negative_definite(f) == all(x > 0 for x in poly[1:])
+    semidefinite = all(x >= 0 for x in poly[1:])
     try:
-        d = det(rows)
+        d = det(f)
     except ValueError:
         # only a matrix that is not negative semidefinite needs a row swap
-        assert not all(x >= 0 for x in poly[1:])
-        for kernel in (det, lambda a: solve(a, c)):
-            with pytest.raises(ValueError):
-                kernel(checked)
+        assert not semidefinite
         return
-    assert type(d) is Fraction and d == det(checked)
-    if d:
-        x = solve(rows, c)
-        assert all(type(xi) is Fraction for xi in x)
-        assert x == solve(checked, c)
+    assert type(d) is int and d == cofactor_det(m)
+    try:
+        y, d = solve(f, NotDefinite(), Singular())
+    except NotDefinite:
+        assert not semidefinite
+        return
+    except Singular:
+        assert semidefinite and fraction_solve(m, c) is None
+        return
+    assert [Fraction(yi, d) for yi in y] == fraction_solve(m, c)
 
 
-def test_float_entries_raise_in_kernels():
-    """A float in the rows raises ValueError, as every entry that is not a
-    nonzero plain int does, and a float in c raises TypeError."""
-    g = build_graph([("a", 0, -3), ("b", 0, -2), ("c", 0, -2)], [("a", "b"), ("b", "c")])
-    c = adjunction_degrees(g)
-    for i, j, x in ((0, 0, -3.0), (0, 2, 0.0)):
-        rows = intersection_rows(g)
-        rows[i][j] = rows[j][i] = x
-        for kernel in (det, is_negative_definite, lambda m: solve(m, c)):
-            with pytest.raises(ValueError, match="nonzero plain int entries expected"):
-                kernel(rows)
-    with pytest.raises(TypeError, match="plain int expected, got float"):
-        solve(intersection_rows(g), [1.0, 0, 0])
+def test_graph_is_factored_once(monkeypatch):
+    """A graph factors [M | c] on first use, by one `sparse_bareiss` on its
+    own diagonal, adjacency maps and c, and keeps it: `validate` and the
+    whole `invariant_report`, p_a search included, read that one
+    factorization, on which every kernel gives what it gives on a new
+    factorization of the same data.  Graphs that are not negative definite
+    (indefinite, semidefinite), not connected or not minimal are factored
+    once too."""
+    import kdg.rational
 
+    runs = []
+    real = kdg.rational.sparse_bareiss
 
-def kernel_outcomes(m, c):
-    """What det, solve(., c) and is_negative_definite give on m: a value,
-    or the type and text of the error."""
-    out = []
-    for kernel in (det, lambda a: solve(a, c), is_negative_definite):
-        try:
-            out.append(kernel(m))
-        except (ValueError, TypeError, SingularMatrixError) as exc:
-            out.append((type(exc), str(exc)))
-    return out
+    def counted(diag, rows, rhs):
+        runs.append(len(rows))
+        return real(diag, rows, rhs)
 
-
-def bad_rhs(c):
-    """c one entry short, one entry long, with a float and with a Fraction."""
-    return [c[:-1], (*c, 0), (1.0, *c[1:]), (*c[:-1], Fraction(1, 2))]
-
-
-def test_graph_rows_are_checked_once():
-    """A graph of plain ints builds its rows as `SymmetricIntRows`, which
-    the kernels only copy; on them every kernel gives the value or error
-    it gives on the plain copies `intersection_rows` returns, for c and
-    for a c of the wrong length or holding a float or a Fraction."""
+    monkeypatch.setattr(kdg.rational, "sparse_bareiss", counted)
     bounds = EnumBounds(7, min_self=-5, max_genus=2, max_edge_multiplicity=2)
     graphs = [generate(spec) for spec in _family_corpus()]
     graphs += [random_admissible(random.Random(seed), bounds) for seed in range(60)]
-    # not negative definite (indefinite, semidefinite), not connected, not minimal
     graphs += [
         build_graph([("a", 0, -1), ("b", 0, -1)], [("a", "b")]),
         build_graph([("a", 0, -2), ("b", 0, -2)], [("a", "b", 2)]),
@@ -158,46 +156,88 @@ def test_graph_rows_are_checked_once():
         build_graph([("a", 0, -2), ("b", 0, -3)]),
         build_graph([("a", 0, -1), ("b", 1, -3)], [("a", "b", 3)]),
     ]
-    for g in graphs:
-        rows = g._intersection_rows
-        assert type(rows) is SymmetricIntRows
-        for c in [adjunction_degrees(g)] + bad_rhs(adjunction_degrees(g)):
-            assert kernel_outcomes(rows, c) == kernel_outcomes(intersection_rows(g), c)
-        assert intersection_rows(g) == list(rows)
-    rows = generate(family_spec("II", n=1, s=2))._intersection_rows
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        solve(rows, [1] * (len(rows) - 1))
-    with pytest.raises(TypeError, match="plain int expected, got float"):
-        solve(rows, [1.0] * len(rows))
+    for drawn in graphs:
+        # a new graph on the same records: the generators validate theirs
+        g = WeightedDualGraph(drawn.vertices, drawn.edges)
+        del runs[:]
+        assert "_factorization" not in g.__dict__
+        if validate(g).admissible:
+            invariant_report(g)
+        f = g._factorization
+        assert runs == [len(g)] and g._factorization is f
+        fresh = factor([v.self_int for v in g.vertices], g.adjacency(), adjunction_degrees(g))
+        assert fresh == f and kernel_outcomes(f) == kernel_outcomes(fresh)
 
 
-def test_float_or_bool_records_raise_when_rows_are_built():
-    """The constructor takes a float self-intersection or a bool
-    multiplicity, but building the graph's rows, as `validate` and the
-    invariants do, raises ValueError."""
-    floats = WeightedDualGraph((VertexData("a", 0, -2.0), VertexData("b", 0, -3)), (Edge(0, 1),))
-    bools = WeightedDualGraph((VertexData("a", 0, -3), VertexData("b", 0, -2)), (Edge(0, 1, True),))
-    for g in (floats, bools):
-        for reader in (validate, invariant_report, attrgetter("_intersection_rows")):
-            with pytest.raises(ValueError, match="nonzero plain int entries expected"):
-                reader(g)
+BAD_RECORDS = [
+    # (vertices, edges): a float or a bool where a plain int belongs
+    ([("a", 0, -2.0), ("b", 0, -3)], [(0, 1, 1)]),
+    ([("a", 0.0, -2), ("b", 0, -3)], [(0, 1, 1)]),
+    ([("a", False, -2), ("b", 0, -3)], [(0, 1, 1)]),
+    ([("a", 0, -3), ("b", 0, -2)], [(0, 1, True)]),
+    ([("a", 0, -3), ("b", 0, -2)], [(0, 1, 1.0)]),
+    ([("a", 0, -3.0), ("b", 1, -1.0)], [(0, 1, 2)]),
+    # an exact rational that is not an int, and edge indices that are not ints
+    ([("a", Fraction(0), -2), ("b", 0, -3)], [(0, 1, 1)]),
+    ([("a", 0, Fraction(-2)), ("b", 0, -3)], [(0, 1, 1)]),
+    ([("a", 0, -3), ("b", 0, -2)], [(0, 1, Fraction(1))]),
+    ([("a", 0, -3), ("b", 0, -2)], [(0.0, 1, 1)]),
+    ([("a", 0, -3), ("b", 0, -2)], [(0, 1.0, 1)]),
+    ([("a", 0, -3), ("b", 0, -2)], [(False, True, 1)]),
+    ([("a", 0, -3), ("b", 0, -2)], [("0", "1", 1)]),
+]
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [{0: -2, 1: 1}, [1, -2]],  # a dense row
-        [{0: -2.0, 1: 1}, {0: 1, 1: -2}],  # a float
-        [{0: -2, 1: True}, {0: True, 1: -2}],  # a bool
-        [{0: -2, 1: 0}, {1: -2}],  # a stored zero
-        [{0: -2, 2: 1}, {1: -2}],  # a column out of range
-        [{0: -2, 1: 1}, {0: 2, 1: -2}],  # values not symmetric
-        [{0: -2, 1: 1}, {1: -2}],  # pattern not symmetric
-    ],
-)
-def test_symmetric_int_rows_refuse_other_rows(rows):
-    with pytest.raises(ValueError):
-        SymmetricIntRows(rows)
+@pytest.mark.parametrize("vertices, edges", BAD_RECORDS)
+def test_float_or_bool_records_raise_at_construction(vertices, edges):
+    """The constructor refuses a genus, self-intersection, edge index or
+    multiplicity that is not a plain int (a float, a `Fraction`, a string,
+    or a bool, as `isinstance(True, int)` holds) with `InvalidGraphError`,
+    exit code 2, so no kernel ever sees one."""
+    with pytest.raises(InvalidGraphError, match="integer") as info:
+        WeightedDualGraph(tuple(map(VertexData._make, vertices)), tuple(map(Edge._make, edges)))
+    assert info.value.exit_code == 2
+
+
+def two_curves(edges):
+    return (VertexData("a", 0, -3), VertexData("b", 0, -2)), tuple(map(Edge._make, edges))
+
+
+BAD_STRUCTURE = [
+    # (vertices, edges, message) for the constructor itself, no ids resolved
+    ((), (), "at least one vertex"),
+    ((VertexData("", 0, -2),), (), "non-empty string"),
+    ((VertexData(7, 0, -2),), (), "non-empty string"),
+    ((VertexData("a", 0, -2), VertexData("a", 0, -3)), (), "duplicate vertex id"),
+    ((VertexData("a", -1, -2),), (), "genus must be >= 0"),
+    ((VertexData("a", 0, 0),), (), "self-intersection must be <= -1"),
+    (*two_curves([(-1, 1, 1)]), "references a missing vertex"),
+    (*two_curves([(0, 2, 1)]), "references a missing vertex"),
+    (*two_curves([(1, 1, 1)]), "self-loop at vertex index 1"),
+    (*two_curves([(1, 0, 1)]), "must be ordered a < b"),
+    (*two_curves([(0, 1, 0)]), "multiplicity must be >= 1"),
+    (*two_curves([(0, 1, 1), (0, 1, 2)]), "duplicate edge pair"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, message", BAD_STRUCTURE)
+def test_constructor_refuses_bad_structure(vertices, edges, message):
+    """What `build_graph` cannot produce (an edge by index out of range or
+    out of order) and what it passes on (empty, duplicate or bad ids, genus
+    and self-intersection out of range, zero or repeated edges): the
+    constructor refuses each with `InvalidGraphError`, exit code 2."""
+    with pytest.raises(InvalidGraphError, match=message) as info:
+        WeightedDualGraph(vertices, edges)
+    assert info.value.exit_code == 2
+
+
+def test_float_record_on_the_limit_path_raises_at_construction():
+    """A chain a - b - c whose (-2)-string b a limit would stretch, with a
+    self-intersection of -3.0: `build_graph` raises `InvalidGraphError`
+    (exit code 2) before any limit system is built in floats."""
+    with pytest.raises(InvalidGraphError, match="integer genus and self-intersection expected") as info:
+        build_graph([("a", 0, -3.0), ("b", 0, -2), ("c", 0, -3)], [("a", "b"), ("b", "c")])
+    assert info.value.exit_code == 2
 
 
 @st.composite
@@ -253,47 +293,34 @@ def test_lookups_leave_equality_and_hash_alone():
 
 
 def test_cached_graph_data_stays_private():
-    """Callers get new maps from `intersection_rows` and new lists from
-    `connected_components`, so changing them leaves the graph's cached
-    adjacency, intersection rows and components alone, and the report
-    computed from those caches stays the same; `adjunction_degrees` hands
-    out one tuple; equal graphs stay equal and hash alike whether or not
-    their caches, the fundamental cycle's included, are filled."""
+    """Callers get new lists from `connected_components`, so changing them
+    leaves the graph's cached components alone, and the report computed
+    from the graph's caches stays the same; `adjacency` and
+    `adjunction_degrees` hand out the same maps and tuple on every call;
+    equal graphs stay equal and hash alike whether or not their caches,
+    the factorization and the fundamental cycle's included, are filled."""
     vertices = [("a", 0, -2), ("b", 0, -3), ("c", 0, -2), ("d", 1, -4)]
     g = build_graph(vertices, [("a", "b", 2), ("b", "c", 1)])
     twin = build_graph(vertices, [("c", "b"), ("b", "a", 2)])
-    adjacency = [dict(row) for row in g.adjacency()]
     assert g.adjacency() is g.adjacency()
-    rows = intersection_rows(g)
-    expected = [dict(row) for row in rows]
-    for row in rows:
-        row[0] = 7
-        row.pop(1, None)
-    rows[2].clear()
-    assert [dict(row) for row in g.adjacency()] == adjacency
-    assert intersection_rows(g) == expected
+    assert intersection_matrix(g) == ((-2, 2, 0, 0), (2, -3, 1, 0), (0, 1, -2, 0), (0, 0, 0, -4))
     comps = connected_components(g)
     comps[0].append(3)
     comps.pop()
     assert connected_components(g) == [[0, 1, 2], [3]]
     assert not is_connected(g)
     assert g == twin and hash(g) == hash(twin)
-    for graph in (g, twin):
-        validate(graph)
-        intersection_rows(graph)
+    validate(g)
+    assert "_factorization" in g.__dict__ and "_factorization" not in twin.__dict__
     assert g == twin and hash(g) == hash(twin)
     # the same on a connected graph, through the report that reads the caches
     chain = build_graph(vertices, [("a", "b"), ("b", "c"), ("c", "d")])
     chain_twin = build_graph(vertices, [("d", "c"), ("c", "b"), ("b", "a")])
     first = invariant_report(chain)
-    rows = intersection_rows(chain)
-    for row in rows:
-        row[0] = 7
-        row.pop(1, None)
-    rows[3].clear()
+    comps = connected_components(chain)
+    comps[0].clear()
     assert invariant_report(chain) == first
-    expected = [{0: -2, 1: 1}, {0: 1, 1: -3, 2: 1}, {1: 1, 2: -2, 3: 1}, {2: 1, 3: -4}]
-    assert intersection_rows(chain) == expected
+    assert intersection_matrix(chain) == ((-2, 1, 0, 0), (1, -3, 1, 0), (0, 1, -2, 1), (0, 0, 1, -4))
     assert adjunction_degrees(chain) is adjunction_degrees(chain)
     assert adjunction_degrees(chain) == (0, 1, 0, 4)
     for graph in (chain, chain_twin):
@@ -301,8 +328,9 @@ def test_cached_graph_data_stays_private():
         connected_components(graph)
         graph.edge_mult(0, 1)
         graph.index_of("a")
-    # the fundamental cycle and its degrees are kept per graph too
-    assert "_fundamental" in chain.__dict__ and "_fundamental" in chain_twin.__dict__
+    # the factorization, the fundamental cycle and its degrees are kept per graph too
+    for graph in (chain, chain_twin):
+        assert "_factorization" in graph.__dict__ and "_fundamental" in graph.__dict__
     assert chain == chain_twin and hash(chain) == hash(chain_twin)
     assert chain != build_graph(vertices, [("a", "b"), ("b", "c")])
 

@@ -5,7 +5,7 @@ from math import prod
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kdg import invariants
@@ -36,8 +36,7 @@ from kdg.invariants import (
     RATIONAL_TRIPLE,
     Cycle,
     _class_invariants,
-    _form,
-    _graph_k_squared,
+    _pa_levels,
     bound_checks,
     canonical_cycle,
     classify,
@@ -52,8 +51,10 @@ from kdg.invariants import (
     report_to_text,
 )
 
+from kdg.rational import is_negative_definite, quadratic_form, sparse_bareiss
+
 from .conftest import search_factorization
-from .oracles import ADE_BOX_BOUND, box_min_anti_nef, box_pa_max, dense_form
+from .oracles import ADE_BOX_BOUND, box_min_anti_nef, box_pa_max, dense_form, fraction_solve
 
 import random
 
@@ -228,6 +229,94 @@ def test_pa_max_matches_box_oracle_random(g):
     assert values == sorted(values)  # the boxes are nested
 
 
+@st.composite
+def cyclic_definite_graphs(draw):
+    """Negative definite graphs on 2 to 9 vertices with many cycles: any
+    pair joined with multiplicity up to 2, genus up to 2, and each
+    self-intersection at most 2 below minus the vertex's edge count, so
+    that often only just definite."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mults = draw(st.lists(st.sampled_from([0, 0, 1, 1, 2]), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(f"v{i}", f"v{j}", m) for (i, j), m in zip(pairs, mults) if m]
+    meets = [sum(m for (i, j), m in zip(pairs, mults) if v in (i, j)) for v in range(n)]
+    verts = [
+        (f"v{v}", draw(st.integers(0, 2)), -max(1, meets[v] + draw(st.integers(-1, 2)))) for v in range(n)
+    ]
+    g = build_graph(verts, edges)
+    assume(is_negative_definite(g._factorization))
+    return g
+
+
+@given(cyclic_definite_graphs())
+@settings(max_examples=200)
+@example(build_graph([("a", 1, -3), ("b", 0, -3), ("c", 2, -4)], [("a", "b", 2), ("b", "c"), ("a", "c")]))
+def test_pa_levels_match_elimination_of_minus_m(g):
+    """The p_a search's levels, read off g's own factorization of [M | c]
+    with one sign per level, equal those of a separate `sparse_bareiss` on
+    -M with c riding along: the order, den = 2 N_k, cst = rhs_k, the
+    doubled rows and quad = 4 N_k s_k."""
+    want = minus_m_levels(g)
+    assert _pa_levels(g) == want
+    assert all(q > 0 for q in want[-1])
+
+
+def minus_m_levels(g):
+    """The p_a search's levels from a `sparse_bareiss` of its own on -M
+    with c riding along."""
+    adj = g.adjacency()
+    diag = [-v.self_int for v in g.vertices]
+    rows = [{j: -mult for j, mult in a.items()} for a in adj]
+    rhs = list(adjunction_degrees(g))
+    elim, row_scale = sparse_bareiss(diag, rows, rhs)
+    order = elim[::-1]
+    level = {v: k for k, v in enumerate(order)}
+    return (
+        order,
+        [2 * diag[v] for v in order],
+        [rhs[v] for v in order],
+        [[(level[j], 2 * x) for j, x in rows[v].items() if x] for v in order],
+        [4 * diag[v] * row_scale[v] for v in order],
+    )
+
+
+def grid_of_minus_five_curves(r=10):
+    ids = [[f"{i}_{j}" for j in range(r)] for i in range(r)]
+    edges = [(ids[i][j], ids[i][j + 1]) for i in range(r) for j in range(r - 1)]
+    edges += [(ids[i][j], ids[i + 1][j]) for i in range(r - 1) for j in range(r)]
+    return build_graph([(v, 0, -5) for row in ids for v in row], edges)
+
+
+def complete_graph_of_curves(n=30):
+    """K_n with every self-intersection -n: M = J - (n + 1) I and c = n - 2,
+    so m = -(n - 2) and -K^2 = n (n - 2)^2."""
+    ids = [f"v{i}" for i in range(n)]
+    return build_graph([(v, 0, -n) for v in ids], [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]])
+
+
+@pytest.mark.parametrize(
+    "make, k2, pa_z, pa_max",
+    [
+        # -K^2 as `fraction_solve` finds it on the dense 100 x 100 matrix
+        (grid_of_minus_five_curves, Fraction(971610095340, 1390356463), 81, 81),
+        (complete_graph_of_curves, Fraction(30 * 28**2), 406, 1126),
+    ],
+    ids=["grid_10x10", "k30"],
+)
+def test_pa_search_on_graphs_with_many_cycles(make, k2, pa_z, pa_max):
+    """Two graphs with many cycles, where a level's sign decides its
+    bounds: the search's levels equal those of -M's own elimination, and
+    the report holds -K^2, p_a(Z), the searched p_a bound and every bound
+    check; the search finds the same p_a bound on its own."""
+    g = make()
+    assert _pa_levels(g) == minus_m_levels(g)
+    report = invariant_report(g)
+    assert (report.k_squared, report.pa_z) == (k2, pa_z)
+    assert all(check.holds for check in report.bound_checks)
+    assert report.bound_checks[-1].rhs == 4 * pa_max - 3
+    assert pa_max_bounded(g) == pa_max
+
+
 @given(small_admissible_graphs())
 @settings(max_examples=100)
 @example(build_graph([("a", 0, -13), ("b", 0, -2)], [("a", "b", 5)]))
@@ -287,9 +376,9 @@ def test_form_matches_dense_quadratic_form(g, data):
     v_rat = data.draw(
         st.lists(st.fractions(-5, 5, max_denominator=7), min_size=n, max_size=n)
     )
-    form = _form(weights, g.adjacency(), v_int)
+    form = quadratic_form(weights, g.adjacency(), v_int)
     assert type(form) is int and form == dense_form(m, v_int)
-    assert _form(weights, g.adjacency(), v_rat) == dense_form(m, v_rat)
+    assert quadratic_form(weights, g.adjacency(), v_rat) == dense_form(m, v_rat)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.booleans(), st.booleans(), st.data())
@@ -335,28 +424,37 @@ def test_cycle_degrees_of_canonical_cycle_on_family_grid():
         assert all(type(x) is Fraction for x in (k2, *degrees)), str(spec)
 
 
-def test_graph_k_squared_matches_k_squared_on_family_grid():
-    """One factorization gives what the definiteness check and the solve
-    give, on every member of the family corpus."""
+def dense_k_squared(g) -> Fraction:
+    """-K^2 = -sum m_i c_i with m from Gauss-Jordan elimination over
+    `Fraction`s on the dense intersection matrix (`oracles.fraction_solve`)."""
+    c = adjunction_degrees(g)
+    return -sum(map(mul, fraction_solve(intersection_matrix(g), c), c))
+
+
+def test_k_squared_matches_dense_solve_on_family_grid():
+    """-K^2 read off each graph's one factorization against the dense
+    solve, on every member of the family corpus."""
     for spec in _family_corpus():
         g = generate(spec)
-        assert _graph_k_squared(g) == k_squared(g), str(spec)
+        assert k_squared(g) == dense_k_squared(g), str(spec)
 
 
 @given(admissible_graphs_up_to_8())
 @settings(max_examples=150)
-def test_graph_k_squared_matches_k_squared(g):
-    assert _graph_k_squared(g) == k_squared(g)
+def test_k_squared_matches_dense_solve(g):
+    assert k_squared(g) == dense_k_squared(g)
+    assert list(canonical_cycle(g).coefficients) == fraction_solve(intersection_matrix(g), adjunction_degrees(g))
 
 
-def test_graph_k_squared_refuses_as_k_squared_does():
+def test_k_squared_refuses_indefinite_and_singular():
     """An indefinite graph and a singular one (affine D4: a (-2)-centre with
-    four (-2)-arms, negative semidefinite) raise the same error both ways."""
+    four (-2)-arms, negative semidefinite) raise the same error in
+    `k_squared` and `canonical_cycle`."""
     indefinite = build_graph([("a", 0, -2), ("b", 0, -2)], [("a", "b", 2)])
     arms = [(f"a{i}", 0, -2) for i in range(4)]
     affine_d4 = build_graph([("x", 0, -2)] + arms, [("x", a[0]) for a in arms])
     for g in (indefinite, affine_d4):
-        for route in (k_squared, _graph_k_squared):
+        for route in (k_squared, canonical_cycle):
             with pytest.raises(NotNegativeDefiniteError) as exc:
                 route(g)
             assert str(exc.value) == "intersection matrix is not negative definite"
@@ -387,13 +485,19 @@ def test_class_invariants_pivot_sign_guard():
 
 
 def test_k_squared_cross_check_trips(monkeypatch):
-    """A form off by one must trip the integer two-way comparison of
-    `k_squared` and of `_graph_k_squared`."""
-    real = invariants._form
-    monkeypatch.setattr(invariants, "_form", lambda weights, adj, v: real(weights, adj, v) + 1)
-    for route in (k_squared, _graph_k_squared):
+    """A solution off by one in any entry must trip the integer two-way
+    comparison of `k_squared`."""
+    real = invariants.solve
+    g = build_graph([("a", 0, -3), ("b", 0, -2), ("c", 1, -4)], [("a", "b"), ("b", "c")])
+    for k in range(len(g)):
+
+        def wrong(f, *errors):
+            y, d = real(f, *errors)
+            return [v + (i == k) for i, v in enumerate(y)], d
+
+        monkeypatch.setattr(invariants, "solve", wrong)
         with pytest.raises(InternalCheckError, match="-K\\^2 mismatch"):
-            route(x31())
+            k_squared(g)
 
 
 def tail_graph(genus: int, self_int: int, length: int):
@@ -500,15 +604,15 @@ def test_laufer_runs_once_per_graph(monkeypatch):
             raised.append(str(info.value))
         assert raised[0] == raised[1]
         assert "_fundamental" not in g.__dict__
-    # Z depends on M alone, so a float genus (through the constructor) leaves it alone
-    float_genus = WeightedDualGraph((VertexData("a", 1.0, -3), VertexData("b", 0, -2)), (Edge(0, 1),))
-    assert fundamental_cycle(float_genus).as_ints() == (1, 1)
+    # a float genus is refused by the constructor, before any invariant is read
+    with pytest.raises(InvalidGraphError, match="integer genus"):
+        WeightedDualGraph((VertexData("a", 1.0, -3), VertexData("b", 0, -2)), (Edge(0, 1),))
 
 
 @pytest.mark.parametrize("mult", [3, 2], ids=["indefinite", "semidefinite"])
 def test_not_definite_graph_fails_alike_on_every_call(mult):
-    """Definiteness is decided once per graph's rows and kept, yet every
-    check still runs: on a graph that is not negative definite, `validate`
+    """Each graph's factorization is built once and kept, yet every check
+    still runs: on a graph that is not negative definite, `validate`
     reports it and each invariant raises the same text on every call, in
     any order, as on a fresh graph."""
     vertices, edges = [("a", 0, -2), ("b", 0, -2)], [("a", "b", mult)]

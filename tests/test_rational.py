@@ -8,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import kdg.rational
 from kdg.rational import (
     UNBOUNDED,
-    SingularMatrixError,
-    SymmetricIntRows,
+    back_substitute,
     closed_det,
     det,
+    factor,
     is_negative_definite,
     lcm_denominators,
     nullspace,
@@ -85,32 +84,69 @@ def dense_det(m):
     return 0 if rows is None else (-1) ** swaps * rows[n - 1][n - 1]
 
 
-def checked_det(m):
-    """det of m's map rows: cofactor_det(m), or a ValueError, which only a
-    matrix that is not negative semidefinite may get, and then None."""
+def diagonal(m):
+    return [row[i] for i, row in enumerate(m)]
+
+
+def factored(m, c=()):
+    """[m | c] factored from m's diagonal and its map rows (`maps`), which
+    keep the diagonal: `sparse_bareiss` ignores it."""
+    return factor(diagonal(m), maps(m), c)
+
+
+def off_diagonal(m):
+    """m's map rows without the diagonal, the adjacency maps of a graph."""
+    return [{j: x for j, x in enumerate(row) if x and j != i} for i, row in enumerate(m)]
+
+
+class NotDefinite(Exception):
+    pass
+
+
+class Singular(Exception):
+    pass
+
+
+def solved(f):
+    """`solve` on a factorization: the solution as `Fraction`s, or the
+    class of the error it raises."""
     try:
-        got = det(maps(m))
+        y, d = solve(f, NotDefinite(), Singular())
+    except (NotDefinite, Singular) as exc:
+        return type(exc)
+    return [Fraction(yi, d) for yi in y]
+
+
+def checked_det(m):
+    """det of m's factorization: cofactor_det(m), or a ValueError, which
+    only a matrix that is not negative semidefinite may get, and then None."""
+    try:
+        got = det(factored(m))
     except ValueError:
         assert not semidefinite(m)
         return None
-    assert got == cofactor_det(m)
+    assert got == cofactor_det(m) and type(got) is int
     return got
 
 
 def checked_solve(m, b):
-    """solve(., b) on m's map rows held to the contract of `checked_det`:
-    the solution `fraction_solve` finds, or SingularMatrixError exactly
-    where it finds none."""
+    """`solve` on [m | b]'s factorization: the solution `fraction_solve`
+    finds on a negative semidefinite m, `Singular` exactly where it finds
+    none, and `NotDefinite` on any other m.  Back substitution on the same
+    factorization solves every m that factors without a swap or a zero
+    pivot, definite or not."""
     want = fraction_solve(m, b)
-    try:
-        x = solve(maps(m), b)
-    except ValueError:
-        assert not semidefinite(m)
-        return
-    except SingularMatrixError:
-        assert want is None
-        return
-    assert list(x) == want and all(type(xi) is Fraction for xi in x)
+    f = factored(m, b)
+    got = solved(f)
+    if not semidefinite(m):
+        assert got is NotDefinite
+    elif want is None:
+        assert got is Singular
+    else:
+        assert got == want
+    if f.scales is not None and all(f.pivots):
+        d = det(f)
+        assert [Fraction(yi, d) for yi in back_substitute(f.pivots, f.rows, f.rhs, f.order, d)] == want
 
 
 # about half zeros, toward the sparsity of intersection matrices
@@ -286,11 +322,14 @@ def test_tree_kernels_invariant_under_permutation(seed, definite):
     pm = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     pc = [c[perm[i]] for i in range(n)]
 
-    rows, prows = maps(m), maps(pm)
-    assert det(prows) == det(rows) == dense_det(m)
-    assert is_negative_definite(rows) == is_negative_definite(prows) == definite
-    x = solve(rows, c)
-    assert solve(prows, pc) == tuple(x[perm[i]] for i in range(n))
+    f, pf = factored(m, c), factored(pm, pc)
+    assert det(pf) == det(f) == dense_det(m)
+    assert is_negative_definite(f) == is_negative_definite(pf) == definite
+    if not definite:
+        assert solved(f) is solved(pf) is NotDefinite
+        return
+    x = solved(f)
+    assert solved(pf) == [x[perm[i]] for i in range(n)]
     for i in range(n):
         assert sum(map(mul, m[i], x)) == c[i]
 
@@ -332,28 +371,23 @@ def large_sparse_matrices(draw):
 def test_kernels_on_reordered_sparse_patterns(m, data):
     n = len(m)
     b = data.draw(st.lists(ints, min_size=n, max_size=n))
-    rows = maps(m)
-    assert is_negative_definite(rows) == negdef_by_charpoly(m)
+    f = factored(m, b)
+    assert is_negative_definite(f) == negdef_by_charpoly(m)
     want_det = dense_det(m)
     try:
-        got_det = det(rows)
+        got_det = det(f)
     except ValueError:
-        assert not semidefinite(m)
-        with pytest.raises(ValueError):
-            solve(rows, b)
+        assert not semidefinite(m) and solved(f) is NotDefinite
         return
     assert got_det == want_det
-    if want_det == 0:
-        with pytest.raises(SingularMatrixError):
-            solve(rows, b)
-        return
-    assert list(solve(rows, b)) == fraction_solve(m, b)
+    checked_solve(m, b)
 
 
 @st.composite
 def vanishing_pivot_inputs(draw):
-    """(matrix, what `det` and `solve` must do, or None when the contract of
-    `checked_det` decides): symmetric trees whose leaf-first pivot
+    """(matrix, what `det` and `solve` must do, or None when the contracts
+    of `checked_det` and `checked_solve` decide): symmetric trees whose
+    leaf-first pivot
     vanishes, over a zero row (D~4 alone: singular) or over a nonzero one
     (a D~4 block inside a larger tree: refused), zero-heavy symmetric
     matrices, and integer multiples."""
@@ -388,16 +422,16 @@ def test_kernels_on_vanishing_pivots(case, data):
     m, outcome = case
     n = len(m)
     b = [1] * n if data is None else data.draw(st.lists(ints, min_size=n, max_size=n))
-    rows = maps(m)
+    f = factored(m, b)
     if outcome == "refused":
-        for kernel in (det, lambda m: solve(m, b)):
-            with pytest.raises(ValueError, match="row swap"):
-                kernel(rows)
+        with pytest.raises(ValueError, match="row swap"):
+            det(f)
+        assert solved(f) is NotDefinite
     elif outcome == "singular":
-        assert det(rows) == 0
-        with pytest.raises(SingularMatrixError):
-            solve(rows, b)
-    assert is_negative_definite(rows) == negdef_by_charpoly(m)
+        assert det(f) == 0
+        # a negative multiple is positive semidefinite
+        assert solved(f) is (Singular if semidefinite(m) else NotDefinite)
+    assert is_negative_definite(f) == negdef_by_charpoly(m)
     checked_det(m)
     checked_solve(m, b)
 
@@ -405,30 +439,30 @@ def test_kernels_on_vanishing_pivots(case, data):
 def test_negdef_exhaustive_2x2():
     for a, b, d in product(range(-5, 6), repeat=3):
         m = [[a, b], [b, d]]
-        assert is_negative_definite(maps(m)) == negdef_by_charpoly(m)
+        assert is_negative_definite(factored(m)) == negdef_by_charpoly(m)
     a3 = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
-    assert is_negative_definite(maps(a3))
-    assert [det(maps([row[: k + 1] for row in a3[: k + 1]])) for k in range(3)] == [-2, 3, -4]
+    assert is_negative_definite(factored(a3))
+    assert [det(factored([row[: k + 1] for row in a3[: k + 1]])) for k in range(3)] == [-2, 3, -4]
 
 
 @given(st.one_of(symmetric(3), symmetric(4)))
 @example([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])  # semidefinite, singular
 def test_negdef_matches_charpoly_oracle(m):
-    assert is_negative_definite(maps(m)) == negdef_by_charpoly(m)
+    assert is_negative_definite(factored(m)) == negdef_by_charpoly(m)
 
 
 @given(symmetric(3))
 def test_negdef_has_no_nonnegative_vector(m):
-    rows = maps(m)
+    f = factored(m)
     vectors = list(product(range(-2, 3), repeat=3))
     witness = quad_form_counterexample(m, vectors)
-    if is_negative_definite(rows):
+    if is_negative_definite(f):
         assert witness is None
     # a found witness proves non-definiteness outright
     if witness is not None:
-        assert not is_negative_definite(rows)
+        assert not is_negative_definite(f)
         v = list(witness)
-        assert quadratic_form(rows, v) == dense_form(m, v) >= 0
+        assert quadratic_form(diagonal(m), off_diagonal(m), v) == dense_form(m, v) >= 0
 
 
 @given(st.one_of(square(3), square(4)))
@@ -501,24 +535,14 @@ def test_rat_rejects_floats():
     assert rat(Fraction(2, 5)) == Fraction(2, 5)
 
 
-def test_ragged_matrix_rejected():
-    with pytest.raises(ValueError, match="map rows expected"):
-        det([[1, 2], [3]])
-    with pytest.raises(ValueError, match="map rows expected"):
-        solve([[1, 2], [3, 4]], [1])
-
-
-
-
 # ---------------------------------------------------------------------------
-# map rows in any column order, and the input contract of the kernels
+# map rows in any column order, and the kernels on a factorization
 
 
 @st.composite
 def map_rows_of(draw, m):
     """m as map rows: the nonzeros of each row, off the diagonal in a drawn
-    column order and the diagonal last, as `graph.intersection_rows`
-    stores them."""
+    column order and the diagonal last."""
     rows = []
     for i, row in enumerate(m):
         off = draw(st.permutations([j for j in range(len(m)) if j != i]))
@@ -526,236 +550,130 @@ def map_rows_of(draw, m):
     return rows
 
 
-def outcome(kernel, m):
-    """What kernel(m) returns, or the error it raises (with its stage)."""
-    try:
-        return kernel(m)
-    except SingularMatrixError as exc:
-        return SingularMatrixError, exc.stage
-    except ValueError:
-        return ValueError
-
-
 @settings(max_examples=200)
 @given(st.one_of(patterned(3), patterned(4), large_sparse_matrices()), st.data())
 @example(d4_tail([-2, -3], [0]), None)  # a zero pivot over a nonzero row
 @example(d4_tail([], []), None)  # singular at the last step
 def test_map_rows_match_dense_rows(m, data):
-    """The kernels on map rows, in any column order, against the dense
-    oracles on the same matrix; the rows are left as they were."""
+    """The kernels on the factorization of map rows, in any column order,
+    against the dense oracles on the same matrix; `factor` leaves the
+    caller's diagonal, rows and right-hand side as they were."""
     n = len(m)
     if data is None:
         rows, b = maps(m), [1] * n
     else:
         rows = data.draw(map_rows_of(m))
         b = data.draw(st.lists(ints, min_size=n, max_size=n))
-    snapshot = [list(row.items()) for row in rows]
-    assert is_negative_definite(rows) == negdef_by_charpoly(m)
-    assert quadratic_form(rows, b) == dense_form(m, b)
-    got_det, got_x = outcome(det, rows), outcome(lambda a: solve(a, b), rows)
-    if got_det is ValueError:
-        assert not semidefinite(m) and got_x is ValueError
+    diag = diagonal(m)
+    snapshot = [list(row.items()) for row in rows], list(diag), list(b)
+    f = factor(diag, rows, b)
+    assert is_negative_definite(f) == negdef_by_charpoly(m)
+    adj = [{j: x for j, x in row.items() if j != i} for i, row in enumerate(rows)]
+    form = quadratic_form(diag, adj, b)
+    assert form == dense_form(m, b) and type(form) is int
+    try:
+        got_det = det(f)
+    except ValueError:
+        assert not semidefinite(m) and solved(f) is NotDefinite
     else:
         assert got_det == dense_det(m)
-        if got_det:
-            assert list(got_x) == fraction_solve(m, b)
+        want = fraction_solve(m, b)
+        if not semidefinite(m):
+            assert solved(f) is NotDefinite
+        elif got_det:
+            assert solved(f) == want
         else:
-            assert got_x[0] is SingularMatrixError and fraction_solve(m, b) is None
-    assert [list(row.items()) for row in rows] == snapshot
+            assert solved(f) is Singular and want is None
+    assert ([list(row.items()) for row in rows], diag, b) == snapshot
 
 
-def test_float_in_map_row_raises():
-    """A float entry, a stored 0.0 too, raises ValueError in every kernel,
-    and a float in c raises TypeError."""
-    rows = [{0: -3, 1: 1}, {0: 1, 1: -2, 2: 1}, {1: 1, 2: -2}]
-    c = [1, 0, 0]
-    for i, j, x in ((0, 0, -3.0), (0, 2, 0.0)):
-        bad = [dict(row) for row in rows]
-        bad[i][j] = bad[j][i] = x
-        for kernel in (det, is_negative_definite, lambda m: solve(m, c), lambda m: quadratic_form(m, c)):
-            with pytest.raises(ValueError, match="nonzero plain int entries expected"):
-                kernel(bad)
-    with pytest.raises(TypeError, match="plain int expected, got float"):
-        solve(rows, [1.0, 0, 0])
-
-
-def test_only_checked_rows_keep_their_definiteness(monkeypatch):
-    """`is_negative_definite` decides `SymmetricIntRows` once per rows
-    object and keeps the answer on it; plain map rows are checked as new
-    `SymmetricIntRows` and eliminated on every call, so changing them
-    between two calls gives the new answer."""
-    runs = []
-    real = kdg.rational.sparse_bareiss
-
-    def counted(diag, rows, rhs):
-        runs.append(len(rows))
-        return real(diag, rows, rhs)
-
-    monkeypatch.setattr(kdg.rational, "sparse_bareiss", counted)
-    m = [{0: -2, 1: 1}, {0: 1, 1: -2}]
-    assert is_negative_definite(m)
-    m[0][0] = m[1][1] = 2
-    assert not is_negative_definite(m)
-    m[0][0] = m[1][1] = -2
-    assert is_negative_definite(m) and is_negative_definite(m)
-    assert len(runs) == 4
-    for m, definite in (([{0: -2, 1: 1}, {0: 1, 1: -2}], True), ([{0: -1, 1: 1}, {0: 1, 1: -1}], False)):
-        rows = SymmetricIntRows(m)
-        before = len(runs)
-        assert [is_negative_definite(rows) for _ in range(3)] == [definite] * 3
-        assert len(runs) == before + 1
-        # the answer belongs to the rows object: equal rows are decided anew
-        twin = SymmetricIntRows(m)
-        assert twin == rows and is_negative_definite(twin) == definite
-        assert len(runs) == before + 2
-    # `det` still eliminates checked rows on every call
-    semidefinite = SymmetricIntRows([{0: -1, 1: 1}, {0: 1, 1: -1}])
-    before = len(runs)
-    assert det(semidefinite) == 0 and det(semidefinite) == 0
-    assert len(runs) == before + 2
-
-
-def test_checked_rows_keep_their_last_solve(monkeypatch):
-    """`solve` keeps one pair on `SymmetricIntRows`, the last checked c and
-    its answer: the same c again eliminates nothing, another c is
-    eliminated and replaces it.  c is checked before the kept c is read,
-    errors are never kept, and plain map rows are eliminated every time."""
-    runs = []
-    real = kdg.rational.sparse_bareiss
-
-    def counted(diag, rows, rhs):
-        runs.append(len(rows))
-        return real(diag, rows, rhs)
-
-    monkeypatch.setattr(kdg.rational, "sparse_bareiss", counted)
-    dense = [[-2, 1, 0], [1, -3, 1], [0, 1, -2]]
-    rows = SymmetricIntRows(maps(dense))
-    c, other = [1, 0, -1], (0, 2, 1)
-    first = solve(rows, c)
-    assert list(first) == fraction_solve(dense, c)
-    assert solve(rows, c) == first and solve(rows, tuple(c)) == first
-    assert len(runs) == 1
-    assert list(solve(rows, other)) == fraction_solve(dense, other)
-    assert len(runs) == 2
-    assert solve(rows, c) == first and len(runs) == 3
-    # a kept c equal to the bad one does not answer it
-    for bad, error in (
-        ([True, 0, -1], TypeError),
-        ([1.0, 0, -1], TypeError),
-        ([1, 0], ValueError),
-        (c + [0], ValueError),
-    ):
-        with pytest.raises(error):
-            solve(rows, bad)
-    assert solve(rows, c) == first and len(runs) == 3
-    singular = SymmetricIntRows([{0: -1, 1: 1}, {0: 1, 1: -1}])
-    for _ in range(2):
-        with pytest.raises(SingularMatrixError):
-            solve(singular, [0, 0])
-    assert len(runs) == 5 and "_solved" not in singular.__dict__
-    plain = maps(dense)
-    assert solve(plain, c) == first and solve(plain, c) == first
-    assert len(runs) == 7
-
-
-@pytest.mark.parametrize("row", [{0: -2, 2: 1}, {-1: 1, 0: -2}])
-def test_map_row_column_out_of_range(row):
-    rows = [row, {1: -2}]
-    for kernel in (det, is_negative_definite, lambda m: solve(m, [0, 0]), lambda m: quadratic_form(m, [1, 1])):
-        with pytest.raises(ValueError, match="outside 0..1"):
-            kernel(rows)
-
-
-def test_mixed_row_forms_rejected():
-    for m in ([{0: -2}, [0, -2]], [[-2, 0], {1: -2}]):
-        with pytest.raises(ValueError, match="map rows expected"):
-            det(m)
-
-
-MAPS = (ValueError, "map rows expected")
-ENTRIES = (ValueError, "nonzero plain int entries expected")
-RANGE = (ValueError, "map row with a column outside 0..1")
-ASYMMETRIC = (ValueError, "symmetric matrix expected")
-MISMATCH = (ValueError, "dimension mismatch")
 SWAP = (ValueError, "a pivot vanishes over a nonzero row")
-SINGULAR = (SingularMatrixError, "singular matrix: no pivot at elimination stage 1")
 F = Fraction
-A2 = [{0: -2, 1: 1}, {0: 1, 1: -2}]
-A3 = [{0: -2, 1: 1}, {0: 1, 1: -2, 2: 1}, {1: 1, 2: -2}]
+A2 = [[-2, 1], [1, -2]]
+A3 = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
 
 
-def int_in_c(name):
-    return TypeError, f"plain int expected, got {name}"
-
-
-def rational_in_v(name):
-    return TypeError, f"exact rational expected, got {name}"
-
-
-#: (m, c, det(m), solve(m, c), is_negative_definite(m), quadratic_form(m, c))
+#: (m, c, det, solve, is_negative_definite, quadratic_form(m, c)) on the
+#: factorization of [m | c]
 KERNEL_CONTRACT = [
-    # dense, tuple, mixed and ragged rows
-    ([[-2, 1], [1, -2]], [1, 1], MAPS, MAPS, MAPS, MAPS),
-    ([(-2, 1), (1, -2)], [1, 1], MAPS, MAPS, MAPS, MAPS),
-    ([{0: -2}, [0, -2]], [1, 1], MAPS, MAPS, MAPS, MAPS),
-    ([[-2, 1.0], [1]], [1], MAPS, MAPS, MAPS, MAPS),
-    # a Fraction, a float, a bool, a stored zero and a stored 0.0
-    ([{0: F(-1, 2), 1: 1}, {0: 1, 1: -2}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    ([{0: -2, 1: F(1)}, {0: F(1), 1: -2}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    ([{0: -2.0, 1: 1}, {0: 1, 1: -2}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    ([{0: -2, 1: True}, {0: True, 1: -2}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    ([{0: -2, 1: 0}, {0: 0, 1: -2}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    ([{0: -2, 1: 0.0}, {0: 0.0, 1: -2}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    # a column key that is a string or a bool
-    ([{0: -2, "1": 1}, {1: -2}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    ([{0: -2, True: 1}, {0: 1, 1: -2}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    # a column out of range; a float beside it is found first
-    ([{-1: 1, 0: -2}, {1: -2}], [1, 1], RANGE, RANGE, RANGE, RANGE),
-    ([{0: -2, 2: 1}, {1: -2}], [1], RANGE, RANGE, RANGE, RANGE),
-    ([{0: -2.0}, {1: -2, 2: 1}], [1, 1], ENTRIES, ENTRIES, ENTRIES, ENTRIES),
-    # values or pattern not symmetric
-    ([{0: -2, 1: 1}, {0: 2, 1: -2}], [1, 0], ASYMMETRIC, ASYMMETRIC, ASYMMETRIC, ASYMMETRIC),
-    ([{0: -2, 1: 1}, {1: -2}], [1, 0], ASYMMETRIC, ASYMMETRIC, ASYMMETRIC, ASYMMETRIC),
-    # c of the wrong length, or holding other than plain ints; quadratic_form takes a rational v
-    (A2, [1], F(3), MISMATCH, True, MISMATCH),
-    (A2, [1, 0, 0], F(3), MISMATCH, True, MISMATCH),
-    (A2, [1, 0.5], F(3), int_in_c("float"), True, rational_in_v("float")),
-    (A2, [F(1, 5), 1], F(3), int_in_c("Fraction"), True, F(-42, 25)),
-    (A2, [True, 0], F(3), int_in_c("bool"), True, F(-2)),
-    # plain ints, as rows or as checked rows
-    (A2, [1, 1], F(3), (F(-1), F(-1)), True, F(-2)),
-    (SymmetricIntRows(A2), [1, 0], F(3), (F(-2, 3), F(-1, 3)), True, F(-2)),
-    (A3, [1, 0, 0], F(-4), (F(-3, 4), F(-1, 2), F(-1, 4)), True, F(-2)),
-    (A3, [1, 0, -1], F(-4), (F(-1, 2), F(0), F(1, 2)), True, F(-4)),
-    ([{0: -3, 1: 2}, {0: 2, 1: -3}], [1, 1], F(5), (F(-1), F(-1)), True, F(-2)),
-    ([{0: -2}, {1: -3}], [1, 1], F(6), (F(-1, 2), F(-1, 3)), True, F(-5)),
-    ([], [], F(1), (), True, F(0)),
+    (A2, [1, 1], 3, [F(-1), F(-1)], True, -2),
+    (A2, [1, 0], 3, [F(-2, 3), F(-1, 3)], True, -2),
+    (A3, [1, 0, 0], -4, [F(-3, 4), F(-1, 2), F(-1, 4)], True, -2),
+    (A3, [1, 0, -1], -4, [F(-1, 2), F(0), F(1, 2)], True, -4),
+    ([[-3, 2], [2, -3]], [1, 1], 5, [F(-1), F(-1)], True, -2),
+    ([[-2, 0], [0, -3]], [1, 1], 6, [F(-1, 2), F(-1, 3)], True, -5),
+    ([], [], 1, [], True, 0),
+    # positive definite: factored, but neither negative definite nor solved
+    ([[2, 1], [1, 2]], [1, 1], 3, NotDefinite, False, 6),
     # singular, and a pivot that vanishes over a nonzero row
-    ([{0: -1, 1: 1}, {0: 1, 1: -1}], [1, 1], F(0), SINGULAR, False, F(0)),
-    ([{1: 1}, {0: 1}], [1, 1], SWAP, SWAP, False, F(2)),
+    ([[-1, 1], [1, -1]], [1, 1], 0, Singular, False, 0),
+    ([[0, 1], [1, 0]], [1, 1], SWAP, NotDefinite, False, 2),
+    ([[-3]], [1], -3, [F(-1, 3)], True, -3),
+    # a cycle, two components, and a tree whose solution is not negative
+    ([[-3, 1, 1], [1, -3, 1], [1, 1, -3]], [1, 1, 1], -16, [F(-1)] * 3, True, -3),
+    ([[-2, 1, 0, 0], [1, -2, 0, 0], [0, 0, -3, 2], [0, 0, 2, -3]], [1, 0, -1, 2], 15,
+     [F(-2, 3), F(-1, 3), F(-1, 5), F(-4, 5)], True, -25),
+    ([[-1, 1, 1], [1, -2, 0], [1, 0, -3]], [-1, 0, 1], -1, [F(4), F(2), F(1)], True, -6),
+    # affine D4: negative semidefinite and singular
+    ([[-2, 1, 1, 1, 1], [1, -2, 0, 0, 0], [1, 0, -2, 0, 0], [1, 0, 0, -2, 0], [1, 0, 0, 0, -2]],
+     [1, 0, 0, 0, 0], 0, Singular, False, -2),
+    # a zero pivot over a zero row is skipped: semidefinite and singular
+    ([[0, 0], [0, -2]], [0, 1], 0, Singular, False, -2),
+    # indefinite with nonzero pivots, so no row swap: det, but no solution
+    ([[-1, 2], [2, -1]], [1, 1], -3, NotDefinite, False, 2),
 ]
 
 
-def snapshot(m):
-    return [list(row.items()) if isinstance(row, dict) else list(row) for row in m]
-
-
 @pytest.mark.parametrize("case", KERNEL_CONTRACT)
-def test_kernel_input_contract(case):
-    """Every kernel gives the same answer, or raises the same error, on
-    malformed and mixed-type input, and leaves the caller's rows alone."""
-    m, c, *expected = case
-    before, c_before = snapshot(m), list(c)
-    kernels = (det, lambda a: solve(a, c), is_negative_definite, lambda a: quadratic_form(a, c))
-    for kernel, want in zip(kernels, expected):
-        if isinstance(want, tuple) and want and isinstance(want[0], type):
-            error, message = want
-            with pytest.raises(error) as info:
-                kernel(m)
-            assert type(info.value) is error and str(info.value).startswith(message)
-        else:
-            got = kernel(m)
-            assert got == want and type(got) is type(want)
-            if isinstance(got, tuple):
-                assert all(type(x) is Fraction for x in got)
-        assert snapshot(m) == before and list(c) == c_before
+def test_kernel_contract(case):
+    """Every kernel's answer, or error, on small factorizations, with
+    `quadratic_form` an int on ints; the caller's rows and c are left
+    alone."""
+    m, c, want_det, want_x, want_negdef, want_form = case
+    rows = maps(m)
+    before, c_before = [list(row.items()) for row in rows], list(c)
+    f = factor(diagonal(m), rows, c)
+    if isinstance(want_det, tuple):
+        error, message = want_det
+        with pytest.raises(error, match=message):
+            det(f)
+    else:
+        got = det(f)
+        assert got == want_det and type(got) is int
+    assert solved(f) == want_x
+    assert is_negative_definite(f) is want_negdef
+    form = quadratic_form(diagonal(m), off_diagonal(m), c)
+    assert form == want_form and type(form) is int
+    assert [list(row.items()) for row in rows] == before and list(c) == c_before
+
+
+def test_quadratic_form_is_exact_on_fractions():
+    assert quadratic_form(diagonal(A2), off_diagonal(A2), [F(1, 5), 1]) == F(-42, 25)
+
+
+def test_factorization_keeps_its_solution(monkeypatch):
+    """One back substitution per factorization, on the first `solve`, and
+    none on one that `solve` refuses or that `det` reads; without a
+    `singular` error a singular M raises `not_definite`."""
+    import kdg.rational
+
+    runs = []
+    real = kdg.rational.back_substitute
+
+    def counted(*args):
+        runs.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(kdg.rational, "back_substitute", counted)
+    f = factor(diagonal(A3), maps(A3), [1, 0, 0])
+    assert det(f) == -4 and runs == []
+    first = solve(f, NotDefinite())
+    assert first == ([3, 2, 1], -4) and runs == [-4]
+    assert solve(f, NotDefinite(), Singular()) is first and runs == [-4]
+    for m in ([[-1, 1], [1, -1]], [[2, 1], [1, 2]], [[0, 1], [1, 0]]):
+        refused = factor(diagonal(m), maps(m), [1, 1])
+        for _ in range(2):
+            with pytest.raises(NotDefinite):
+                solve(refused, NotDefinite())
+        assert "solution" not in refused.__dict__
+    assert runs == [-4]

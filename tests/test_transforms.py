@@ -23,7 +23,6 @@ from kdg.graph import (
     VertexData,
     WeightedDualGraph,
     build_graph,
-    intersection_rows,
 )
 from kdg.invariants import k_squared, numerical_index
 from kdg.rational import UNBOUNDED, is_negative_definite
@@ -235,12 +234,13 @@ def test_insertion_values_match_dense_oracle():
 
 def test_transforms_factor_each_system_once(monkeypatch):
     """Each system is factored once, by one `sparse_bareiss` on its
-    adjacency rows: none of the dense or per-invariant kernels is called."""
+    adjacency rows, and each graph once, however many of its invariants
+    are read: neither dense kernel is called."""
 
     def never(*args):
-        raise AssertionError("transforms called a dense or per-invariant kernel")
+        raise AssertionError("transforms called a dense kernel")
 
-    for name in ("intersection_matrix", "k_squared", "solve", "det", "is_negative_definite"):
+    for name in ("intersection_matrix", "det"):
         monkeypatch.setattr(transforms, name, never, raising=False)
     sizes = []
     real = rational.sparse_bareiss
@@ -250,17 +250,23 @@ def test_transforms_factor_each_system_once(monkeypatch):
         return real(diag, rows, rhs)
 
     monkeypatch.setattr(rational, "sparse_bareiss", counted)
-    monkeypatch.setattr(invariants, "sparse_bareiss", counted)
     spec = family_spec("II", n=2, s=1)
     g = generate(spec)
     v = len(g)
     for site in find_sites(g):
         for n in (1, 3):
+            g = generate(spec)
             sizes.clear()
             assert verify_insertion(g, site, n).all_hold
-            # g, the inserted graph, its contraction, and `validate` of the
+            # g, the inserted graph and its contraction; `validate` of the
             # inserted graph (the independent result_admissible check)
-            assert sizes == [v, v + n, v, v + n]
+            # reads the inserted graph's kept factorization
+            assert sizes == [v, v + n, v]
+            # g keeps its factorization
+            sizes.clear()
+            assert verify_insertion(g, site, n).all_hold
+            assert sizes == [v + n, v]
+    g = generate(spec)
     sizes.clear()
     s = stretch_descriptor(spec, g, "s")
     assert mobius_limit_crosscheck(g, s) == Fraction(3, 4)
@@ -362,7 +368,7 @@ def test_with_string_length_zero_rejected_on_cycle():
         with_string_length(g, s, 0)
     grown, desc = with_string_length(g, s, 5)
     assert len(grown) == 6
-    assert is_negative_definite(intersection_rows(grown))
+    assert is_negative_definite(grown._factorization)
     assert desc is not None and desc.left == desc.right
 
 
@@ -446,7 +452,7 @@ def test_mobius_refuses_graph_not_negative_definite():
     e8 = generate(spec)
     (long_arm,) = [s for s in detect_strings(e8) if len(s.chain) == 4]
     g, arm = with_string_length(e8, long_arm, 6)
-    assert not is_negative_definite(intersection_rows(g))
+    assert not is_negative_definite(g._factorization)
     with pytest.raises(PreconditionError, match="negative definite graph"):
         mobius_limit_crosscheck(g, arm)
     with pytest.raises(PreconditionError, match="negative definite graph"):
@@ -463,7 +469,7 @@ def test_mobius_refuses_pole_beyond_window():
         Fraction(4, 9 - L) for L in (0, 1, 2)
     ]
     member, _ = with_string_length(g, f1, 9)
-    assert not is_negative_definite(intersection_rows(member))
+    assert not is_negative_definite(member._factorization)
     with pytest.raises(PreconditionError, match="pole at string length 9"):
         mobius_limit_crosscheck(g, f1)
 
