@@ -26,13 +26,7 @@ from .families import closed_form_k2, family_names, family_spec, generate
 from .graph import WeightedDualGraph, graph_to_json, load_graph, to_dot
 from .invariants import invariant_report, k_squared, report_to_obj, report_to_text
 from .rational import UNBOUNDED, rat_decimal, rat_str
-from .transforms import (
-    StringDescriptor,
-    _definite_solution,
-    _fitted_limit,
-    _limit_along,
-    detect_strings,
-)
+from .transforms import StringDescriptor, detect_strings, limit_k_squared, mobius_limit_crosscheck
 
 
 #: Rows `sweep --range a..b` may ask for; a longer range is refused with
@@ -158,7 +152,11 @@ def _describe_string(ids: Sequence[str], s: StringDescriptor) -> str:
     return f"{chain} (attached to {attach})"
 
 
-def _resolve_string_arg(g: WeightedDualGraph, token: str, stretchable) -> StringDescriptor:
+def _resolve_string_arg(
+    g: WeightedDualGraph, token: str, on_string: dict[int, StringDescriptor]
+) -> StringDescriptor:
+    """The stretchable string through the vertex a token names, by id or
+    by index; `on_string` maps each vertex on one to its string."""
     token = token.strip()
     try:
         idx = g.index_of(token)
@@ -169,10 +167,9 @@ def _resolve_string_arg(g: WeightedDualGraph, token: str, stretchable) -> String
             raise PreconditionError(f"unknown vertex {token!r}") from None
         if not 0 <= idx < len(g):
             raise PreconditionError(f"vertex index {idx} out of range")
-    for s in stretchable:
-        if idx in s.chain:
-            return s
-    raise PreconditionError(f"vertex {token!r} does not lie on a stretchable maximal string")
+    if idx not in on_string:
+        raise PreconditionError(f"vertex {token!r} does not lie on a stretchable maximal string")
+    return on_string[idx]
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
@@ -190,24 +187,20 @@ def _cmd_limit(args: argparse.Namespace) -> int:
         if not chosen:
             raise PreconditionError("no stretchable maximal strings in this graph")
     else:
-        chosen = []
-        for token in args.strings.split(","):
-            s = _resolve_string_arg(g, token, stretchable)
-            if s not in chosen:
-                chosen.append(s)
+        on_string = {i: s for s in stretchable for i in s.chain}
+        named = (_resolve_string_arg(g, token, on_string) for token in args.strings.split(","))
+        # each string once, in the order of its first token
+        chosen = list({s.chain[0]: s for s in named}.values())
     print("stretching: " + "; ".join(_describe_string(ids, s) for s in chosen))
-    # `chosen` holds distinct stretchable strings of `detected`, as
-    # `limit_k_squared` would resolve them, so g is checked and factored once
-    solved = _definite_solution(g)
     limit_value: Optional[Fraction]
     try:
-        limit_value = _limit_along(g, chosen, solved)
+        limit_value = limit_k_squared(g, chosen)
         print(f"limit of -K^2: {_show(limit_value)}")
     except SingularLimitError as exc:
         limit_value = None
         print(f"no finite limit: {exc}")
     if len(chosen) == 1:
-        cross = _fitted_limit(g, chosen[0], solved)
+        cross = mobius_limit_crosscheck(g, chosen[0])
         print(f"rational-fit cross-check: {_show(cross)}")
         consistent = (cross is UNBOUNDED and limit_value is None) or cross == limit_value
         if not consistent:

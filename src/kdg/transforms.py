@@ -15,6 +15,13 @@ Three related pieces live here:
   their current length instead.  After g's own factorization every limit
   system is the core of g, g less the interiors of the designated strings
   (`_limit_core`), so it is factored at the size of the core, not of g.
+  `limit_k_squared` and its cross-check `mobius_limit_crosscheck` are the
+  one entry point each, for the library and for `kdg limit` alike.
+
+A graph's maximal strings are found by one walk and kept with it
+(`_strings`), so every designation is resolved by one lookup; a
+descriptor is accepted only when it is one of them, read in either
+direction (`_maximal`), and `with_string_length` takes no other.
 """
 
 from __future__ import annotations
@@ -163,45 +170,6 @@ def insert_minus2(g: WeightedDualGraph, site: InsertionSite, n: int) -> Weighted
     return _splice(g, empty, n)[0]
 
 
-def _check_string_structure(g: WeightedDualGraph, s: StringDescriptor) -> None:
-    n = len(g)
-    for label, idx in (("left", s.left), ("right", s.right)):
-        if idx is not None and not (0 <= idx < n):
-            raise PreconditionError(f"string {label} attachment out of range: {idx}")
-    if len(set(s.chain)) != len(s.chain):
-        raise PreconditionError("string chain repeats a vertex")
-    if any(not (0 <= i < n) for i in s.chain):
-        raise PreconditionError("string chain index out of range")
-    if not s.chain:
-        raise PreconditionError("string chain is empty")
-    adj = g.adjacency()
-    chain_set = set(s.chain)
-    if s.left in chain_set or s.right in chain_set:
-        raise PreconditionError("string attachments must lie outside the chain")
-    for i in s.chain:
-        if not _is_minus2(g, i):
-            raise PreconditionError(f"string vertex {g.vertices[i].id!r} is not a genus-0 (-2)-vertex")
-        if any(m != 1 for m in adj[i].values()):
-            raise PreconditionError("string vertices must meet everything with multiplicity 1")
-    for u, v in zip(s.chain, s.chain[1:]):
-        if adj[u].get(v) != 1:
-            raise PreconditionError("string chain vertices must be consecutive neighbors")
-    for pos in range(1, len(s.chain) - 1):
-        if set(adj[s.chain[pos]]) != {s.chain[pos - 1], s.chain[pos + 1]}:
-            raise PreconditionError("interior string vertex has an outside neighbor")
-    first_outside = set(adj[s.chain[0]]) - chain_set
-    last_outside = set(adj[s.chain[-1]]) - chain_set
-    if len(s.chain) == 1:
-        expected = {x for x in (s.left, s.right) if x is not None}
-        if first_outside != expected or len(first_outside) > 2:
-            raise PreconditionError("string attachments do not match the graph")
-    else:
-        if first_outside != ({s.left} if s.left is not None else set()):
-            raise PreconditionError("left attachment does not match the graph")
-        if last_outside != ({s.right} if s.right is not None else set()):
-            raise PreconditionError("right attachment does not match the graph")
-
-
 def _hirzebruch_jung(weights: list[int], rows: list[dict[int, int]], p: int, q: int, n: int) -> None:
     """Eliminate a chain of n (-2)-vertices between rows p and q in place,
     rows p and q of genus-0 (-2)-vertices already without it, or joined by
@@ -334,17 +302,28 @@ def detect_strings(g: WeightedDualGraph) -> list[StringDescriptor]:
     most 2 and every incident edge has multiplicity 1; branch points are
     therefore never part of a chain.  Components that close into cycles are
     skipped (they are never negative definite).  Chains covering a whole
-    connected component are reported with both attachments None.  One walk
-    over the adjacency maps: each chain is followed both ways from its
-    least vertex, and every vertex is visited once.
+    connected component are reported with both attachments None.  A new
+    list on each call, of the strings g keeps (`_strings`).
     """
+    return list(_strings(g).values())
+
+
+def _strings(g: WeightedDualGraph) -> dict[int, StringDescriptor]:
+    """`detect_strings(g)` keyed by each string's least end, found by one
+    walk per graph over the adjacency maps: each chain is followed both
+    ways from its least vertex, and every vertex is visited once.  Kept in
+    g's instance dict beside its factorization, so equality and hashing
+    never see it."""
+    found = g.__dict__.get("_strings")
+    if found is not None:
+        return found
     adj = g.adjacency()
     # open_[i]: i may sit on a chain, and no walk has reached it yet
     open_ = [
         genus == 0 and self_int == -2 and len(row) <= 2 and sum(row.values()) == len(row)
         for (_, genus, self_int), row in zip(g.vertices, adj)
     ]
-    out = []
+    found = {}
     for i, row in enumerate(adj):
         if not open_[i]:
             continue
@@ -374,8 +353,18 @@ def detect_strings(g: WeightedDualGraph) -> list[StringDescriptor]:
         else:
             left = next((k for k in adj[chain[0]] if k != chain[1]), None)
             right = next((k for k in adj[chain[-1]] if k != chain[-2]), None)
-        out.append(StringDescriptor(tuple(chain), left, right))
-    return out
+        found[chain[0]] = StringDescriptor(tuple(chain), left, right)
+    g.__dict__["_strings"] = found
+    return found
+
+
+def _maximal(g: WeightedDualGraph, s: StringDescriptor) -> StringDescriptor:
+    """The maximal string of g that s is, read in either direction, as
+    `detect_strings` gives it; PreconditionError for any other descriptor."""
+    match = _strings(g).get(min(s.chain[0], s.chain[-1])) if s.chain else None
+    if match is None or (s != match and s != match.reversed()):
+        raise PreconditionError("string is not a maximal string of this graph")
+    return match
 
 
 def with_string_length(
@@ -383,12 +372,14 @@ def with_string_length(
 ) -> tuple[WeightedDualGraph, Optional[StringDescriptor]]:
     """The family member with this string spliced to the given total length.
 
-    Extending appends fresh (-2)-vertices (existing indices are preserved);
-    shrinking removes chain vertices from the far end and, at length 0,
-    joins the two attachments directly (bumping an existing edge).  Returns
-    the new graph and the updated descriptor (None at length 0).
+    s must be a maximal string of g (`detect_strings`), read in either
+    direction (PreconditionError).  Extending appends fresh (-2)-vertices
+    at the far end of s (existing indices are preserved); shrinking removes
+    chain vertices from the far end and, at length 0, joins the two
+    attachments directly (bumping an existing edge).  Returns the new graph
+    and the updated descriptor (None at length 0).
     """
-    _check_string_structure(g, s)
+    _maximal(g, s)
     if length < 0:
         raise PreconditionError(f"string length must be >= 0, got {length}")
     return _splice(g, s, length)
@@ -397,8 +388,8 @@ def with_string_length(
 def _splice(
     g: WeightedDualGraph, s: StringDescriptor, length: int
 ) -> tuple[WeightedDualGraph, Optional[StringDescriptor]]:
-    """`with_string_length` on a checked descriptor, whose chain may also be
-    empty between two adjacent attachments (an insertion site).  Built by
+    """`with_string_length` on a maximal string, or on the empty chain
+    between two adjacent attachments (an insertion site).  Built by
     index from g's records in O(n + edges): the member's vertices are g's
     in order, less the removed chain vertices or followed by the new ones,
     and its edges are ordered by index pair."""
@@ -445,51 +436,18 @@ def _resolve_designated(
     g: WeightedDualGraph, strings: Sequence[StringDescriptor]
 ) -> list[StringDescriptor]:
     """The maximal strings of g that `strings` designate, in order, as
-    `detect_strings` gives them; PreconditionError for any other
-    descriptor.  What `detect_strings` gives passes `_check_string_structure`,
-    so callers splice them with `_splice` and check nothing again."""
+    `detect_strings` gives them (`_maximal`); PreconditionError for any
+    other descriptor, for a repeated string and for one that covers a whole
+    component."""
     if not strings:
         raise PreconditionError("at least one designated string is required")
-    detected = {frozenset(s.chain): s for s in detect_strings(g)}
-    resolved = []
-    for s in strings:
-        match = detected.get(frozenset(s.chain))
-        if match is None or (s != match and s != match.reversed()):
-            raise PreconditionError("designated string is not a maximal string of this graph")
-        resolved.append(match)
-    if len({frozenset(s.chain) for s in resolved}) != len(resolved):
+    resolved = [_maximal(g, s) for s in strings]
+    if len({s.chain[0] for s in resolved}) != len(resolved):
         raise PreconditionError("designated strings must be pairwise distinct")
     for s in resolved:
         if s.left is None and s.right is None:
             raise PreconditionError("a string covering a whole component cannot be stretched")
     return resolved
-
-
-def _definite_solution(g: WeightedDualGraph) -> tuple[list[int], int]:
-    """(y, d) of g's own system M m = c, read off g's factorization;
-    PreconditionError unless g is negative definite, as every limit needs."""
-    return solve(g._factorization, PreconditionError("limit needs a negative definite graph"))
-
-
-def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -> Fraction:
-    """Limit of -K^2 as every designated string length goes to infinity.
-
-    g must be negative definite (PreconditionError), and the strings must
-    be maximal strings of g (`_resolve_designated`).  Strings are processed
-    in designation order.  For each one the end coefficients m_p, m_q of
-    the current system are compared: when they agree the value is constant
-    in that direction and the string is frozen at its current length, a
-    string of length 1 at length 2; otherwise it goes to its limit.  g is
-    factored once, and every other system at the size of its core
-    (`_limit_along`).  The pivots decide: a matrix that is not negative
-    semidefinite means the stretched family leaves the negative definite
-    class (PreconditionError); a singular one is reported via
-    SingularLimitError, never guessed at.  `kdg limit` checks g and
-    detects its strings once for this and the cross-check, and calls
-    `_limit_along`.
-    """
-    solved = _definite_solution(g)
-    return _limit_along(g, _resolve_designated(g, strings), solved)
 
 
 def _limit_core(
@@ -533,19 +491,30 @@ def _limit_core(
 LIMIT_WORK_BUDGET = 1_000_000
 
 
-def _limit_along(
-    g: WeightedDualGraph, strings: Sequence[StringDescriptor], solved: tuple[list[int], int]
-) -> Fraction:
-    """`limit_k_squared` on strings as `_resolve_designated` gives them, with
-    `solved` g's (y, d) from `_definite_solution`.
+def limit_k_squared(g: WeightedDualGraph, strings: Sequence[StringDescriptor]) -> Fraction:
+    """Limit of -K^2 as every designated string length goes to infinity.
+
+    g must be negative definite (PreconditionError), and the strings must
+    be maximal strings of g (`_resolve_designated`).  Strings are processed
+    in designation order.  For each one the end coefficients m_p, m_q of
+    the current system are compared: when they agree the value is constant
+    in that direction and the string is frozen at its current length, a
+    string of length 1 at length 2; otherwise it goes to its limit.
 
     Every system is the core of g (`_limit_core`), each designated string
     in it either at its length or at its limit (ends -1, no coupling),
     factored once (`solve(factor(...))`) at the size of the core.  The
     first one, every string at its length, has g's own solution on the
-    core, so it is factored only when a string of length 1 added a row;
-    each stretched string sets up the next one.  More strings times core rows than
-    `LIMIT_WORK_BUDGET` are refused before any of them is factored."""
+    core, read off g's factorization, so it is factored only when a string
+    of length 1 added a row; each stretched string sets up the next one.
+    More strings times core rows than `LIMIT_WORK_BUDGET` are refused
+    before any of them is factored.  The pivots decide: a matrix that is
+    not negative semidefinite means the stretched family leaves the
+    negative definite class (PreconditionError); a singular one is
+    reported via SingularLimitError, never guessed at.
+    """
+    y, d = solve(g._factorization, PreconditionError("limit needs a negative definite graph"))
+    strings = _resolve_designated(g, strings)
     weights, rows, c, local, ends = _limit_core(g, strings)
     if len(strings) * len(rows) > LIMIT_WORK_BUDGET:
         raise PreconditionError(f"limit of {len(strings)} strings on a {len(rows)}-vertex core"
@@ -555,7 +524,6 @@ def _limit_along(
         " the stretched family leaves the negative definite class"
     )
     singular = SingularLimitError("intermediate limit matrix is singular; no finite limit reported")
-    y, d = solved
     # g's own solution on the core, unless a string of length 1 added a row
     y = [y[v] for v in local] if len(local) == len(rows) else None
     for p, q in ends:
@@ -583,8 +551,8 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     vertex) the window shifts to the current length.  g must be negative
     definite, as `limit_k_squared` also checks first (PreconditionError),
     and s a maximal string of g.  Each member is factored once, -K^2
-    checked two ways (`k_squared`); `kdg limit` checks g and
-    resolves s once for both procedures and calls `_fitted_limit`.
+    checked two ways (`k_squared`); the member at the string's own length
+    is g itself.
     Shrinking a (-2) string keeps definiteness, so a member that is not
     definite has every longer one fail too, and its
     `NotNegativeDefiniteError` is raised as is.
@@ -594,22 +562,11 @@ def mobius_limit_crosscheck(g: WeightedDualGraph, s: StringDescriptor) -> Union[
     the determinant of a member is affine in L, so the pole is where it
     vanishes, and the members past it are not negative definite.
     """
-    solved = _definite_solution(g)
+    solve(g._factorization, PreconditionError("limit needs a negative definite graph"))
     (desc,) = _resolve_designated(g, [s])
-    return _fitted_limit(g, desc, solved)
-
-
-def _fitted_limit(
-    g: WeightedDualGraph, desc: StringDescriptor, solved: tuple[list[int], int]
-) -> Union[Fraction, object]:
-    """`mobius_limit_crosscheck` on a negative definite g and a string as
-    `_resolve_designated` gives it, with `solved` g's (y, d) from
-    `_definite_solution`: the member at the string's own length is g, whose
-    -K^2 is read from that solution."""
 
     def member_k2(length: int) -> Fraction:
-        if length == len(desc.chain):
-            return _checked_k_squared(*_graph_system(g), *solved)
+        # at the string's own length `_splice` returns g, factored already
         return k_squared(_splice(g, desc, length)[0])
 
     lengths = [0, 1, 2]

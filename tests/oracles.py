@@ -588,7 +588,7 @@ def sequential_limit(
     g: WeightedDualGraph, strings: Sequence[StringDescriptor], solved: tuple[list[int], int]
 ) -> Fraction:
     """`limit_k_squared` on strings as `_resolve_designated` gives them, with
-    `solved` g's (y, d) from `_definite_solution`."""
+    `solved` g's (y, d) of M m = c, which the caller solves."""
     descs = list(strings)
     work = g
     for i in range(len(descs)):

@@ -770,26 +770,35 @@ def test_sweep_row_factors_its_member_once(monkeypatch, capsys):
     assert sizes == [v]
 
 
+def count_string_walks(monkeypatch) -> list[int]:
+    """The size of every graph whose strings are walked from now on: a
+    call of `transforms._strings` that finds none kept with the graph."""
+    sizes = []
+    real = kdg.transforms._strings
+
+    def counted(graph):
+        if "_strings" not in graph.__dict__:
+            sizes.append(len(graph))
+        return real(graph)
+
+    monkeypatch.setattr(kdg.transforms, "_strings", counted)
+    return sizes
+
+
 def test_limit_detects_strings_once_and_factors_g_once(tmp_path, monkeypatch, capsys):
-    """`limit` on one string detects g's strings once and factors g once:
+    """`limit` on one string walks g's strings once, though the listing,
+    the limit and the cross-check each ask for them, and factors g once:
     its definiteness check also solves the first limit system."""
     g = generate(family_spec("II", n=4, s=1))
     v = len(g)
     path = tmp_path / "ii.json"
     path.write_text(graph_to_json(g))
-    detected = []
-    real = kdg.transforms.detect_strings
-
-    def detect(graph):
-        detected.append(len(graph))
-        return real(graph)
-
-    patch_everywhere(monkeypatch, real, detect)
+    walks = count_string_walks(monkeypatch)
     sizes = count_factorizations(monkeypatch)
     assert main(["limit", str(path), "--strings", "n2"]) == 0
     out = capsys.readouterr().out
     assert "limit of -K^2: 1 " in out and "rational-fit cross-check: 1 " in out
-    assert detected == [v]
+    assert walks == [v]
     # g; the limit system without the string's two interior vertices; the
     # cross-check's members with the string at length 0, 1 and 2
     assert sizes == [v, v - 2, v - 4, v - 3, v - 2]
@@ -833,6 +842,38 @@ def test_limit_work_budget_exits_4_before_any_core_system(tmp_path, monkeypatch,
     monkeypatch.setattr(kdg.transforms, "LIMIT_WORK_BUDGET", 36)
     assert main(["limit", str(path), "--strings", "auto"]) == 0
     assert "limit of -K^2: " in capsys.readouterr().out
+
+
+def test_limit_resolves_listed_strings_in_linear_work(tmp_path, monkeypatch, capsys):
+    """`--strings` with an explicit list compares descriptors a bounded
+    number of times per token, not once per pair of tokens or strings: on
+    stars of 50 and 200 (-2)-arms, every arm listed twice, the count of
+    `StringDescriptor.__eq__` calls is at most the number of tokens.  Each
+    string is stretched once, in the order of its first token, and the
+    limit is refused on its work budget before any core is factored."""
+    real = kdg.transforms.StringDescriptor.__eq__
+    calls = []
+
+    def eq(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(kdg.transforms.StringDescriptor, "__eq__", eq)
+    monkeypatch.setattr(kdg.transforms, "LIMIT_WORK_BUDGET", 0)
+    for arms in (50, 200):
+        path = tmp_path / f"star{arms}.json"
+        path.write_text(graph_to_json(build_graph(
+            [("c", 0, -(arms + 1))] + [(f"a{i}", 0, -2) for i in range(arms)],
+            [("c", f"a{i}") for i in range(arms)],
+        )))
+        tokens = [f"a{i}" for i in reversed(range(arms))] + [str(i + 1) for i in range(arms)]
+        calls.clear()
+        assert main(["limit", str(path), "--strings", ",".join(tokens)]) == 4
+        stretching = capsys.readouterr().out.splitlines()[-1]
+        assert stretching == "stretching: " + "; ".join(
+            f"a{i} (attached to c)" for i in reversed(range(arms))
+        )
+        assert 0 < len(calls) <= len(tokens)
 
 
 def test_limit_reads_the_ids_once(tmp_path, monkeypatch, capsys):

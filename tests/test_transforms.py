@@ -125,7 +125,7 @@ def test_insert_minus2_exact_graph():
         (Edge(0, 1), Edge(1, 4), Edge(2, 3), Edge(2, 5), Edge(4, 5)),
     )
     # the public splice still refuses the empty chain that insertion uses
-    with pytest.raises(PreconditionError, match="empty"):
+    with pytest.raises(PreconditionError, match="maximal"):
         with_string_length(g, StringDescriptor((), 1, 2), 2)
 
 
@@ -504,23 +504,62 @@ def test_limit_matches_schur_oracle(seed, data):
     assert got == want
 
 
-def check_detected_strings(g):
-    for s in detect_strings(g):
-        transforms._check_string_structure(g, s)
+def test_with_string_length_takes_only_maximal_strings():
+    """A sub-chain of a maximal string, one with a wrong attachment and
+    one whose vertices are not a string at all are refused; the maximal
+    string passes in either direction."""
+    g = build_graph(
+        [("x", 0, -3), ("s0", 0, -2), ("s1", 0, -2), ("s2", 0, -2), ("y", 0, -3)],
+        [("x", "s0"), ("s0", "s1"), ("s1", "s2"), ("s2", "y")],
+    )
+    (s,) = detect_strings(g)
+    assert s == StringDescriptor((1, 2, 3), 0, 4)
+    for bad in (
+        StringDescriptor((1, 2), 0, 3),
+        StringDescriptor((2,), 1, 3),
+        StringDescriptor((1, 2, 3), 0, None),
+        StringDescriptor((1, 2, 3), 4, 0),
+        StringDescriptor((0, 1, 2, 3, 4), None, None),
+        StringDescriptor((9,), None, None),
+    ):
+        with pytest.raises(PreconditionError, match="not a maximal string"):
+            with_string_length(g, bad, 5)
+    assert with_string_length(g, s.reversed(), 3) == (g, s.reversed())
 
 
-def test_detected_strings_pass_the_structure_check_on_family_corpus():
+def test_with_string_length_splices_a_reversed_string_at_its_far_end():
+    """A maximal string given from its other end is spliced in that
+    orientation: it grows and shrinks at the end it lists last, as the
+    oracle splices it, on every family corpus member at lengths 0-4."""
+    grown_at_least_end = 0
     for spec in _family_corpus():
-        check_detected_strings(generate(spec))
+        g = generate(spec)
+        for s in detect_strings(g):
+            back = s.reversed()
+            for length in range(5):
+                got = outcome(lambda: with_string_length(g, back, length))
+                assert got == outcome(lambda: id_splice(g, back, length)), (spec, s, length)
+                if length > len(s.chain) and len(s.chain) > 1 and s.left is not None:
+                    member, desc = got
+                    assert desc.chain[: len(s.chain)] == back.chain
+                    grown_at_least_end += member.edge_mult(s.left, desc.chain[-1]) == 1
+    assert grown_at_least_end > 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_detected_strings_pass_the_structure_check(seed):
-    """`limit_k_squared` and `mobius_limit_crosscheck` splice what
-    `_resolve_designated` matched to `detect_strings` without checking it
-    again, so every detected string must pass `with_string_length`'s check."""
-    check_detected_strings(random_admissible(random.Random(seed), LIMIT_BOUNDS))
+def test_detect_strings_returns_a_new_list_of_the_kept_strings():
+    """Changing the list `detect_strings` returned changes neither a later
+    call nor a later limit: g keeps its strings, and each call copies
+    them out."""
+    spec = family_spec("II", n=2, s=1)
+    g = generate(spec)
+    d = stretch_descriptor(spec, g, "s")
+    first = detect_strings(g)
+    want = list(first)
+    first.clear()
+    first.append(StringDescriptor((0,), None, None))
+    assert detect_strings(g) == want == detect_strings(generate(spec))
+    assert limit_k_squared(g, [d]) == Fraction(3, 4)
+    assert mobius_limit_crosscheck(g, d) == Fraction(3, 4)
 
 
 def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
@@ -529,14 +568,15 @@ def test_mobius_window_shift_on_member_not_negative_definite(monkeypatch):
 
     def spy(g, s, length):
         member = real(g, s, length)
-        sizes.append(len(member[0]))
+        if member[0] is not g:
+            sizes.append(len(member[0]))
         return member
 
     monkeypatch.setattr(transforms, "_splice", spy)
     # E8 = T(2,3,5) is definite, and so are its members with the short arm
     # at length 0 and 1; at length 2 it is T(3,3,5), which is not, and its
-    # error is raised as is.  The member at length 1 is g itself and is not
-    # spliced.
+    # error is raised as is.  The member at length 1 is g itself, not a
+    # new graph.
     spec = family_spec("E8")
     g = generate(spec)
     (arm,) = [s for s in detect_strings(g) if len(s.chain) == 1]
@@ -572,7 +612,7 @@ def limit_against_sequential(g, picked):
     got = outcome(lambda: limit_k_squared(g, picked))
 
     def sequential():
-        solved = transforms._definite_solution(g)
+        solved = rational.solve(g._factorization, PreconditionError("limit needs a negative definite graph"))
         return sequential_limit(g, transforms._resolve_designated(g, picked), solved)
 
     assert got == outcome(sequential), (g, picked)
