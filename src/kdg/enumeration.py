@@ -67,7 +67,7 @@ from operator import eq, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import InternalCheckError, PreconditionError
-from .graph import WeightedDualGraph, build_graph, validate
+from .graph import Edge, VertexData, WeightedDualGraph, validate
 from .invariants import _class_invariants
 from .rational import rat_str
 
@@ -172,9 +172,10 @@ def graph_from_encoding(encoding: str) -> WeightedDualGraph:
     """The graph, with vertex ids v0, v1, ..., of an encoding as the
     enumerator writes it; malformed encodings are not diagnosed."""
     data, adj = _decode(encoding)
-    verts = [(f"v{i}", g, w) for i, (g, w) in enumerate(data)]
-    edges = [(f"v{i}", f"v{j}", m) for i, nbrs in enumerate(adj) for j, m in nbrs.items() if i < j]
-    return build_graph(verts, edges)
+    return WeightedDualGraph(
+        tuple(VertexData(f"v{i}", g, w) for i, (g, w) in enumerate(data)),
+        tuple(Edge(i, j, m) for i, nbrs in enumerate(adj) for j, m in sorted(nbrs.items()) if i < j),
+    )
 
 
 def canonical_encoding(g: WeightedDualGraph) -> str:
@@ -533,26 +534,25 @@ def random_admissible(rng: random.Random, bounds: EnumBounds, attempts: int = 20
 
     Candidates are random trees (connectivity for free) with occasional
     extra edges and random weights; non negative definite draws are thrown
-    away.  Deterministic for a seeded rng.
+    away.  Deterministic for a seeded rng; `PreconditionError` when
+    min_self > -2 leaves a genus-0 curve no self-intersection.
     """
+    if bounds.min_self > -2:
+        raise PreconditionError("random graphs need min_self <= -2 (a genus-0 (-1)-curve is never minimal)")
     for _ in range(attempts):
         r = rng.randint(1, bounds.max_vertices)
         verts = []
         for i in range(r):
             genus = rng.randint(0, bounds.max_genus) if rng.random() < 0.3 else 0
-            lowest_allowed = -1 if genus > 0 else -2
-            w = rng.randint(bounds.min_self, lowest_allowed)
-            verts.append((f"v{i}", genus, w))
-        edges = []
+            verts.append(VertexData(f"v{i}", genus, rng.randint(bounds.min_self, -1 if genus > 0 else -2)))
+        mults = {}  # (a, b), a < b -> multiplicity
         for i in range(1, r):
             parent = rng.randrange(i)
-            mult = rng.randint(1, bounds.max_edge_multiplicity) if rng.random() < 0.15 else 1
-            edges.append((f"v{parent}", f"v{i}", mult))
+            mults[parent, i] = rng.randint(1, bounds.max_edge_multiplicity) if rng.random() < 0.15 else 1
         if r >= 3 and rng.random() < 0.1:
             i, j = sorted(rng.sample(range(r), 2))
-            if all(not (e[0] == f"v{i}" and e[1] == f"v{j}") for e in edges):
-                edges.append((f"v{i}", f"v{j}", 1))
-        g = build_graph(verts, edges)
+            mults.setdefault((i, j), 1)
+        g = WeightedDualGraph(tuple(verts), tuple(Edge(a, b, m) for (a, b), m in sorted(mults.items())))
         if validate(g).admissible:
             return g
     raise PreconditionError("could not sample an admissible graph within the attempt budget")

@@ -2,31 +2,28 @@
 
 Each family is a parametrized dual-graph shape together with the exact
 rational value of -K^2 as a function of the parameters, so the linear-algebra
-pipeline and the formulas can be cross-asserted.  Conventions used by the
-shapes below, writing x for a genus-0 (-3)-vertex and o for a genus-0
-(-2)-vertex:
+pipeline and the formulas can be cross-asserted.  Writing x for a genus-0
+(-3)-curve and o for a genus-0 (-2)-curve: A/D/E are the Dynkin
+configurations of o's (-K^2 = 0); I..IX the nine star-like shapes around
+one x whose fundamental cycle has self-intersection -3; two_curve(k, m, n)
+an o-chain with two genus-(k/2) curves of self-intersection -(2km+2) on its
+first curve; tail and two_tail one or two o-arms on a curve of adjunction
+degree r; double_three(n) x - o^n - x; simple_elliptic(w) one genus-1
+curve of self-intersection -w; non_lc_star a (-5)-curve with four (-3)-leaves.
 
-* A/D/E: the usual Dynkin configurations of o's; -K^2 = 0.
-* I..IX: the nine star-like shapes around a single x whose resolutions have
-  fundamental cycle of self-intersection -3.  Their values follow the
-  pattern 1/(3 - sum of branch factors), each branch factor being a ratio
-  of two Dynkin determinants.
-* two_curve(k, m, n): a chain o^n with two genus-(k/2) curves of
-  self-intersection -(2km+2) attached to its first vertex.
-* tail(r, k, n): an o^n chain ending in a genus-((r-k+1)/2) vertex of
-  self-intersection -(k+1); its adjunction degree is exactly r.
-* two_tail(r, k, n, s): a genus-((r-k)/2) vertex of self-intersection
-  -(k+2) carrying two o-arms; adjunction degree again r.
-* double_three(n): x - o^n - x; simple_elliptic(w): one genus-1 vertex of
-  self-intersection -w; non_lc_star: a (-5)-vertex with four (-3)-leaves.
+A family is written in two tables, its shape just above its closed form.
+Its layout (`_LAYOUTS`) lists its curves in vertex order, single curves
+and (-2)-chains, with the paths that join them.  `vertex_count` sums the
+layout's counts, so `generate` refuses a member over FAMILY_VERTEX_BUDGET
+before any chain is expanded or any id formatted, and `_expand` builds
+the records and the sorted edges by index.
 
-Each family's -K^2 is written once (`_K2_FORMS`), as a (numerator,
-denominator) pair in the factors a_x = x/(x+1) of its arm parameters x.
-Each counts the vertices of a (-2)-string, up to a fixed offset, and a
-string of length L enters -K^2 only through its Hirzebruch-Jung factor
-L/(L+1).  `closed_form_k2` reads the pair at the member.  `expected_limit`
-reads it with every stretched factor at its limit 1, UNBOUNDED when the
-denominator vanishes there.  `stretch_descriptor`
+Its -K^2 (`_K2_FORMS`) is a (numerator, denominator) pair in the factors
+a_x = x/(x+1) of its arm parameters x.  Each counts the vertices of a
+(-2)-string, up to a fixed offset, and a string of length L enters -K^2 only
+through its Hirzebruch-Jung factor L/(L+1).  `closed_form_k2` reads the pair
+at the member.  `expected_limit` reads it with every stretched factor at its
+limit 1, UNBOUNDED when the denominator vanishes there.  `stretch_descriptor`
 points at the maximal string of a generated member that realizes an arm
 parameter, so the limit machinery can be checked end to end.
 """
@@ -35,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import repeat
+from typing import Iterable, Union
 
 from .errors import PreconditionError
-from .graph import WeightedDualGraph, build_graph
+from .graph import Edge, VertexData, WeightedDualGraph
 from .rational import UNBOUNDED
 from .transforms import StringDescriptor, detect_strings
 
@@ -155,26 +153,11 @@ def _check_domain(spec: FamilySpec) -> None:
 #: with a `PreconditionError` (exit code 4), counted before anything is built.
 FAMILY_VERTEX_BUDGET = 100_000
 
-# Vertices of each family's member besides its chains of lengths n, s and t.
-_FIXED_VERTICES = {
-    "A": 0, "D": 0, "E6": 6, "E7": 7, "E8": 8,
-    "I": 1, "II": 4, "III": 1, "IV": 6, "V": 7, "VI": 3, "VII": 7, "VIII": 8, "IX": 8,
-    "two_curve": 2, "tail": 1, "two_tail": 1, "double_three": 2,
-    "simple_elliptic": 1, "non_lc_star": 5,
-}
-
 
 def vertex_count(spec: FamilySpec) -> int:
-    """Vertices of `generate(spec)`, from the parameters alone."""
-    return _FIXED_VERTICES[spec.name] + sum(v for k, v in spec.params if k in ("n", "s", "t"))
-
-
-def _chain_ids(prefix: str, count: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(1, count + 1)]
-
-
-def _chain_edges(ids: Sequence[str]) -> list[tuple[str, str]]:
-    return list(zip(ids, ids[1:]))
+    """Vertices of `generate(spec)`, read off its layout."""
+    entries, _ = _LAYOUTS[spec.name](**dict(spec.params))
+    return sum(1 if len(entry) == 3 else entry[1] for entry in entries)
 
 
 def generate(spec: FamilySpec) -> WeightedDualGraph:
@@ -187,111 +170,67 @@ def generate(spec: FamilySpec) -> WeightedDualGraph:
             f"family {spec.name} with these parameters has more than"
             f" {FAMILY_VERTEX_BUDGET} vertices, its vertex budget"
         )
-    p = dict(spec.params)
-    name = spec.name
-    verts: list[tuple[str, int, int]] = []
-    edges: list[tuple[str, str]] = []
+    return _expand(*_LAYOUTS[spec.name](**dict(spec.params)))
 
-    def arm(prefix: str, count: int, root: str) -> None:
-        ids = _chain_ids(prefix, count)
-        verts.extend((i, 0, -2) for i in ids)
-        edges.extend(_chain_edges(ids))
-        if ids:
-            edges.append((root, ids[0]))
 
-    if name == "A":
-        ids = _chain_ids("c", p["n"])
-        verts = [(i, 0, -2) for i in ids]
-        edges = _chain_edges(ids)
-    elif name == "D":
-        ids = _chain_ids("c", p["n"] - 2)
-        verts = [(i, 0, -2) for i in ids] + [("f1", 0, -2), ("f2", 0, -2)]
-        edges = _chain_edges(ids) + [(ids[-1], "f1"), (ids[-1], "f2")]
-    elif name in ("E6", "E7", "E8"):
-        ids = _chain_ids("c", int(name[1]) - 1)
-        verts = [(i, 0, -2) for i in ids] + [("b", 0, -2)]
-        edges = _chain_edges(ids) + [("c3", "b")]
-    elif name == "I":
-        verts = [("x", 0, -3)]
-        arm("n", p["n"], "x")
-        arm("s", p["s"], "x")
-        arm("t", p["t"], "x")
-    elif name == "II":
-        verts = [("x", 0, -3)]
-        arm("n", p["n"], "x")
-        sids = _chain_ids("s", p["s"])
-        verts.extend((i, 0, -2) for i in sids)
-        verts += [("b", 0, -2), ("f1", 0, -2), ("f2", 0, -2)]
-        spine = ["x"] + sids + ["b"]
-        edges.extend(_chain_edges(spine))
-        edges += [("b", "f1"), ("b", "f2")]
-    elif name == "III":
-        verts = [("x", 0, -3)]
-        arm("n", p["n"], "x")
-        cids = _chain_ids("c", p["s"])
-        verts.extend((i, 0, -2) for i in cids)
-        edges.extend(_chain_edges(cids))
-        edges.append(("x", "c2"))
-    elif name in ("IV", "V"):
-        verts = [("x", 0, -3)]
-        arm("n", p["n"], "x")
-        if name == "IV":
-            cids = _chain_ids("c", 3)
-            verts.extend((i, 0, -2) for i in cids)
-            verts += [("f1", 0, -2), ("f2", 0, -2)]
-            edges.extend(_chain_edges(cids))
-            edges += [("c3", "f1"), ("c3", "f2"), ("x", "f1")]
+def _expand(entries: list[tuple], paths: str) -> WeightedDualGraph:
+    """The graph of a layout (see `_LAYOUTS`), its records and sorted edges
+    built by index."""
+    new = tuple.__new__  # `VertexData._make` and `Edge._make` less their length checks
+    vertices: list[VertexData] = []
+    pairs: list[tuple[int, int, int]] = []
+    spans = {}  # entry name -> (first, last) vertex index; last < first for an empty chain
+    for entry in entries:
+        first = len(vertices)
+        if len(entry) == 3:
+            vertices.append(VertexData(*entry))
         else:
-            cids = _chain_ids("c", 5)
-            verts.extend((i, 0, -2) for i in cids)
-            verts.append(("b", 0, -2))
-            edges.extend(_chain_edges(cids))
-            edges += [("c3", "b"), ("x", "c1")]
-    elif name == "VI":
-        cids = _chain_ids("c", p["n"] + 2)
-        verts = [("x", 0, -3)] + [(i, 0, -2) for i in cids]
-        edges = _chain_edges(cids) + [("x", "c3")]
-    elif name in ("VII", "VIII"):
-        count = 4 if name == "VII" else 5
-        cids = _chain_ids("c", count)
-        verts = [("x", 0, -3)] + [(i, 0, -2) for i in cids]
-        verts += [("f1", 0, -2), ("f2", 0, -2)]
-        edges = _chain_edges(cids) + [(cids[-1], "f1"), (cids[-1], "f2"), ("x", "f1")]
-    elif name == "IX":
-        cids = _chain_ids("c", 6)
-        verts = [("x", 0, -3)] + [(i, 0, -2) for i in cids] + [("b", 0, -2)]
-        edges = _chain_edges(cids) + [("c3", "b"), ("x", "c6")]
-    elif name == "two_curve":
-        k, m, n = p["k"], p["m"], p["n"]
-        fids = _chain_ids("f", n)
-        verts = [("e1", k // 2, -(2 * k * m + 2)), ("e2", k // 2, -(2 * k * m + 2))]
-        verts += [(i, 0, -2) for i in fids]
-        edges = _chain_edges(fids) + [("e1", "f1"), ("e2", "f1")]
-    elif name == "tail":
-        r, k = p["r"], p["k"]
-        verts = [("x", (r - k + 1) // 2, -(k + 1))]
-        arm("n", p["n"], "x")
-    elif name == "two_tail":
-        r, k = p["r"], p["k"]
-        verts = [("x", (r - k) // 2, -(k + 2))]
-        arm("n", p["n"], "x")
-        arm("s", p["s"], "x")
-    elif name == "double_three":
-        nids = _chain_ids("n", p["n"])
-        verts = [("x1", 0, -3)] + [(i, 0, -2) for i in nids] + [("x2", 0, -3)]
-        edges = _chain_edges(["x1"] + nids + ["x2"])
-    elif name == "simple_elliptic":
-        verts = [("e", 1, -p["w"])]
-    elif name == "non_lc_star":
-        verts = [("z", 0, -5)] + [(f"y{i}", 0, -3) for i in range(1, 5)]
-        edges = [("z", f"y{i}") for i in range(1, 5)]
-    else:  # pragma: no cover - family_spec already rejects unknown names
-        raise PreconditionError(f"unknown family {name!r}")
-    return build_graph(verts, edges)
+            prefix, count = entry[0][:-1], entry[1]
+            vertices += [new(VertexData, (f"{prefix}{i}", 0, -2)) for i in range(1, count + 1)]
+            pairs += [(k, k + 1, 1) for k in range(first, len(vertices) - 1)]
+        spans[entry[0]] = (first, len(vertices) - 1)
+    for path in paths.split(","):
+        names = path.split()
+        if not spans.keys() >= set(names):  # the path names a curve inside a chain
+            spans.update((v.id, (k, k)) for k, v in enumerate(vertices))
+        ends = [spans[name] for name in names if spans[name][0] <= spans[name][1]]
+        pairs += [(min(a, b), max(a, b), 1) for (_, a), (b, _) in zip(ends, ends[1:])]
+    pairs.sort()
+    return WeightedDualGraph(tuple(vertices), tuple(map(new, repeat(Edge), pairs)))
 
 
-def _arm(p: int) -> Fraction:
-    return Fraction(p, p + 1)
+# Each family's member as (entries, paths), given its parameters.  The
+# entries list its curves in vertex order: a curve (id, genus, self), or a
+# (-2)-chain (prefix + "*", count) of the curves prefix1..prefix<count>,
+# each joined to the next.  Each comma-separated path joins each name to
+# the next; a chain there stands for its curves in order (its first curve
+# on the left, its last on the right), an empty chain joins its two
+# neighbours, and a path may also name a curve inside a chain.
+_X, _B, _F1, _F2 = ("x", 0, -3), ("b", 0, -2), ("f1", 0, -2), ("f2", 0, -2)
+_LAYOUTS = {
+    "A": lambda n: ([("c*", n)], ""),
+    "D": lambda n: ([("c*", n - 2), _F1, _F2], "c* f1, c* f2"),
+    "E6": lambda: ([("c*", 5), _B], "c3 b"),
+    "E7": lambda: ([("c*", 6), _B], "c3 b"),
+    "E8": lambda: ([("c*", 7), _B], "c3 b"),
+    "I": lambda n, s, t: ([_X, ("n*", n), ("s*", s), ("t*", t)], "x n*, x s*, x t*"),
+    "II": lambda n, s: ([_X, ("n*", n), ("s*", s), _B, _F1, _F2], "x n*, x s* b f1, b f2"),
+    "III": lambda n, s: ([_X, ("n*", n), ("c*", s)], "x n*, x c2"),
+    "IV": lambda n: ([_X, ("n*", n), ("c*", 3), _F1, _F2], "x n*, c* f1 x, c* f2"),
+    "V": lambda n: ([_X, ("n*", n), ("c*", 5), _B], "x n*, x c*, c3 b"),
+    "VI": lambda n: ([_X, ("c*", n + 2)], "x c3"),
+    "VII": lambda: ([_X, ("c*", 4), _F1, _F2], "c* f1 x, c* f2"),
+    "VIII": lambda: ([_X, ("c*", 5), _F1, _F2], "c* f1 x, c* f2"),
+    "IX": lambda: ([_X, ("c*", 6), _B], "c3 b, c* x"),
+    "two_curve": lambda k, m, n: (
+        [(e, k // 2, -(2 * k * m + 2)) for e in ("e1", "e2")] + [("f*", n)], "e1 f*, e2 f*"
+    ),
+    "tail": lambda r, k, n: ([("x", (r - k + 1) // 2, -(k + 1)), ("n*", n)], "x n*"),
+    "two_tail": lambda r, k, n, s: ([("x", (r - k) // 2, -(k + 2)), ("n*", n), ("s*", s)], "x n*, x s*"),
+    "double_three": lambda n: ([("x1", 0, -3), ("n*", n), ("x2", 0, -3)], "x1 n* x2"),
+    "simple_elliptic": lambda w: ([("e", 1, -w)], ""),
+    "non_lc_star": lambda: ([("z", 0, -5)] + [(f"y{i}", 0, -3) for i in "1234"], "z y1, z y2, z y3, z y4"),
+}
 
 
 # -K^2 of each family as (numerator, denominator), given the parameters p
@@ -318,6 +257,10 @@ _K2_FORMS = {
     "simple_elliptic": lambda p, a: (p["w"], 1),
     "non_lc_star": lambda p, a: (71, 11),
 }
+
+
+def _arm(p: int) -> Fraction:
+    return Fraction(p, p + 1)
 
 
 def closed_form_k2(spec: FamilySpec) -> Fraction:

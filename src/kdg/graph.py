@@ -10,12 +10,13 @@ Vertices and edges are `VertexData` and `Edge` named tuples: immutable and
 hashable, they unpack and compare equal to plain tuples of their fields.
 Ingestion (`parse_graph_obj` -> `build_graph` -> `WeightedDualGraph`)
 reads each vertex and edge once: the JSON layer checks types and keys,
-`build_graph` resolves ids to indices, and the graph's constructor is the
-one place that checks values, plain ints included, building the graph's
-lookup maps, the diagonal of M and c in the same loops.  Error text is
-built only when one is raised.  A graph factors [M | c] once, on first use
-(`rational.factor`), and definiteness, the canonical cycle, -K^2 and the
-p_a search all read that factorization.
+`build_graph` resolves ids to indices (graphs kdg lays out itself are built
+by index instead), and the graph's constructor is the one place that checks
+values, plain ints included, building the graph's lookup maps, the diagonal
+of M and c in the same loops.  Error text is built only when one is raised.
+A graph factors [M | c] once, on first use (`rational.factor`), and
+definiteness, the canonical cycle, -K^2 and the p_a search all read that
+factorization.
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ def build_graph(
     edges: Iterable[tuple] = (),
 ) -> WeightedDualGraph:
     """Construct a graph from (id, genus, self_int) triples and edges given
-    as (id_a, id_b) or (id_a, id_b, mult) tuples.  Resolves each edge's ids
-    to indices, ordered (min, max); `WeightedDualGraph` checks the values."""
+    as (id_a, id_b) or (id_a, id_b, mult) tuples, for JSON ingestion and the
+    public API; resolves each edge's ids to indices, ordered (min, max), and
+    `WeightedDualGraph` checks the values."""
     vts = tuple(map(VertexData._make, vertices))
     index = {v.id: k for k, v in enumerate(vts)}
     pairs = []

@@ -134,7 +134,7 @@ def test_repeated_parameter_exits_4(capsys):
 def test_family_vertex_budget_exits_4(monkeypatch, capsys):
     """A member over FAMILY_VERTEX_BUDGET exits 4 from its count alone,
     for `family` and for a `sweep` row."""
-    monkeypatch.setattr(kdg.families, "build_graph", None)  # building would raise
+    monkeypatch.setattr(kdg.families, "_expand", None)  # expanding would raise
     assert main(["family", "A", "--params", "n=10000000"]) == 4
     assert main(["sweep", "I", "--param", "n", "--range", "99999..99999", "--fix", "s=1,t=0"]) == 4
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -24,7 +25,7 @@ from kdg.enumeration import (
     spectrum_report,
 )
 from kdg.errors import InternalCheckError, PreconditionError
-from kdg.graph import build_graph, validate
+from kdg.graph import build_graph, graph_to_json, validate
 
 from .conftest import quick_k_squared, search_factorization
 from .oracles import (
@@ -427,6 +428,49 @@ def test_random_admissible():
         assert len(g) <= 6
         assert all(v.self_int >= -5 and v.genus <= 2 for v in g.vertices)
         assert all(e.mult <= 2 for e in g.edges)
+
+
+def test_random_admissible_needs_room_below_minus_one():
+    """A genus-0 curve may not be a (-1)-curve, so min_self = -1 leaves it
+    no self-intersection: refused before any draw, whatever the genus."""
+    for bounds in (EnumBounds(3, min_self=-1, max_genus=1), EnumBounds(3, min_self=-1)):
+        with pytest.raises(PreconditionError, match="min_self <= -2"):
+            random_admissible(random.Random(0), bounds)
+
+
+# SHA-256 of `graph_to_json` over five draws for each seed 0..49, under the
+# bounds of `verify --suite lemmas` and `--suite spectrum` and two boxes at
+# min_self = -2, recorded when the draws were still built through
+# `build_graph`: a seeded draw is the same graph, ids and edges included.
+_RANDOM_DRAW_DIGESTS = [
+    (EnumBounds(6, min_self=-6, max_genus=2, max_edge_multiplicity=2),
+     "ad0ab3fb4c06f2e63cec58f401c3459ee91fc5fbba8d8e912db8b08c84399fa0"),
+    (EnumBounds(4, min_self=-2, max_genus=1),
+     "7c25f24febd1a34210e76f838d2c3545b8561de1eb0a2665197224855b49790d"),
+    (EnumBounds(5, min_self=-2, max_genus=0, max_edge_multiplicity=2),
+     "a5130b311c8e57fc077fc090dcfdee1a59b5af091c6cd66b14f9cc0738002350"),
+]
+
+
+@pytest.mark.parametrize("bounds, digest", _RANDOM_DRAW_DIGESTS, ids=["suites", "self-2-genus1", "self-2-mult2"])
+def test_random_admissible_draws_are_pinned(bounds, digest):
+    h = hashlib.sha256()
+    for seed in range(50):
+        rng = random.Random(seed)
+        for _ in range(5):
+            h.update(graph_to_json(random_admissible(rng, bounds)).encode())
+    assert h.hexdigest() == digest
+
+
+def test_graph_from_encoding_is_pinned_on_e4(e4_values):
+    """`graph_to_json` of the decoded graph of every 8th E4 class (22,167 of
+    177,332), as recorded when decoding still went through `build_graph`.
+    Every class would take about 11 s on 2 cores, mostly in the indented
+    JSON encoder."""
+    h = hashlib.sha256()
+    for encoding, _ in e4_values[::8]:
+        h.update(graph_to_json(graph_from_encoding(encoding)).encode())
+    assert h.hexdigest() == "79851ad0e5aeee9a1a76ae04d798f4251bd734e5e2ae08ff39df847a3cef264d"
 
 
 def test_e4_values_match_graph_path(e4_values):

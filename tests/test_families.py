@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -17,7 +18,7 @@ from kdg.families import (
     two_curve_coefficient,
     vertex_count,
 )
-from kdg.graph import adjunction_degrees, validate
+from kdg.graph import adjunction_degrees, graph_to_json, validate
 from kdg.invariants import canonical_cycle, k_squared
 from kdg.rational import UNBOUNDED, det
 from kdg.transforms import detect_strings, limit_k_squared
@@ -131,10 +132,35 @@ def test_vertex_budget_is_checked_before_building(monkeypatch):
     spec = family_spec("I", n=1, s=2, t=3)
     monkeypatch.setattr(kdg.families, "FAMILY_VERTEX_BUDGET", 7)
     assert len(generate(spec)) == 7
-    monkeypatch.setattr(kdg.families, "build_graph", None)  # building would raise
+    monkeypatch.setattr(kdg.families, "_expand", None)  # expanding would raise
     monkeypatch.setattr(kdg.families, "FAMILY_VERTEX_BUDGET", 6)
     with pytest.raises(PreconditionError, match="family I with these parameters has more than 6 vertices"):
         generate(spec)
+    # a chain of 4,000 digits' length is refused by its count, with nothing
+    # expanded and no id formatted
+    monkeypatch.undo()
+    monkeypatch.setattr(kdg.families, "_expand", None)
+    with pytest.raises(PreconditionError, match="family D with these parameters has more than 100000 vertices"):
+        generate(family_spec("D", n=10**3999))
+
+
+# Members of 100 or more vertices pinned with the corpus below.
+_LARGE_MEMBERS = [
+    family_spec("A", n=120), family_spec("D", n=130), family_spec("I", n=40, s=35, t=30),
+    family_spec("II", n=60, s=50), family_spec("III", n=50, s=60), family_spec("VI", n=110),
+    family_spec("two_curve", k=2, m=1, n=150), family_spec("two_tail", r=3, k=1, n=60, s=70),
+    family_spec("tail", r=2, k=1, n=110), family_spec("double_three", n=100),
+]
+
+
+def test_family_layouts_are_pinned():
+    """Ids, vertex order and edges of every corpus member and of the large
+    members: the SHA-256 of their `graph_to_json`, recorded when `generate`
+    still built each family in its own branch."""
+    h = hashlib.sha256()
+    for spec in _family_corpus() + _LARGE_MEMBERS:
+        h.update(graph_to_json(generate(spec)).encode())
+    assert h.hexdigest() == "26e160b4827143677bfc811e18cdbae453c91d7fba7bf04ec5b29dfa735959c9"
 
 
 def test_two_curve_values():
